@@ -19,8 +19,8 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== tier-1 build: cargo build --release (lint below reuses the artifact) =="
-cargo build --release
+echo "== tier-1 build, plus every workspace binary the steps below run: cargo build --release --workspace =="
+cargo build --release --workspace
 
 echo "== seccloud-lint (token rules + interprocedural taint / panic_path / arith / dispatch / ctflow / vartime / atomics / locks / blocking / deadline) =="
 lint_start=$(date +%s%N)
@@ -75,36 +75,12 @@ if ! diff -u crates/baselines/seccloud-lint-baseline.json target/seccloud-lint-b
     exit 1
 fi
 
-echo "== tier-1: cargo test -q (auto-detected arithmetic backend) =="
-cargo test -q
+echo "== every suite once: cargo test --workspace -q (tier-1 cargo test -q is its root-package subset) =="
+cargo test --workspace -q
 
-echo "== arithmetic backend sweep: pairing + equivalence suites per SECCLOUD_ARCH =="
-# The full workspace already ran under the auto-detected backend above; the
-# sweep pins each portable backend and re-runs the crate that dispatches on
-# it (unit tests + the cross-backend property suite).
-for arch in reference generic; do
-    echo "-- SECCLOUD_ARCH=${arch} --"
-    SECCLOUD_ARCH="${arch}" cargo test -q -p seccloud-pairing
-done
-
-echo "== resilience unit suite (clock/policy/breaker/transport/driver/pool/sharded) =="
-cargo test -q -p seccloud-resilience
-
-echo "== registry suite (sharding, commitments, fused cross-shard batch) =="
-cargo test -q -p seccloud-registry
-
-echo "== scale smoke bench + sharded/batch-user suites per SECCLOUD_ARCH =="
-# The smoke bench (≤10k simulated users) exercises enrollment, per-shard
-# commitments, epoch rotation and both cache arms end to end; the new
-# suites re-run under each pinned backend with a reduced case count (the
-# reference backend is ~20x slower per pairing).
-for arch in reference generic; do
-    echo "-- SECCLOUD_ARCH=${arch} --"
-    SECCLOUD_ARCH="${arch}" ./target/release/bench_scale --smoke \
-        --out "target/BENCH_scale_smoke_${arch}.json"
-    SECCLOUD_ARCH="${arch}" SECCLOUD_TESTKIT_CASES=25 cargo test -q --test batch_users
-    SECCLOUD_ARCH="${arch}" cargo test -q --test fault_injection sharded
-done
+echo "== scale smoke bench: enrollment, per-shard commitments, epoch rotation, both cache arms =="
+# ≤10k simulated users, end to end through the release binary.
+./target/release/bench_scale --smoke --out target/BENCH_scale_smoke.json
 
 echo "== fault/property/recovery suites: serial and 4-thread (${SECCLOUD_TESTKIT_CASES} cases) =="
 SECCLOUD_THREADS=1 cargo test -q --test fault_injection --test wire_roundtrip --test batch_users

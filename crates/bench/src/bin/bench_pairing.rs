@@ -4,15 +4,12 @@
 //!
 //! * single pairing (unprepared ate) vs prepared pairing against a fixed
 //!   G2 argument (ops/sec + speedup);
-//! * the same pair of rates on *every* arithmetic backend this machine can
-//!   run (`reference`, `generic`, and `x86_64` when the CPU has BMI2/ADX),
-//!   switched in-process — the A/B evidence for the backend dispatch layer;
 //! * G1 scalar multiplication: GLV endomorphism split vs plain wNAF;
 //! * designated batch verification at ℓ ∈ {16, 64, 256} vs ℓ individual
 //!   verifications, serial and parallel.
 //!
-//! Schema v2 is a superset of v1: every v1 field keeps its name and
-//! meaning; `arch_*`, `backends` and the scalar-mul rates are new.
+//! Schema v3 drops v2's per-backend fields (`arch_*`, `backends`); every
+//! other field keeps its name and meaning.
 //!
 //! Run with `cargo run --release -p seccloud-bench --bin bench_pairing`.
 //! The file lands in the current working directory.
@@ -20,7 +17,6 @@
 
 use seccloud_bench::measure_ms;
 use seccloud_ibs::{designate, sign, BatchItem, BatchVerifier, MasterKey};
-use seccloud_pairing::arch::{self, Backend};
 use seccloud_pairing::{hash_to_g1, hash_to_g2, pairing, pairing_prepared, Fr, G2Prepared, G1};
 
 fn ops_per_sec(ms_per_op: f64) -> f64 {
@@ -50,41 +46,10 @@ fn main() {
     let q = hash_to_g2(b"bench-q").to_affine();
     let prepared = G2Prepared::from(&q);
 
-    // The backend the process would use on its own, and what forced it (if
-    // anything). Captured before the per-backend sweep overrides it.
-    let auto = arch::active();
-    let arch_override = std::env::var("SECCLOUD_ARCH").ok();
-
-    // Per-backend A/B: pin each runnable backend and measure the same two
-    // pairing rates. All backends return identical canonical values, so the
-    // switch is safe mid-process; the auto-detected backend is restored for
-    // the headline numbers below.
-    let mut backend_rows = String::new();
-    for (i, bk) in Backend::available().into_iter().enumerate() {
-        arch::set_backend(bk);
-        let plain = measure_ms(2, 10, || pairing(&p, &q));
-        let prep = measure_ms(2, 10, || pairing_prepared(&p, &prepared));
-        if i > 0 {
-            backend_rows.push_str(",\n");
-        }
-        backend_rows.push_str(&format!(
-            "    {{ \"backend\": \"{}\", \"pairing_ops_per_sec\": {:.3}, \
-             \"prepared_pairing_ops_per_sec\": {:.3} }}",
-            bk.name(),
-            ops_per_sec(plain),
-            ops_per_sec(prep),
-        ));
-        println!(
-            "backend {:>9}: pairing {plain:.2} ms, prepared {prep:.2} ms",
-            bk.name()
-        );
-    }
-    arch::set_backend(auto);
-
-    // Headline single-pairing rates on the auto-detected backend. The
-    // prepared case models the protocol's real shape: the G2 argument (a
-    // verifier key) is fixed, so preparation is amortized across many calls
-    // and excluded from the per-op time.
+    // Headline single-pairing rates. The prepared case models the
+    // protocol's real shape: the G2 argument (a verifier key) is fixed, so
+    // preparation is amortized across many calls and excluded from the
+    // per-op time.
     let plain_ms = measure_ms(3, 30, || pairing(&p, &q));
     let prepared_ms = measure_ms(3, 30, || pairing_prepared(&p, &prepared));
     let prep_cost_ms = measure_ms(1, 10, || G2Prepared::from(&q));
@@ -140,29 +105,14 @@ fn main() {
         );
     }
 
-    let arch_available = Backend::available()
-        .iter()
-        .map(|b| format!("\"{}\"", b.name()))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let arch_override_json = match &arch_override {
-        Some(v) => format!("\"{v}\""),
-        None => "null".to_string(),
-    };
     let json = format!(
-        "{{\n  \"schema\": \"seccloud-bench-pairing/v2\",\n  \"threads\": {},\n  \
-         \"arch_backend\": \"{}\",\n  \"arch_override\": {},\n  \
-         \"arch_available\": [{}],\n  \
+        "{{\n  \"schema\": \"seccloud-bench-pairing/v3\",\n  \"threads\": {},\n  \
          \"pairing_ops_per_sec\": {:.3},\n  \"prepared_pairing_ops_per_sec\": {:.3},\n  \
          \"prepared_speedup\": {:.3},\n  \"g2_preparation_ms\": {:.4},\n  \
          \"g1_mul_glv_ops_per_sec\": {:.3},\n  \"g1_mul_wnaf_ops_per_sec\": {:.3},\n  \
          \"glv_speedup_vs_wnaf\": {:.3},\n  \
-         \"backends\": [\n{}\n  ],\n  \
          \"batch_verify\": [\n{}\n  ]\n}}\n",
         seccloud_parallel::num_threads(),
-        auto.name(),
-        arch_override_json,
-        arch_available,
         ops_per_sec(plain_ms),
         ops_per_sec(prepared_ms),
         plain_ms / prepared_ms,
@@ -170,7 +120,6 @@ fn main() {
         ops_per_sec(glv_ms),
         ops_per_sec(wnaf_ms),
         wnaf_ms / glv_ms,
-        backend_rows,
         batch_rows,
     );
     std::fs::write("BENCH_pairing.json", &json).expect("write BENCH_pairing.json");

@@ -1,4 +1,4 @@
-//! The portable fast backend: unrolled schoolbook/CIOS limb arithmetic with
+//! The production kernels: unrolled schoolbook/CIOS limb arithmetic with
 //! branchless reductions, and lazy-reduction `Fp2` kernels that accumulate
 //! full 512-bit products and reduce once per output coefficient.
 //!
@@ -217,7 +217,7 @@ pub fn neg_mod(a: &[u64; 4], m: &[u64; 4]) -> [u64; 4] {
 
 /// Lazy-reduction Karatsuba `Fp2` product: three 512-bit products, 512-bit
 /// accumulation, and exactly **two** Montgomery reductions (vs three in the
-/// strict backend). `m2` must be the 512-bit value `m²`.
+/// strict reference kernel). `m2` must be the 512-bit value `m²`.
 #[inline]
 pub fn fp2_mul(
     a0: &[u64; 4],

@@ -1,313 +1,26 @@
-//! Runtime-dispatched Montgomery arithmetic backends.
+//! Montgomery limb arithmetic: the one production path every 4×64-limb
+//! field operation in this crate bottoms out in.
 //!
-//! Every 4×64-limb field operation in this crate bottoms out in ONE of the
-//! backends below, selected once per process (or overridden for A/B tests):
-//!
-//! * [`Backend::Reference`] — the original strict CIOS code, unchanged: a
-//!   loop-based Montgomery multiplier and `U256` round-trip add/sub. Kept
-//!   as the obviously-correct oracle every other backend is property-tested
-//!   against (`tests/arch_equivalence.rs`).
-//! * [`Backend::Generic`] — unrolled CIOS with a branchless final subtract,
-//!   direct-limb modular add/sub, and *lazy-reduction* `Fp2` kernels that
-//!   accumulate 512-bit products and pay a single Montgomery reduction per
-//!   output coefficient (bounds proved in `DESIGN.md` §11).
-//! * [`Backend::X86_64`] — the same algorithms compiled with
-//!   `#[target_feature(enable = "bmi2,adx")]` so LLVM can emit MULX/ADCX/
-//!   ADOX carry chains. All `unsafe` is confined to `arch/x86_64.rs` and
-//!   each call site re-verifies CPU support (falling back to `Generic`
-//!   rather than risking UB if the features are absent).
-//!
-//! Selection: `SECCLOUD_ARCH=reference|generic|x86_64` overrides; otherwise
-//! the best backend the CPU supports is auto-detected. The choice is
-//! process-wide because field elements of different backends are freely
-//! interchangeable — every backend returns the *canonical* representative
-//! (`< p`), so `Eq`/`Hash`/serialization never observe the backend.
+//! * The kernels re-exported here come from `generic`: unrolled CIOS with
+//!   a branchless final subtract, direct-limb modular add/sub, and
+//!   *lazy-reduction* `Fp2` kernels that accumulate 512-bit products and
+//!   pay a single Montgomery reduction per output coefficient (bounds
+//!   proved in that module's docs and in `DESIGN.md` §11).
+//! * [`reference`] is the original strict CIOS code, unchanged: a
+//!   loop-based Montgomery multiplier and `U256` round-trip add/sub. It is
+//!   never called by production code; it is the obviously-correct oracle
+//!   the kernels are property-tested against (`tests/arch_equivalence.rs`).
 //!
 //! The contract for every function here: inputs are canonical Montgomery
 //! residues (`< m`, little-endian limbs), outputs are canonical Montgomery
-//! residues. Lazy (unreduced) intermediate forms never escape a backend.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! residues, so `Eq`/`Hash`/serialization never observe an unreduced form.
+//! Lazy (unreduced) intermediate forms never escape a kernel.
+//!
+//! `m` is the modulus, `m2` its full 512-bit square (for the lazy `Fp2`
+//! kernels), `inv` the Montgomery constant `-m⁻¹ mod 2⁶⁴`.
 
 mod generic;
-mod reference;
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)] // the one arch-intrinsics module; see x86_64.rs
-mod x86_64;
-
-/// A Montgomery arithmetic backend.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Backend {
-    /// Strict loop-based CIOS — the cross-check oracle.
-    Reference,
-    /// Unrolled CIOS + lazy-reduction tower kernels (portable).
-    Generic,
-    /// `Generic` algorithms compiled for BMI2/ADX (x86_64 only).
-    X86_64,
-}
-
-impl Backend {
-    /// The `SECCLOUD_ARCH` value naming this backend.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Backend::Reference => "reference",
-            Backend::Generic => "generic",
-            Backend::X86_64 => "x86_64",
-        }
-    }
-
-    /// Parses a `SECCLOUD_ARCH` value.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "reference" => Some(Backend::Reference),
-            "generic" => Some(Backend::Generic),
-            "x86_64" => Some(Backend::X86_64),
-            _ => None,
-        }
-    }
-
-    /// Every backend usable on this machine (`Reference` and `Generic`
-    /// always; `X86_64` only when the CPU reports BMI2 + ADX).
-    pub fn available() -> Vec<Backend> {
-        let mut v = vec![Backend::Reference, Backend::Generic];
-        if x86_64_supported() {
-            v.push(Backend::X86_64);
-        }
-        v
-    }
-}
-
-/// Whether the accelerated x86_64 backend can actually run here.
-pub fn x86_64_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        x86_64::supported()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Process-wide backend selection: 0 = undecided, else `Backend` + 1.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-fn encode(b: Backend) -> u8 {
-    match b {
-        Backend::Reference => 1,
-        Backend::Generic => 2,
-        Backend::X86_64 => 3,
-    }
-}
-
-fn decode(v: u8) -> Option<Backend> {
-    match v {
-        1 => Some(Backend::Reference),
-        2 => Some(Backend::Generic),
-        3 => Some(Backend::X86_64),
-        _ => None,
-    }
-}
-
-/// The backend auto-detection: `SECCLOUD_ARCH` if set and valid, else the
-/// fastest backend the CPU supports.
-fn detect() -> Backend {
-    if let Ok(v) = std::env::var("SECCLOUD_ARCH") {
-        if let Some(b) = Backend::parse(&v) {
-            return b;
-        }
-    }
-    if x86_64_supported() {
-        Backend::X86_64
-    } else {
-        Backend::Generic
-    }
-}
-
-/// The currently active backend (detected on first use).
-#[inline]
-pub fn active() -> Backend {
-    // lint: ordering(Relaxed: the flag is the only shared state and every backend returns identical canonical limbs, so a stale read merely repeats detection)
-    match decode(ACTIVE.load(Ordering::Relaxed)) {
-        Some(b) => b,
-        None => {
-            let b = detect();
-            // lint: ordering(Relaxed: racing detections store the same encoding; nothing else is published through this flag)
-            ACTIVE.store(encode(b), Ordering::Relaxed);
-            b
-        }
-    }
-}
-
-/// Forces the active backend — for the equivalence suite and the A/B
-/// bench, which compare backends within one process. All backends return
-/// identical (canonical) values, so concurrent readers stay correct even
-/// mid-switch; ordinary code should rely on auto-detection instead.
 #[doc(hidden)]
-pub fn set_backend(b: Backend) {
-    // lint: ordering(Relaxed: bench/test hook; all backends agree on canonical results, so readers mid-switch stay correct)
-    ACTIVE.store(encode(b), Ordering::Relaxed);
-}
+pub mod reference;
 
-// --- dispatched operations -------------------------------------------------
-//
-// `m` is the modulus, `m2` its full 512-bit square (for lazy Fp2 kernels),
-// `inv` the Montgomery constant `-m⁻¹ mod 2⁶⁴`.
-
-/// Montgomery product `a·b·R⁻¹ mod m` on the active backend.
-#[inline]
-pub fn mont_mul(a: &[u64; 4], b: &[u64; 4], m: &[u64; 4], inv: u64) -> [u64; 4] {
-    mont_mul_with(active(), a, b, m, inv)
-}
-
-/// [`mont_mul`] on an explicit backend.
-#[inline]
-pub fn mont_mul_with(bk: Backend, a: &[u64; 4], b: &[u64; 4], m: &[u64; 4], inv: u64) -> [u64; 4] {
-    match bk {
-        Backend::Reference => reference::mont_mul(a, b, m, inv),
-        Backend::Generic => generic::mont_mul(a, b, m, inv),
-        #[cfg(target_arch = "x86_64")]
-        Backend::X86_64 => x86_64::mont_mul(a, b, m, inv),
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::X86_64 => generic::mont_mul(a, b, m, inv),
-    }
-}
-
-/// Modular addition `a + b mod m` on the active backend.
-#[inline]
-pub fn add_mod(a: &[u64; 4], b: &[u64; 4], m: &[u64; 4]) -> [u64; 4] {
-    add_mod_with(active(), a, b, m)
-}
-
-/// [`add_mod`] on an explicit backend.
-#[inline]
-pub fn add_mod_with(bk: Backend, a: &[u64; 4], b: &[u64; 4], m: &[u64; 4]) -> [u64; 4] {
-    match bk {
-        Backend::Reference => reference::add_mod(a, b, m),
-        _ => generic::add_mod(a, b, m),
-    }
-}
-
-/// Modular subtraction `a − b mod m` on the active backend.
-#[inline]
-pub fn sub_mod(a: &[u64; 4], b: &[u64; 4], m: &[u64; 4]) -> [u64; 4] {
-    sub_mod_with(active(), a, b, m)
-}
-
-/// [`sub_mod`] on an explicit backend.
-#[inline]
-pub fn sub_mod_with(bk: Backend, a: &[u64; 4], b: &[u64; 4], m: &[u64; 4]) -> [u64; 4] {
-    match bk {
-        Backend::Reference => reference::sub_mod(a, b, m),
-        _ => generic::sub_mod(a, b, m),
-    }
-}
-
-/// Modular negation `−a mod m` on the active backend.
-#[inline]
-pub fn neg_mod(a: &[u64; 4], m: &[u64; 4]) -> [u64; 4] {
-    neg_mod_with(active(), a, m)
-}
-
-/// [`neg_mod`] on an explicit backend.
-#[inline]
-pub fn neg_mod_with(bk: Backend, a: &[u64; 4], m: &[u64; 4]) -> [u64; 4] {
-    match bk {
-        Backend::Reference => reference::neg_mod(a, m),
-        _ => generic::neg_mod(a, m),
-    }
-}
-
-/// `Fp2` product `(a0 + a1·u)(b0 + b1·u)` with `u² = −1`, as coefficient
-/// limb pairs, on the active backend.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn fp2_mul(
-    a0: &[u64; 4],
-    a1: &[u64; 4],
-    b0: &[u64; 4],
-    b1: &[u64; 4],
-    m: &[u64; 4],
-    m2: &[u64; 8],
-    inv: u64,
-) -> ([u64; 4], [u64; 4]) {
-    fp2_mul_with(active(), a0, a1, b0, b1, m, m2, inv)
-}
-
-/// [`fp2_mul`] on an explicit backend.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn fp2_mul_with(
-    bk: Backend,
-    a0: &[u64; 4],
-    a1: &[u64; 4],
-    b0: &[u64; 4],
-    b1: &[u64; 4],
-    m: &[u64; 4],
-    m2: &[u64; 8],
-    inv: u64,
-) -> ([u64; 4], [u64; 4]) {
-    match bk {
-        Backend::Reference => reference::fp2_mul(a0, a1, b0, b1, m, inv),
-        Backend::Generic => generic::fp2_mul(a0, a1, b0, b1, m, m2, inv),
-        #[cfg(target_arch = "x86_64")]
-        Backend::X86_64 => x86_64::fp2_mul(a0, a1, b0, b1, m, m2, inv),
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::X86_64 => generic::fp2_mul(a0, a1, b0, b1, m, m2, inv),
-    }
-}
-
-/// `Fp2` square `(a0 + a1·u)²` with `u² = −1` on the active backend.
-#[inline]
-pub fn fp2_sqr(a0: &[u64; 4], a1: &[u64; 4], m: &[u64; 4], inv: u64) -> ([u64; 4], [u64; 4]) {
-    fp2_sqr_with(active(), a0, a1, m, inv)
-}
-
-/// [`fp2_sqr`] on an explicit backend.
-#[inline]
-pub fn fp2_sqr_with(
-    bk: Backend,
-    a0: &[u64; 4],
-    a1: &[u64; 4],
-    m: &[u64; 4],
-    inv: u64,
-) -> ([u64; 4], [u64; 4]) {
-    match bk {
-        Backend::Reference => reference::fp2_sqr(a0, a1, m, inv),
-        Backend::Generic => generic::fp2_sqr(a0, a1, m, inv),
-        #[cfg(target_arch = "x86_64")]
-        Backend::X86_64 => x86_64::fp2_sqr(a0, a1, m, inv),
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::X86_64 => generic::fp2_sqr(a0, a1, m, inv),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backend_names_round_trip() {
-        for b in [Backend::Reference, Backend::Generic, Backend::X86_64] {
-            assert_eq!(Backend::parse(b.name()), Some(b));
-        }
-        assert_eq!(Backend::parse("neon"), None);
-    }
-
-    #[test]
-    fn available_always_includes_the_portable_backends() {
-        let av = Backend::available();
-        assert!(av.contains(&Backend::Reference));
-        assert!(av.contains(&Backend::Generic));
-    }
-
-    #[test]
-    fn active_is_a_valid_backend() {
-        // Whatever the environment, the resolved backend must be runnable.
-        let b = active();
-        assert!(
-            Backend::available().contains(&b) || b == Backend::X86_64,
-            "active backend {b:?} must exist"
-        );
-    }
-}
+pub use generic::{add_mod, fp2_mul, fp2_sqr, mont_mul, neg_mod, sub_mod};

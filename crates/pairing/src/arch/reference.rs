@@ -1,7 +1,7 @@
-//! The strict reference backend — the original field arithmetic of this
-//! crate, kept verbatim as the oracle the faster backends are tested
-//! against. Every operation reduces eagerly: no value wider than 4 limbs
-//! ever survives past a single operation.
+//! The strict reference kernels — the original field arithmetic of this
+//! crate, kept verbatim as the test oracle the production kernels are
+//! checked against. Every operation reduces eagerly: no value wider than
+//! 4 limbs ever survives past a single operation.
 
 use seccloud_bigint::{adc, mac, U256};
 
@@ -74,7 +74,7 @@ pub fn neg_mod(a: &[u64; 4], m: &[u64; 4]) -> [u64; 4] {
 }
 
 /// Strict Karatsuba `Fp2` product (3 reduced multiplications), exactly as
-/// the tower computed it before the backend split.
+/// the tower computed it before the lazy-reduction kernels.
 pub fn fp2_mul(
     a0: &[u64; 4],
     a1: &[u64; 4],

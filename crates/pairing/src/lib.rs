@@ -34,7 +34,7 @@
 //! let rhs = pairing(&p.to_affine(), &q.to_affine()).pow(&a.mul(&b));
 //! assert_eq!(lhs, rhs);
 //! ```
-#![deny(unsafe_code)] // lifted to `allow` for exactly one module: arch/x86_64
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arch;
