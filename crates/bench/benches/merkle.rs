@@ -1,5 +1,4 @@
-//! Benches for the Merkle commitment layer (paper eq. 6, Fig. 3), the
-//! multi-proof-vs-independent-paths ablation from DESIGN.md, and the
+//! Benches for the Merkle commitment layer (paper eq. 6, Fig. 3) and the
 //! parallel-vs-serial tree-build ablation.
 
 use seccloud_bench::Bench;
@@ -38,35 +37,7 @@ fn bench_prove_verify() {
     });
 }
 
-fn bench_multiproof_ablation() {
-    // DESIGN.md ablation: one multi-proof for t samples vs t single paths.
-    let mut g = Bench::group("merkle_multiproof");
-    let n = 4096;
-    let d = data(n);
-    let tree = MerkleTree::from_data(d.iter().map(Vec::as_slice));
-    let root = tree.root();
-
-    for &t in &[8usize, 33] {
-        let indices: Vec<usize> = (0..t).map(|i| i * (n / t)).collect();
-        g.bench(&format!("multi/{t}"), || {
-            tree.prove_multi(&indices).unwrap()
-        });
-        g.bench(&format!("singles/{t}"), || {
-            indices
-                .iter()
-                .map(|&i| tree.prove(i).unwrap())
-                .collect::<Vec<_>>()
-        });
-        let multi = tree.prove_multi(&indices).unwrap();
-        let claims: Vec<(usize, &[u8])> = indices.iter().map(|&i| (i, d[i].as_slice())).collect();
-        g.bench(&format!("verify_multi/{t}"), || {
-            assert!(multi.verify(&root, &claims))
-        });
-    }
-}
-
 fn main() {
     bench_build();
     bench_prove_verify();
-    bench_multiproof_ablation();
 }

@@ -1,12 +1,12 @@
 //! Benches for the end-to-end protocol steps: block signing (Protocol II),
 //! commitment generation (Protocol III) and the sampling audit
 //! (Algorithm 1) at several sampling sizes — including the
-//! batch-vs-individual and serial-vs-parallel audit ablations.
+//! batch-vs-individual audit ablation.
 
 use seccloud_bench::Bench;
 use seccloud_core::computation::{
-    verify_response, verify_response_batched, verify_response_parallel, AuditChallenge, Commitment,
-    CommitmentSession, ComputationRequest, ComputeFunction, RequestItem,
+    verify_response, verify_response_batched, AuditChallenge, Commitment, CommitmentSession,
+    ComputationRequest, ComputeFunction, RequestItem,
 };
 use seccloud_core::storage::{DataBlock, SignedBlock};
 use seccloud_core::{CloudUser, Sio, VerifierCredential};
@@ -61,15 +61,10 @@ fn commit(w: &World) -> (Commitment, CommitmentSession) {
 fn bench_sign_blocks() {
     let mut g = Bench::group("protocol_sign_blocks");
     let w = world(8);
-    let serial = g.bench("sign_8_blocks_2_designees", || {
+    g.bench("sign_8_blocks_2_designees", || {
         w.user
             .sign_blocks(&w.blocks, &[w.cs.public(), w.da.public()])
     });
-    let parallel = g.bench("sign_8_blocks_2_designees_parallel", || {
-        w.user
-            .sign_blocks_parallel(&w.blocks, &[w.cs.public(), w.da.public()])
-    });
-    println!("   -> parallel signing speedup: {:.2}x", serial / parallel);
 }
 
 fn bench_commit() {
@@ -91,7 +86,7 @@ fn bench_audit() {
         g.bench(&format!("respond/{t}"), || {
             session.respond(&challenge).unwrap()
         });
-        let serial = g.bench(&format!("verify_individual/{t}"), || {
+        g.bench(&format!("verify_individual/{t}"), || {
             let outcome = verify_response(
                 w.da.key(),
                 w.user.public(),
@@ -103,22 +98,6 @@ fn bench_audit() {
             );
             assert!(outcome.is_valid());
         });
-        let parallel = g.bench(&format!("verify_parallel/{t}"), || {
-            let outcome = verify_response_parallel(
-                w.da.key(),
-                w.user.public(),
-                w.cs.signer_public(),
-                &w.request,
-                &challenge,
-                &commitment,
-                &response,
-            );
-            assert!(outcome.is_valid());
-        });
-        println!(
-            "   -> parallel audit speedup at t={t}: {:.2}x",
-            serial / parallel
-        );
         g.bench(&format!("verify_batched/{t}"), || {
             assert!(verify_response_batched(
                 w.da.key(),

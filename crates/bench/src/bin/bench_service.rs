@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use seccloud_cloudsim::behavior::Behavior;
 // lint: allow(transport, reason=baseline arm of the with/without comparison)
-use seccloud_cloudsim::rpc::{audit_over_the_wire, WireServer, WireTransport};
+use seccloud_cloudsim::rpc::{WireServer, WireTransport};
 use seccloud_cloudsim::{CloudServer, DesignatedAgency};
 use seccloud_core::computation::{ComputationRequest, ComputeFunction, RequestItem};
 use seccloud_core::storage::DataBlock;
@@ -183,8 +183,7 @@ fn raw_arm(fault_rate_pct: u32, seed: u64, jobs: usize) -> Cell {
             .client
             .rpc_compute(w.user.identity(), w.da.identity(), &req.to_wire())
             .and_then(|(job_id, commitment)| {
-                audit_over_the_wire(
-                    &mut w.da,
+                w.da.audit_wire(
                     &mut w.client,
                     &w.user,
                     &req,

@@ -101,22 +101,17 @@ fn main() {
     )
     .expect("all stored");
     println!(
-        "{:>4} {:>14} {:>16} {:>14}",
-        "t", "response bytes", "bytes per sample", "compact bytes"
+        "{:>4} {:>14} {:>16}",
+        "t", "response bytes", "bytes per sample"
     );
     let mut per_sample = Vec::new();
     for t in [1usize, 8, 15, 33, 64] {
         let challenge =
             AuditChallenge::from_indices((0..t).map(|i| i * (n as usize / t)).collect());
         let response = session.respond(&challenge).expect("in range");
-        let compact = session.respond_compact(&challenge).expect("in range");
         let size = response.to_wire().len();
         per_sample.push(size as f64 / t as f64);
-        println!(
-            "{t:>4} {size:>14} {:>16.0} {:>14}",
-            size as f64 / t as f64,
-            compact.to_wire().len()
-        );
+        println!("{t:>4} {size:>14} {:>16.0}", size as f64 / t as f64);
     }
     // The marginal cost per sample should be roughly constant — the
     // assumption behind eq. 17's a₁·t·C_trans term.

@@ -18,7 +18,7 @@
 use seccloud_bench::measure_ms;
 use seccloud_cloudsim::behavior::Behavior;
 // lint: allow(transport, reason=baseline arm of the with/without comparison)
-use seccloud_cloudsim::rpc::{audit_over_the_wire, WireServer, WireTransport};
+use seccloud_cloudsim::rpc::{WireServer, WireTransport};
 use seccloud_cloudsim::{CloudServer, DesignatedAgency};
 use seccloud_core::computation::{ComputationRequest, ComputeFunction, RequestItem};
 use seccloud_core::storage::DataBlock;
@@ -85,16 +85,7 @@ fn raw_arm(rate: f64, seed: u64) -> Cell {
             let outcome = channel
                 .rpc_compute(user.identity(), da.identity(), &req.to_wire())
                 .and_then(|(job_id, commitment)| {
-                    audit_over_the_wire(
-                        &mut da,
-                        &mut channel,
-                        &user,
-                        &req,
-                        job_id,
-                        &commitment,
-                        req.len(),
-                        0,
-                    )
+                    da.audit_wire(&mut channel, &user, &req, job_id, &commitment, req.len(), 0)
                 });
             if matches!(&outcome, Ok(v) if !v.detected) {
                 ok += 1;

@@ -2,8 +2,7 @@
 //! (paper Sections III-B and V-D).
 
 use seccloud_core::computation::{
-    verify_response, verify_response_parallel, AuditChallenge, AuditOutcome, AuditResponse,
-    Commitment, ComputationRequest,
+    verify_response, AuditChallenge, AuditOutcome, AuditResponse, Commitment, ComputationRequest,
 };
 use seccloud_core::storage::SignedBlock;
 use seccloud_core::warrant::Warrant;
@@ -122,15 +121,8 @@ impl DesignatedAgency {
         let verdicts = seccloud_parallel::parallel_map(&positions, |_, &pos| {
             match server.retrieve(owner.identity(), pos) {
                 None => Verdict::Missing,
-                Some(block) => {
-                    if block.block().index() != pos
-                        || !block.verify(self.cred.key(), owner.public())
-                    {
-                        Verdict::Invalid
-                    } else {
-                        Verdict::Ok
-                    }
-                }
+                Some(block) if block.verify_at(pos, self.cred.key(), owner.public()) => Verdict::Ok,
+                Some(_) => Verdict::Invalid,
             }
         });
         let mut missing = Vec::new();
@@ -200,7 +192,7 @@ impl DesignatedAgency {
             self.identity(),
             now,
         )?;
-        let outcome = verify_response_parallel(
+        let outcome = verify_response(
             self.cred.key(),
             owner.public(),
             server.signer_public(),
@@ -300,14 +292,8 @@ impl DesignatedAgency {
             match transport.rpc_retrieve(owner.identity(), pos) {
                 None => missing.push(pos),
                 Some(bytes) => match SignedBlock::from_wire(&bytes) {
-                    Err(_) => invalid.push(pos),
-                    Ok(block) => {
-                        if block.block().index() != pos
-                            || !block.verify(self.cred.key(), owner.public())
-                        {
-                            invalid.push(pos);
-                        }
-                    }
+                    Ok(block) if block.verify_at(pos, self.cred.key(), owner.public()) => {}
+                    Ok(_) | Err(_) => invalid.push(pos),
                 },
             }
         }

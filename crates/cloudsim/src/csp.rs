@@ -5,12 +5,10 @@
 
 use seccloud_core::computation::{ComputationRequest, RequestItem};
 use seccloud_core::storage::SignedBlock;
-use seccloud_core::wire::WireMessage;
 use seccloud_core::{CloudUser, Sio};
 use seccloud_hash::HmacDrbg;
 
 use crate::behavior::Behavior;
-use crate::rpc::RpcError;
 use crate::server::{CloudServer, JobHandle, ServerError};
 
 /// A customized Service Level Agreement governing how the CSP allocates
@@ -260,24 +258,6 @@ impl Csp {
         let mut tagged: Vec<(usize, SubTaskExecution)> = grouped.into_iter().flatten().collect();
         tagged.sort_by_key(|(slot, _)| *slot);
         tagged.into_iter().map(|(_, exec)| exec).collect()
-    }
-
-    /// Byte-level front door: decodes a serialized [`ComputationRequest`]
-    /// and dispatches it across the pool. Malformed bytes surface as a
-    /// typed [`RpcError::Malformed`] — never a panic — so a faulty channel
-    /// in front of the CSP degrades to an error, not undefined behaviour.
-    ///
-    /// # Errors
-    ///
-    /// [`RpcError::Malformed`] when `request_bytes` fails to decode.
-    pub fn execute_wire(
-        &mut self,
-        owner_identity: &str,
-        request_bytes: &[u8],
-        auditor: &seccloud_ibs::VerifierPublic,
-    ) -> Result<Vec<SubTaskExecution>, RpcError> {
-        let request = ComputationRequest::from_wire(request_bytes)?;
-        Ok(self.execute_for_identity(owner_identity, &request, auditor))
     }
 
     /// Builds the request items for a full-table scan of `positions` with

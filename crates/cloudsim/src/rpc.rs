@@ -4,17 +4,15 @@
 //! [`WireServer`] wraps a [`CloudServer`] behind four endpoints that accept
 //! and return *only bytes*, exactly as a network deployment would; the DA
 //! side drives a complete audit through them with
-//! [`audit_over_the_wire`]. Every decode failure maps to a typed
-//! [`RpcError`], never a panic.
+//! [`DesignatedAgency::audit_wire`](crate::agency::DesignatedAgency::audit_wire).
+//! Every decode failure maps to a typed [`RpcError`], never a panic.
 
 use seccloud_core::computation::{AuditChallenge, ComputationRequest};
 use seccloud_core::storage::SignedBlock;
 use seccloud_core::warrant::Warrant;
 use seccloud_core::wire::{Reader, WireError, WireMessage, Writer};
-use seccloud_core::CloudUser;
 use seccloud_ibs::{UserPublic, VerifierPublic};
 
-use crate::agency::{AuditVerdict, DesignatedAgency};
 use crate::server::{CloudServer, ServerError};
 
 /// Errors surfaced by the byte-level endpoints.
@@ -291,43 +289,14 @@ pub fn encode_store_body(blocks: &[SignedBlock]) -> Vec<u8> {
     w.finish()
 }
 
-/// Drives one complete delegated audit **entirely through bytes**: the
-/// request, commitment, warrant, challenge and response all cross the
-/// user↔server↔DA boundaries in serialized form. Works over any
-/// [`WireTransport`] — the direct [`WireServer`] or a fault-injecting
-/// wrapper around it.
-///
-/// # Errors
-///
-/// Any decode failure or server rejection along the way.
-#[allow(clippy::too_many_arguments)] // mirrors the wire-message fields one-to-one
-pub fn audit_over_the_wire(
-    da: &mut DesignatedAgency,
-    server: &mut impl WireTransport,
-    owner: &CloudUser,
-    request: &ComputationRequest,
-    job_id: u64,
-    commitment_bytes: &[u8],
-    sample_size: usize,
-    now: u64,
-) -> Result<AuditVerdict, RpcError> {
-    da.audit_wire(
-        server,
-        owner,
-        request,
-        job_id,
-        commitment_bytes,
-        sample_size,
-        now,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agency::DesignatedAgency;
     use crate::behavior::Behavior;
     use seccloud_core::computation::{ComputeFunction, RequestItem};
     use seccloud_core::storage::DataBlock;
+    use seccloud_core::CloudUser;
     use seccloud_core::Sio;
 
     fn world(behavior: Behavior) -> (Sio, CloudUser, WireServer, DesignatedAgency) {
@@ -370,17 +339,9 @@ mod tests {
         let (job_id, commitment_bytes) = server
             .rpc_compute(user.identity(), da.identity(), &req.to_wire())
             .unwrap();
-        let verdict = audit_over_the_wire(
-            &mut da,
-            &mut server,
-            &user,
-            &req,
-            job_id,
-            &commitment_bytes,
-            4,
-            0,
-        )
-        .unwrap();
+        let verdict = da
+            .audit_wire(&mut server, &user, &req, job_id, &commitment_bytes, 4, 0)
+            .unwrap();
         assert!(!verdict.detected);
     }
 
@@ -395,17 +356,9 @@ mod tests {
         let (job_id, commitment_bytes) = server
             .rpc_compute(user.identity(), da.identity(), &req.to_wire())
             .unwrap();
-        let verdict = audit_over_the_wire(
-            &mut da,
-            &mut server,
-            &user,
-            &req,
-            job_id,
-            &commitment_bytes,
-            3,
-            0,
-        )
-        .unwrap();
+        let verdict = da
+            .audit_wire(&mut server, &user, &req, job_id, &commitment_bytes, 3, 0)
+            .unwrap();
         assert!(verdict.detected);
     }
 
@@ -451,17 +404,9 @@ mod tests {
         let (_, commitment_bytes) = server
             .rpc_compute(user.identity(), da.identity(), &req.to_wire())
             .unwrap();
-        let err = audit_over_the_wire(
-            &mut da,
-            &mut server,
-            &user,
-            &req,
-            999,
-            &commitment_bytes,
-            1,
-            0,
-        )
-        .unwrap_err();
+        let err = da
+            .audit_wire(&mut server, &user, &req, 999, &commitment_bytes, 1, 0)
+            .unwrap_err();
         assert_eq!(err, RpcError::Server(ServerError::UnknownJob));
     }
 

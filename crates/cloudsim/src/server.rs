@@ -325,19 +325,6 @@ impl CloudServer {
             .respond(challenge)
             .ok_or(ServerError::BadChallenge)
     }
-
-    /// Test/experiment hook: answers without warrant validation (used by
-    /// the Monte-Carlo driver where warrants are out of scope).
-    pub fn handle_audit_unwarranted(
-        &self,
-        job_id: u64,
-        challenge: &AuditChallenge,
-    ) -> Result<AuditResponse, ServerError> {
-        let job = self.jobs.get(&job_id).ok_or(ServerError::UnknownJob)?;
-        job.session
-            .respond(challenge)
-            .ok_or(ServerError::BadChallenge)
-    }
 }
 
 #[cfg(test)]
@@ -455,18 +442,27 @@ mod tests {
         let job = server
             .handle_computation(&"alice".to_string(), &request(), da.public())
             .unwrap();
-        assert_eq!(
-            server
-                .handle_audit_unwarranted(99, &AuditChallenge::from_indices(vec![0]))
-                .unwrap_err(),
-            ServerError::UnknownJob
+        // A valid warrant, so the only thing wrong is the job id or index.
+        let warrant = Warrant::issue(
+            &user,
+            da.identity(),
+            1_000,
+            job.request.digest(),
+            &[server.public(), da.public()],
         );
-        assert_eq!(
-            server
-                .handle_audit_unwarranted(job.job_id, &AuditChallenge::from_indices(vec![5]))
-                .unwrap_err(),
-            ServerError::BadChallenge
-        );
+        let audit = |job_id, index| {
+            server.handle_audit(
+                job_id,
+                &AuditChallenge::from_indices(vec![index]),
+                &warrant,
+                user.public(),
+                da.identity(),
+                0,
+            )
+        };
+        assert_eq!(audit(99, 0).unwrap_err(), ServerError::UnknownJob);
+        assert_eq!(audit(job.job_id, 5).unwrap_err(), ServerError::BadChallenge);
+        assert!(audit(job.job_id, 1).is_ok());
     }
 
     #[test]

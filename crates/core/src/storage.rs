@@ -7,7 +7,7 @@
 //! later authenticate the blocks (eq. 5); third parties — e.g. a data buyer
 //! in the illegal-selling model — learn nothing.
 
-use seccloud_hash::{HmacDrbg, Sha256};
+use seccloud_hash::Sha256;
 use seccloud_ibs::{
     designate, sign, BatchVerifier, DesignatedSignature, UserPublic, VerifierKey, VerifierPublic,
 };
@@ -128,6 +128,14 @@ impl SignedBlock {
         sig.verify(verifier, owner, &self.block.signed_message())
     }
 
+    /// The sampled-block check of a storage audit: the block sits at the
+    /// challenged `position` *and* its designation verifies (eq. 5). A
+    /// block relabelled to another position or signed by anyone but
+    /// `owner` fails.
+    pub fn verify_at(&self, position: u64, verifier: &VerifierKey, owner: &UserPublic) -> bool {
+        self.block.index == position && self.verify(verifier, owner)
+    }
+
     /// Replaces the stored block content (test/simulation hook for the
     /// storage-cheating adversary).
     #[doc(hidden)]
@@ -149,38 +157,14 @@ impl CloudUser {
     /// After this call the user can delete the local copies (paper: "sends
     /// the data and corresponding signature pairs {D, Φ} to the cloud
     /// server and deletes them from local storage").
-    pub fn sign_blocks(
-        &self,
-        blocks: &[DataBlock],
-        verifiers: &[&VerifierPublic],
-    ) -> Vec<SignedBlock> {
-        let mut drbg = HmacDrbg::new(&[self.identity().as_bytes(), b"/storage-signing"].concat());
-        blocks
-            .iter()
-            .map(|b| {
-                let raw = seccloud_ibs::sign_with_rng(self.key(), &b.signed_message(), &mut drbg);
-                let designations = verifiers
-                    .iter()
-                    .map(|v| (v.identity().to_owned(), designate(&raw, v)))
-                    .collect();
-                SignedBlock {
-                    block: b.clone(),
-                    designations,
-                }
-            })
-            .collect()
-    }
-
-    /// Parallel variant of [`CloudUser::sign_blocks`]: the per-block
-    /// sign-then-designate work (one pairing per verifier per block) fans
-    /// out over [`seccloud_parallel::num_threads`] workers.
     ///
-    /// Each block draws its nonce from an independent DRBG seeded by
-    /// `(identity, block position)`, so the output is deterministic for any
-    /// worker count — but it is a *different* (equally valid) transcript
-    /// than [`CloudUser::sign_blocks`], which threads one DRBG stream
-    /// through the blocks sequentially.
-    pub fn sign_blocks_parallel(
+    /// The per-block sign-then-designate work (one pairing per verifier per
+    /// block) fans out over [`seccloud_parallel::num_threads`] workers.
+    /// Each block's nonce comes from [`sign`], keyed by the user's secret
+    /// key and the position-bound block bytes, so the output is identical
+    /// for any worker count and distinct blocks draw independent nonces,
+    /// across batches too.
+    pub fn sign_blocks(
         &self,
         blocks: &[DataBlock],
         verifiers: &[&VerifierPublic],
@@ -190,28 +174,14 @@ impl CloudUser {
         for v in verifiers {
             let _ = v.q_prepared();
         }
-        seccloud_parallel::parallel_map(blocks, |i, b| {
-            let mut drbg = HmacDrbg::new(
-                &[
-                    self.identity().as_bytes(),
-                    b"/storage-signing-parallel/",
-                    &(i as u64).to_be_bytes()[..],
-                ]
-                .concat(),
-            );
-            let raw = seccloud_ibs::sign_with_rng(self.key(), &b.signed_message(), &mut drbg);
-            SignedBlock {
-                block: b.clone(),
-                designations: verifiers
-                    .iter()
-                    .map(|v| (v.identity().to_owned(), designate(&raw, v)))
-                    .collect(),
-            }
+        seccloud_parallel::parallel_map(blocks, |_, b| {
+            self.sign_block(b, verifiers, b"seccloud/storage-block")
         })
     }
 
-    /// Signs a single block with an explicit nonce (deterministic; used by
-    /// tests and the simulator).
+    /// Signs a single block; `nonce` is extra domain-separation input to
+    /// [`sign`]'s key-derived nonce (deterministic per key, block and
+    /// `nonce`).
     pub fn sign_block(
         &self,
         block: &DataBlock,
@@ -377,21 +347,38 @@ mod tests {
     }
 
     #[test]
-    fn parallel_signing_verifies_and_is_deterministic() {
+    fn signing_is_independent_of_batching_and_worker_count() {
         let (_, user, cs, da) = setup();
         let bs = blocks(6);
-        let signed = user.sign_blocks_parallel(&bs, &[cs.public(), da.public()]);
+        let signed = user.sign_blocks(&bs, &[cs.public(), da.public()]);
         assert_eq!(signed.len(), 6);
         for b in &signed {
             assert!(b.verify(cs.key(), user.public()));
             assert!(b.verify(da.key(), user.public()));
         }
-        // Per-block seeding makes repeat runs bit-identical regardless of
-        // worker count.
-        assert_eq!(
-            signed,
-            user.sign_blocks_parallel(&bs, &[cs.public(), da.public()])
-        );
+        // One block at a time always runs on the calling thread; the batch
+        // must reproduce it bit for bit, whatever `SECCLOUD_THREADS` says.
+        let one_by_one: Vec<SignedBlock> = bs
+            .iter()
+            .flat_map(|b| user.sign_blocks(std::slice::from_ref(b), &[cs.public(), da.public()]))
+            .collect();
+        assert_eq!(signed, one_by_one);
+    }
+
+    #[test]
+    fn verify_at_rejects_wrong_index_and_wrong_owner() {
+        let (sio, user, cs, _) = setup();
+        let signed = user.sign_blocks(&blocks(3), &[cs.public()]);
+        assert!(signed[1].verify_at(1, cs.key(), user.public()));
+        // Asked for position 2, served the authentic block from position 1.
+        assert!(!signed[1].verify_at(2, cs.key(), user.public()));
+        // Relabelled to the challenged position: the signature breaks.
+        let mut relabelled = signed[1].clone();
+        relabelled.tamper_index(2);
+        assert!(!relabelled.verify_at(2, cs.key(), user.public()));
+        // Right position, wrong owner.
+        let bob = sio.register("bob");
+        assert!(!signed[1].verify_at(1, cs.key(), bob.public()));
     }
 
     #[test]

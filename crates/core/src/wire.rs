@@ -585,59 +585,6 @@ impl WireMessage for AuditResponse {
     }
 }
 
-impl WireMessage for crate::computation::CompactAuditResponse {
-    fn encode_body(&self, w: &mut Writer) {
-        w.put_u128(self.nonce);
-        w.put_u64(self.items.len() as u64);
-        for item in &self.items {
-            w.put_u64(item.item_index as u64);
-            w.put_u64(item.inputs.len() as u64);
-            for b in &item.inputs {
-                b.encode_body(w);
-            }
-            w.put_u128(item.claimed_y);
-        }
-        // Multi-proof: leaf count + node list.
-        w.put_u64(self.proof.leaf_count() as u64);
-        w.put_u64(self.proof.nodes().len() as u64);
-        for node in self.proof.nodes() {
-            put_node(w, node);
-        }
-    }
-
-    fn decode_body(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let nonce = r.take_u128()?;
-        // index (8) + inputs len (8) + claimed_y (16) per item.
-        let n = r.take_len_elems(8 + 8 + 16)?;
-        let mut items = Vec::with_capacity(n);
-        for _ in 0..n {
-            let item_index = r.take_u64()? as usize;
-            let nb = r.take_len_elems(8 + 8 + 8)?;
-            let mut inputs = Vec::with_capacity(nb);
-            for _ in 0..nb {
-                inputs.push(SignedBlock::decode_body(r)?);
-            }
-            let claimed_y = r.take_u128()?;
-            items.push(crate::computation::CompactAuditItem {
-                item_index,
-                inputs,
-                claimed_y,
-            });
-        }
-        let leaf_count = r.take_len()?;
-        let nn = r.take_len_elems(32)?;
-        let mut nodes = Vec::with_capacity(nn);
-        for _ in 0..nn {
-            nodes.push(take_node(r)?);
-        }
-        Ok(crate::computation::CompactAuditResponse {
-            nonce,
-            items,
-            proof: seccloud_merkle::MultiProof::from_parts(nodes, leaf_count),
-        })
-    }
-}
-
 impl WireMessage for Warrant {
     fn encode_body(&self, w: &mut Writer) {
         w.put_str(self.delegator());
@@ -747,7 +694,7 @@ mod tests {
     }
 
     #[test]
-    fn full_audit_over_the_wire() {
+    fn full_audit_through_the_codecs() {
         // Serialize commitment + challenge + response, decode on the "DA
         // side", and verify — the complete network round trip.
         let (_, user, cs, da, stored, request) = world();
@@ -851,40 +798,6 @@ mod tests {
                 Err(WireError::BadElement) | Err(WireError::Truncated)
             ),
             "{result:?}"
-        );
-    }
-
-    #[test]
-    fn compact_response_round_trip_and_size_win() {
-        use crate::computation::{verify_response_compact, CompactAuditResponse};
-        let (_, user, cs, da, stored, request) = world();
-        let (commitment, session) = CommitmentSession::commit(
-            &request,
-            |p| stored.get(p as usize),
-            cs.signer(),
-            da.public(),
-        )
-        .unwrap();
-        let challenge = AuditChallenge::from_indices(vec![0, 1, 2]);
-        let compact = session.respond_compact(&challenge).unwrap();
-        let decoded = CompactAuditResponse::from_wire(&compact.to_wire()).unwrap();
-        let outcome = verify_response_compact(
-            da.key(),
-            user.public(),
-            cs.signer_public(),
-            &request,
-            &challenge,
-            &commitment,
-            &decoded,
-        );
-        assert!(outcome.is_valid(), "{outcome:?}");
-        // Adjacent samples: the compact encoding is smaller than the full one.
-        let full = session.respond(&challenge).unwrap();
-        assert!(
-            compact.to_wire().len() < full.to_wire().len(),
-            "compact {} vs full {}",
-            compact.to_wire().len(),
-            full.to_wire().len()
         );
     }
 

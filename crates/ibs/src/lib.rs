@@ -41,4 +41,4 @@ mod sign;
 
 pub use batch::{verify_individually, verify_individually_parallel, BatchItem, BatchVerifier};
 pub use keys::{MasterKey, SystemParams, UserKey, UserPublic, VerifierKey, VerifierPublic};
-pub use sign::{designate, sign, sign_with_rng, simulate, DesignatedSignature, IbsSignature};
+pub use sign::{designate, sign, simulate, DesignatedSignature, IbsSignature};

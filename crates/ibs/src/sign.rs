@@ -1,7 +1,7 @@
 //! Signing, designation, verification and verifier-side simulation
 //! (paper Sections V-B and VII-B).
 
-use seccloud_hash::HmacDrbg;
+use seccloud_hash::{HmacDrbg, Sha256};
 use seccloud_pairing::{pairing, pairing_prepared, Fr, Gt, G1, G2};
 
 use crate::keys::{SystemParams, UserKey, UserPublic, VerifierKey, VerifierPublic};
@@ -121,22 +121,27 @@ pub(crate) fn challenge_hash(u: &G1, message: &[u8]) -> Fr {
 }
 
 /// Signs a message block: `U = r·Q_ID`, `V = (r + H2(U‖m))·sk_ID`, with the
-/// nonce `r` derived deterministically from the key, message and `nonce`
-/// bytes (RFC-6979 style — no RNG misuse possible).
+/// nonce `r` derived deterministically from the secret key, the message and
+/// the `nonce` bytes (RFC-6979 style — no RNG misuse possible).
+///
+/// Keying the derivation with `sk_ID` is what keeps `r` secret: anyone who
+/// can recompute `r` from public inputs takes one designated signature
+/// `(U, Σ)` and recovers `ê(Q_ID, sk_V) = Σ^{1/(r+h)}`, which forges
+/// designated signatures on any message. Signatures stay reproducible per
+/// `(key, message, nonce)`.
 pub fn sign(user: &UserKey, message: &[u8], nonce: &[u8]) -> IbsSignature {
-    let mut seed = Vec::new();
-    seed.extend_from_slice(user.identity().as_bytes());
-    seed.extend_from_slice(&(message.len() as u64).to_be_bytes());
-    seed.extend_from_slice(message);
-    seed.extend_from_slice(nonce);
+    let sk = user.sk().to_affine();
+    let mut seed = [
+        b"seccloud/ibs-nonce".as_slice(),
+        &sk.x().to_be_bytes(),
+        &sk.y().to_be_bytes(),
+        &Sha256::digest(message),
+        nonce,
+    ]
+    .concat();
     let mut drbg = HmacDrbg::new(&seed);
-    sign_with_rng(user, message, &mut drbg)
-}
-
-/// Signs with an explicit randomness source (for protocol layers that
-/// manage their own DRBG).
-pub fn sign_with_rng(user: &UserKey, message: &[u8], drbg: &mut HmacDrbg) -> IbsSignature {
-    let r = Fr::random_nonzero(drbg);
+    seccloud_hash::wipe(&mut seed);
+    let r = Fr::random_nonzero(&mut drbg);
     // Constant-time ladders: leaking the nonce `r` through the wNAF digit
     // pattern leaks `sk` via `V = (r + h)·sk`.
     let u = user.public().q().mul_fr_ct(&r);
@@ -265,6 +270,17 @@ mod tests {
         assert_ne!(s1, s2);
         // Deterministic per (key, message, nonce):
         assert_eq!(sign(&user, b"m", b"n1"), s1);
+    }
+
+    #[test]
+    fn nonce_depends_on_the_secret_key() {
+        // Same identity, message and nonce bytes under two master keys: a
+        // nonce derived from public inputs alone would give the same
+        // `U = r·Q_ID` for both.
+        let a = MasterKey::from_seed(b"system-a").extract_user("alice");
+        let b = MasterKey::from_seed(b"system-b").extract_user("alice");
+        assert_eq!(a.public().q(), b.public().q());
+        assert_ne!(sign(&a, b"m", b"n").u(), sign(&b, b"m", b"n").u());
     }
 
     #[test]

@@ -6,13 +6,9 @@
 //! paths ("sibling sets" in the paper's wording).
 //!
 //! This implementation is generic over the committed byte strings and adds
-//! two hardening details the 2010 paper leaves implicit:
-//!
-//! * **domain separation** between leaf and interior hashes (`0x00`/`0x01`
-//!   prefixes), closing the classic second-preimage-by-reinterpretation gap;
-//! * **multi-proofs** ([`MerkleTree::prove_multi`]) that share interior
-//!   nodes across the `t` sampled leaves of an audit challenge, cutting the
-//!   response size versus `t` independent paths.
+//! one hardening detail the 2010 paper leaves implicit: **domain
+//! separation** between leaf and interior hashes (`0x00`/`0x01` prefixes),
+//! closing the classic second-preimage-by-reinterpretation gap.
 //!
 //! # Examples
 //!
@@ -28,10 +24,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod multiproof;
 #[cfg(test)]
 mod proptests;
 mod tree;
 
-pub use multiproof::MultiProof;
 pub use tree::{leaf_hash, node_hash, MerklePath, MerkleTree, Node};

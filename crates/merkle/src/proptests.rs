@@ -33,27 +33,6 @@ fn every_leaf_proves_and_verifies() {
 }
 
 #[test]
-fn multiproof_verifies_for_random_subsets() {
-    let mut d = HmacDrbg::new(b"merkle-multi");
-    let mut cases = 0;
-    while cases < 48 {
-        let data = arb_data(&mut d);
-        let n = data.len();
-        let mask = d.next_u64();
-        let indices: Vec<usize> = (0..n).filter(|i| (mask >> (i % 64)) & 1 == 1).collect();
-        if indices.is_empty() {
-            continue;
-        }
-        cases += 1;
-        let tree = MerkleTree::from_data(data.iter().map(Vec::as_slice));
-        let proof = tree.prove_multi(&indices).expect("in range");
-        let claims: Vec<(usize, &[u8])> =
-            indices.iter().map(|&i| (i, data[i].as_slice())).collect();
-        assert!(proof.verify(&tree.root(), &claims));
-    }
-}
-
-#[test]
 fn any_single_byte_corruption_is_detected() {
     let mut d = HmacDrbg::new(b"merkle-corrupt");
     for _ in 0..48 {

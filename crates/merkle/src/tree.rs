@@ -183,24 +183,6 @@ impl MerkleTree {
             leaf_count: self.leaf_count(),
         })
     }
-
-    /// Convenience: prove several leaves with one shared-structure proof.
-    ///
-    /// Returns `None` if any index is out of range or the list is empty.
-    pub fn prove_multi(&self, indices: &[usize]) -> Option<crate::MultiProof> {
-        crate::MultiProof::generate(self, indices)
-    }
-
-    /// Direct access to a whole level (level 0 = leaves). Used by tests and
-    /// the multi-proof generator.
-    pub(crate) fn level(&self, i: usize) -> &[Node] {
-        self.levels.get(i).map_or(&[][..], Vec::as_slice)
-    }
-
-    /// Number of levels including the root level.
-    pub(crate) fn height(&self) -> usize {
-        self.levels.len()
-    }
 }
 
 impl MerklePath {
@@ -304,10 +286,10 @@ mod tests {
         // Fig. 3: 8 leaves → 4 levels, root combines two 4-leaf subtrees.
         let d = data(8);
         let tree = MerkleTree::from_data(d.iter().map(Vec::as_slice));
-        assert_eq!(tree.height(), 4);
-        assert_eq!(tree.level(1).len(), 4);
-        assert_eq!(tree.level(2).len(), 2);
-        let manual_root = node_hash(&tree.level(2)[0], &tree.level(2)[1]);
+        assert_eq!(tree.levels.len(), 4);
+        assert_eq!(tree.levels[1].len(), 4);
+        assert_eq!(tree.levels[2].len(), 2);
+        let manual_root = node_hash(&tree.levels[2][0], &tree.levels[2][1]);
         assert_eq!(tree.root(), manual_root);
     }
 

@@ -19,7 +19,8 @@
 //! method (Pippenger), so the marginal cost per term is a handful of
 //! group operations rather than a full 64-bit scalar multiplication and
 //! exponentiation each: ~25 µs/term at 10k-term batches against ~270 µs
-//! naively. The window width adapts to the batch size.
+//! naively. The window width is derived from the batch size by the loop's
+//! operation count.
 //!
 //! `GT` squarings deliberately use the generic group multiplication, not
 //! the cyclotomic shortcut: `σ` values arrive from the wire and an
@@ -33,17 +34,19 @@ use crate::pairing::Gt;
 /// Number of bits in the batch-verification weights.
 pub const WEIGHT_BITS: u32 = 64;
 
-/// Bucket-window width for a batch of `n` terms (wider windows amortize
-/// bucket-aggregation overhead only once `n` is large enough to fill
-/// them).
+/// Bucket-window width for a batch of `n` terms: the `c ∈ 1..=8` that
+/// minimises the fold loop's expected group operations (per side),
+/// `⌈64/c⌉·(c + n·(1−2⁻ᶜ) + 2·(2ᶜ−1))` — `c` doublings, one bucket add per
+/// term with a nonzero digit, and the running-sum aggregation, per window.
+/// Ties go to the narrower window.
 fn window_bits(n: usize) -> u32 {
-    match n {
-        0..=1 => 1,
-        2..=7 => 2,
-        8..=31 => 4,
-        32..=255 => 6,
-        _ => 8,
-    }
+    let ops = |c: u32| {
+        let buckets = f64::from((1u32 << c) - 1);
+        let nonzero_digit = buckets / (buckets + 1.0);
+        f64::from(WEIGHT_BITS.div_ceil(c))
+            * (f64::from(c) + n as f64 * nonzero_digit + 2.0 * buckets)
+    };
+    (2..=8).fold(1, |best, c| if ops(c) < ops(best) { c } else { best })
 }
 
 /// The weighted fold `(Σᵢ rᵢ·uᵢ, Πᵢ σᵢ^{rᵢ})` over `terms = [(uᵢ, σᵢ)]`
@@ -147,9 +150,22 @@ mod tests {
     }
 
     #[test]
+    fn window_width_minimises_the_operation_count() {
+        // Small batches fold fastest bit by bit; the width grows with n
+        // and settles at 8 for large batches (7 never wins: ⌈64/7⌉ = 10
+        // windows against 8 at c = 8).
+        let widths: Vec<u32> = [1, 2, 8, 9, 24, 25, 32, 41, 136, 330, 941, 942, 1 << 20]
+            .iter()
+            .map(|&n| window_bits(n))
+            .collect();
+        assert_eq!(widths, [1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 6, 8, 8]);
+    }
+
+    #[test]
     fn matches_naive_across_window_regimes() {
-        // One n per window_bits branch, weights exercising high/low bits.
-        for n in [1usize, 2, 5, 9, 40] {
+        // The first n of widths 1–5, weights exercising high/low bits.
+        for (c, n) in [(1, 1usize), (2, 9), (3, 25), (4, 41), (5, 136)] {
+            assert_eq!(window_bits(n), c);
             let terms = sample_terms(n);
             let weights: Vec<u64> = (0..n)
                 .map(|i| {

@@ -315,16 +315,11 @@ pub fn storage_audit_resilient<T: WireTransport>(
             match transport.rpc_retrieve(owner.identity(), pos) {
                 None => last = Last::Missing,
                 Some(bytes) => match SignedBlock::from_wire(&bytes) {
-                    Err(_) => last = Last::Invalid,
-                    Ok(block) => {
-                        if block.block().index() == pos
-                            && block.verify(da.credential().key(), owner.public())
-                        {
-                            ok = true;
-                            break;
-                        }
-                        last = Last::Invalid;
+                    Ok(block) if block.verify_at(pos, da.credential().key(), owner.public()) => {
+                        ok = true;
+                        break;
                     }
+                    Ok(_) | Err(_) => last = Last::Invalid,
                 },
             }
         }

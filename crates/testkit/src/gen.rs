@@ -8,13 +8,13 @@
 //! shrinker then drives failing cases toward the empty message.
 
 use seccloud_core::computation::{
-    AuditChallenge, AuditItemResponse, AuditResponse, Commitment, CompactAuditItem,
-    CompactAuditResponse, ComputationRequest, ComputeFunction, RequestItem,
+    AuditChallenge, AuditItemResponse, AuditResponse, Commitment, ComputationRequest,
+    ComputeFunction, RequestItem,
 };
 use seccloud_core::storage::{DataBlock, SignedBlock};
 use seccloud_core::warrant::Warrant;
 use seccloud_ibs::DesignatedSignature;
-use seccloud_merkle::{MerklePath, MultiProof, Node};
+use seccloud_merkle::{MerklePath, Node};
 use seccloud_pairing::{hash_to_g1, Gt, G1};
 
 use crate::tape::Tape;
@@ -134,14 +134,6 @@ pub fn merkle_path(t: &mut Tape) -> MerklePath {
     MerklePath::from_parts(siblings, leaf_count)
 }
 
-/// A multi-proof with 0–5 nodes.
-pub fn multi_proof(t: &mut Tape) -> MultiProof {
-    let n = t.next_below(6) as usize;
-    let nodes = (0..n).map(|_| node(t)).collect();
-    let leaf_count = t.next_below(64) as usize;
-    MultiProof::from_parts(nodes, leaf_count)
-}
-
 /// A full audit response with 0–2 items, each holding 0–1 input blocks.
 pub fn audit_response(t: &mut Tape) -> AuditResponse {
     let n = t.next_below(3) as usize;
@@ -160,27 +152,6 @@ pub fn audit_response(t: &mut Tape) -> AuditResponse {
     AuditResponse {
         nonce: t.next_u128(),
         items,
-    }
-}
-
-/// A compact audit response with 0–2 items plus a multi-proof.
-pub fn compact_audit_response(t: &mut Tape) -> CompactAuditResponse {
-    let n = t.next_below(3) as usize;
-    let items = (0..n)
-        .map(|_| {
-            let item_index = t.next_below(1 << 32) as usize;
-            let nb = t.next_below(2) as usize;
-            CompactAuditItem {
-                item_index,
-                inputs: (0..nb).map(|_| signed_block(t)).collect(),
-                claimed_y: t.next_u128(),
-            }
-        })
-        .collect();
-    CompactAuditResponse {
-        nonce: t.next_u128(),
-        items,
-        proof: multi_proof(t),
     }
 }
 

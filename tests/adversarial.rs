@@ -1,15 +1,18 @@
 //! Adversarial integration tests: every mutable surface of the protocol is
 //! tampered with and must be rejected — the "no false accept" matrix.
 
+use std::collections::HashSet;
+
 use seccloud::core::computation::{
-    verify_response, verify_response_batched, AuditChallenge, CommitmentSession,
-    ComputationRequest, ComputeFunction, RequestItem,
+    verify_response, verify_response_batched, AuditChallenge, AuditResponse, Commitment,
+    CommitmentSession, ComputationRequest, ComputeFunction, RequestItem,
 };
 use seccloud::core::storage::DataBlock;
 use seccloud::core::warrant::{Warrant, WarrantError};
 use seccloud::core::{CloudUser, Sio, VerifierCredential};
+use seccloud::hash::HmacDrbg;
 use seccloud::ibs::DesignatedSignature;
-use seccloud::pairing::G1;
+use seccloud::pairing::{Fr, G1};
 
 struct World {
     sio: Sio,
@@ -47,7 +50,7 @@ fn world() -> World {
     }
 }
 
-fn commit(w: &World) -> (seccloud::core::computation::Commitment, CommitmentSession) {
+fn commit(w: &World) -> (Commitment, CommitmentSession) {
     CommitmentSession::commit(
         &w.request,
         |p| w.stored.get(p as usize),
@@ -55,6 +58,31 @@ fn commit(w: &World) -> (seccloud::core::computation::Commitment, CommitmentSess
         w.da.public(),
     )
     .unwrap()
+}
+
+/// The batched accept-check over the same inputs as `verify_response`.
+fn batched_accepts(
+    w: &World,
+    request: &ComputationRequest,
+    challenge: &AuditChallenge,
+    commitment: &Commitment,
+    response: &AuditResponse,
+) -> bool {
+    verify_response_batched(
+        w.da.key(),
+        w.user.public(),
+        w.cs.signer_public(),
+        request,
+        challenge,
+        commitment,
+        response,
+    )
+}
+
+/// The scheme's public challenge hash `h = H2(U ‖ m)`.
+fn h2(u: &G1, message: &[u8]) -> Fr {
+    let ua = u.to_affine();
+    Fr::hash_nonzero(&[&ua.x().to_be_bytes()[..], &ua.y().to_be_bytes(), message].concat())
 }
 
 #[test]
@@ -78,6 +106,13 @@ fn replayed_root_signature_from_another_request_fails() {
         !outcome.root_sig_ok,
         "Sig(R) is bound to the request digest"
     );
+    assert!(!batched_accepts(
+        &w,
+        &other,
+        &challenge,
+        &commitment,
+        &response
+    ));
 }
 
 #[test]
@@ -106,6 +141,13 @@ fn commitment_root_swapped_with_another_trees_root() {
     );
     // Both the root signature (signed over the old root) and paths break.
     assert!(!outcome.is_valid());
+    assert!(!batched_accepts(
+        &w,
+        &w.request,
+        &challenge,
+        &commitment,
+        &response
+    ));
 }
 
 #[test]
@@ -141,6 +183,13 @@ fn cross_user_signature_substitution_fails() {
         .failures
         .iter()
         .any(|(_, f)| matches!(f, seccloud::core::computation::AuditFailure::BadSignature)));
+    assert!(!batched_accepts(
+        &w,
+        &w.request,
+        &challenge,
+        &commitment,
+        &response
+    ));
 }
 
 #[test]
@@ -225,15 +274,7 @@ fn batched_and_individual_verification_agree_on_tampered_responses() {
         );
         assert!(!outcome.is_valid(), "individual verifier missed: {label}");
         assert!(
-            !verify_response_batched(
-                w.da.key(),
-                w.user.public(),
-                w.cs.signer_public(),
-                &w.request,
-                &challenge,
-                &commitment,
-                response,
-            ),
+            !batched_accepts(&w, &w.request, &challenge, &commitment, response),
             "batched verifier missed: {label}"
         );
     }
@@ -249,6 +290,85 @@ fn batched_and_individual_verification_agree_on_tampered_responses() {
         &good,
     )
     .is_valid());
+    assert!(batched_accepts(
+        &w,
+        &w.request,
+        &challenge,
+        &commitment,
+        &good
+    ));
+}
+
+/// A block signer whose nonce `r` can be recomputed from public inputs
+/// hands out the designation key: from one stored block `(U, Σ')` anyone
+/// gets `K = Σ'^{1/(r+h)} = ê(Q_ID, sk_DA)` and designates "signatures" on
+/// data the owner never signed. Every public-input nonce derivation the
+/// signer has used — or would use if `sign` dropped its key — must yield a
+/// forgery the DA rejects.
+#[test]
+fn public_nonce_derivations_cannot_forge_block_signatures() {
+    let w = world();
+    let target = &w.stored[0];
+    let message = target.block().signed_message();
+    let stored = target.designation_for("da").unwrap();
+    let h = h2(stored.u(), &message);
+
+    let identity = w.user.identity().as_bytes();
+    let public_seed = [
+        identity,
+        &(message.len() as u64).to_be_bytes(),
+        &message,
+        b"seccloud/storage-block",
+    ]
+    .concat();
+    let candidate_seeds = [
+        [identity, b"/storage-signing"].concat(),
+        [identity, b"/storage-signing-parallel/", &0u64.to_be_bytes()].concat(),
+        public_seed,
+    ];
+
+    let forged_message = DataBlock::new(0, b"never signed by alice".to_vec()).signed_message();
+    for seed in &candidate_seeds {
+        let r = Fr::random_nonzero(&mut HmacDrbg::new(seed));
+        let Some(inv) = r.add(&h).inverse() else {
+            continue;
+        };
+        let k = stored.sigma().pow(&inv);
+        let u = w.user.public().q().mul_fr(&Fr::from_u64(7));
+        let sigma = k.pow(&Fr::from_u64(7).add(&h2(&u, &forged_message)));
+        let forged = DesignatedSignature::from_parts(u, sigma);
+        assert!(
+            !forged.verify(w.da.key(), w.user.public(), &forged_message),
+            "a nonce recomputed from public inputs forged a DA-designated signature"
+        );
+    }
+}
+
+/// Two uploads by one user at the same positions with different data must
+/// not reuse a nonce: equal `U` with different `h` gives
+/// `sk = (V₁ − V₂)/(h₁ − h₂)` to anyone who sees both raw signatures.
+#[test]
+fn upload_batches_never_share_a_nonce() {
+    let w = world();
+    let rewrite: Vec<DataBlock> = (0..8u64)
+        .map(|i| DataBlock::from_values(i, &[i + 100, i + 200]))
+        .collect();
+    let second = w
+        .user
+        .sign_blocks(&rewrite, &[w.cs.public(), w.da.public()]);
+    let us: HashSet<[u8; 32]> = w
+        .stored
+        .iter()
+        .chain(&second)
+        .map(|b| {
+            b.designation_for("da")
+                .unwrap()
+                .u()
+                .to_affine()
+                .to_compressed()
+        })
+        .collect();
+    assert_eq!(us.len(), w.stored.len() + second.len());
 }
 
 #[test]

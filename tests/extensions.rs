@@ -4,7 +4,7 @@
 
 use seccloud::cloudsim::behavior::Behavior;
 use seccloud::cloudsim::concurrent::{parallel_batch_fold, AuditJob};
-use seccloud::cloudsim::rpc::{audit_over_the_wire, encode_store_body};
+use seccloud::cloudsim::rpc::encode_store_body;
 // lint: allow(transport, reason=byte-level baseline path exercised raw on purpose)
 use seccloud::cloudsim::rpc::WireServer;
 use seccloud::cloudsim::{CloudServer, DesignatedAgency};
@@ -77,17 +77,17 @@ fn rpc_and_concurrent_audits_compose() {
     let (job_id, commitment_bytes) = wire_server
         .rpc_compute(user.identity(), da.identity(), &req.to_wire())
         .unwrap();
-    let verdict = audit_over_the_wire(
-        &mut da,
-        &mut wire_server,
-        &user,
-        &req,
-        job_id,
-        &commitment_bytes,
-        3,
-        0,
-    )
-    .unwrap();
+    let verdict = da
+        .audit_wire(
+            &mut wire_server,
+            &user,
+            &req,
+            job_id,
+            &commitment_bytes,
+            3,
+            0,
+        )
+        .unwrap();
     assert!(!verdict.detected);
 
     // …and the in-memory concurrent path against a cheater + an honest one.

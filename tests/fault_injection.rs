@@ -22,7 +22,7 @@
 //! EXPERIMENTS.md).
 
 use seccloud::cloudsim::behavior::{Behavior, StorageAttack};
-use seccloud::cloudsim::rpc::{audit_over_the_wire, encode_store_body, RpcError};
+use seccloud::cloudsim::rpc::{encode_store_body, RpcError};
 // lint: allow(transport, reason=fault sweeps drive the raw channel on purpose to observe unprotected failures)
 use seccloud::cloudsim::rpc::{WireServer, WireTransport};
 use seccloud::cloudsim::{AuditVerdict, CloudServer, DesignatedAgency};
@@ -105,8 +105,7 @@ fn run_job(w: &mut World, req: &ComputationRequest) -> Result<AuditVerdict, RpcE
     let (job_id, commitment) =
         w.channel
             .rpc_compute(w.user.identity(), w.da.identity(), &req.to_wire())?;
-    audit_over_the_wire(
-        &mut w.da,
+    w.da.audit_wire(
         &mut w.channel,
         &w.user,
         req,

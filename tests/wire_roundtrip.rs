@@ -10,8 +10,7 @@
 //! failures print the seed and minimal shrunk input to reproduce.
 
 use seccloud::core::computation::{
-    AuditChallenge, AuditResponse, Commitment, CompactAuditResponse, ComputationRequest,
-    ComputeFunction,
+    AuditChallenge, AuditResponse, Commitment, ComputationRequest, ComputeFunction,
 };
 use seccloud::core::storage::{DataBlock, SignedBlock};
 use seccloud::core::warrant::Warrant;
@@ -76,14 +75,6 @@ fn audit_response_round_trips() {
 }
 
 #[test]
-fn compact_audit_response_round_trips() {
-    round_trip(
-        "round-trip/compact-audit-response",
-        gen::compact_audit_response,
-    );
-}
-
-#[test]
 fn warrant_round_trips() {
     round_trip("round-trip/warrant", gen::warrant);
 }
@@ -102,7 +93,6 @@ fn decoding_arbitrary_bytes_is_total() {
         let _ = AuditChallenge::from_wire(bytes);
         let _ = MerklePath::from_wire(bytes);
         let _ = AuditResponse::from_wire(bytes);
-        let _ = CompactAuditResponse::from_wire(bytes);
         let _ = Warrant::from_wire(bytes);
         Ok(())
     });
