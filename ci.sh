@@ -86,6 +86,12 @@ echo "== fault/property/recovery suites: serial and 4-thread (${SECCLOUD_TESTKIT
 SECCLOUD_THREADS=1 cargo test -q --test fault_injection --test wire_roundtrip --test batch_users
 SECCLOUD_THREADS=4 cargo test -q --test fault_injection --test wire_roundtrip --test batch_users
 
+echo "== internal fan-outs (parallel_map / parallel_map_mut callers): serial and 4-worker =="
+fanout_suites=(-p seccloud-parallel -p seccloud-core -p seccloud-merkle -p seccloud-ibs
+               -p seccloud-cloudsim -p seccloud-registry -p seccloud --lib --test extensions)
+SECCLOUD_THREADS=1 cargo test -q "${fanout_suites[@]}"
+SECCLOUD_THREADS=4 cargo test -q "${fanout_suites[@]}"
+
 echo "== socket runtime suite: real TCP + chaos proxy, serial and 4-worker server =="
 SECCLOUD_THREADS=1 cargo test -q --test net_rpc
 SECCLOUD_THREADS=4 cargo test -q --test net_rpc

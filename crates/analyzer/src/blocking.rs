@@ -366,8 +366,7 @@ fn analyze_fn(
         }
         Expr::Call { callee, args, line } => {
             if let Expr::Path { segs, .. } = callee.as_ref() {
-                let owner = ws.fns.get(fn_idx).and_then(|f| f.owner.as_deref());
-                let callees = ws.resolve_call(segs, owner);
+                let callees = typer.resolve_call(segs);
                 apply_call(
                     ws,
                     summaries,

@@ -230,11 +230,17 @@ impl Workspace {
         summaries
     }
 
-    /// Resolves the functions a `Type::name` / free-name call can reach.
-    pub fn resolve_call(&self, segs: &[String], owner: Option<&str>) -> Vec<usize> {
+    /// Resolves the functions a `Type::name` / free-name call made from
+    /// `caller` can reach. A bare name resolves to the free fns of that
+    /// name in the caller's file, else in the caller's crate, else anywhere
+    /// in the workspace — so a same-named fn in an unrelated crate never
+    /// joins a call that has a local target, while imports from other
+    /// crates still resolve.
+    pub fn resolve_call(&self, segs: &[String], caller: &FnNode) -> Vec<usize> {
         let Some(name) = segs.last() else {
             return Vec::new();
         };
+        let owner = caller.owner.as_deref();
         if segs.len() >= 2 {
             let ty = segs
                 .get(segs.len().wrapping_sub(2))
@@ -256,7 +262,30 @@ impl Workspace {
             }
             return Vec::new();
         }
-        self.free_by_name.get(name).cloned().unwrap_or_default()
+        let all = match self.free_by_name.get(name) {
+            Some(all) if all.len() > 1 => all,
+            // Zero or one candidate: scoping cannot change the answer.
+            other => return other.cloned().unwrap_or_default(),
+        };
+        let home = self.files.get(caller.file).map_or("", |p| crate_root(p));
+        let in_crate: Vec<usize> = all
+            .iter()
+            .copied()
+            .filter(|&i| crate_root(self.path_of(i)) == home)
+            .collect();
+        if in_crate.is_empty() {
+            return all.clone();
+        }
+        let in_file: Vec<usize> = in_crate
+            .iter()
+            .copied()
+            .filter(|&i| self.fns.get(i).is_some_and(|f| f.file == caller.file))
+            .collect();
+        if in_file.is_empty() {
+            in_crate
+        } else {
+            in_file
+        }
     }
 
     /// Resolves a method call: exact `(receiver type, name)` when the
@@ -300,7 +329,7 @@ impl Workspace {
         body.walk(&mut |e| match e {
             Expr::Call { callee, line, .. } => {
                 if let Expr::Path { segs, .. } = callee.as_ref() {
-                    for t in self.resolve_call(segs, f.owner.as_deref()) {
+                    for t in self.resolve_call(segs, f) {
                         out.push((t, *line));
                     }
                 }
@@ -322,6 +351,16 @@ impl Workspace {
         out.dedup();
         out
     }
+}
+
+/// The crate a workspace-relative path belongs to: `crates/<dir>/` for a
+/// member crate, otherwise its top-level directory (`src/`, `tests/`, …).
+fn crate_root(path: &str) -> &str {
+    let end = match path.strip_prefix("crates/") {
+        Some(rest) => rest.find('/').map(|i| "crates/".len() + i + 1),
+        None => path.find('/').map(|i| i + 1),
+    };
+    end.and_then(|e| path.get(..e)).unwrap_or(path)
 }
 
 /// Moves items into the flat fn table, tracking impl owner and test
@@ -450,7 +489,7 @@ pub fn elem_head(ty: &str) -> Option<String> {
 /// fields. Shared by the call graph and the taint engine.
 pub struct Typer<'w> {
     ws: &'w Workspace,
-    owner: Option<String>,
+    caller: &'w FnNode,
     locals: HashMap<String, String>,
     /// Raw declared types (generics intact) for params and annotated
     /// `let`s — the head alone cannot answer element-type questions
@@ -462,10 +501,10 @@ impl<'w> Typer<'w> {
     /// Builds the environment for `f`: parameter types plus every
     /// resolvable `let` binding in the body (flat — shadowing across
     /// scopes keeps the innermost annotation, which is the common case).
-    pub fn for_fn(ws: &'w Workspace, f: &FnNode) -> Self {
+    pub fn for_fn(ws: &'w Workspace, f: &'w FnNode) -> Self {
         let mut t = Typer {
             ws,
-            owner: f.owner.clone(),
+            caller: f,
             locals: HashMap::new(),
             raws: HashMap::new(),
         };
@@ -526,6 +565,11 @@ impl<'w> Typer<'w> {
         t
     }
 
+    /// [`Workspace::resolve_call`] from this environment's fn.
+    pub fn resolve_call(&self, segs: &[String]) -> Vec<usize> {
+        self.ws.resolve_call(segs, self.caller)
+    }
+
     /// Infers the head type of an expression, if the environment can.
     pub fn infer(&self, e: &Expr) -> Option<String> {
         match e {
@@ -540,7 +584,7 @@ impl<'w> Typer<'w> {
             }
             Expr::Call { callee, .. } => {
                 if let Expr::Path { segs, .. } = callee.as_ref() {
-                    let targets = self.ws.resolve_call(segs, self.owner.as_deref());
+                    let targets = self.resolve_call(segs);
                     self.ret_head(&targets, segs.get(segs.len().wrapping_sub(2)))
                 } else {
                     None
@@ -644,7 +688,7 @@ impl<'w> Typer<'w> {
         let targets = match e {
             Expr::Call { callee, .. } => {
                 if let Expr::Path { segs, .. } = callee.as_ref() {
-                    self.ws.resolve_call(segs, self.owner.as_deref())
+                    self.resolve_call(segs)
                 } else {
                     return None;
                 }

@@ -653,7 +653,7 @@ impl Eval<'_> {
                         if SANITIZERS.contains(&name.as_str()) {
                             return 0;
                         }
-                        let targets = self.ws.resolve_call(segs, self.owner.as_deref());
+                        let targets = self.typer.resolve_call(segs);
                         if targets.is_empty() && name.ends_with("_vartime") {
                             // Unresolved primitive (macro-generated field
                             // inverses): sink directly on the arguments.

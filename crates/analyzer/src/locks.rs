@@ -274,7 +274,6 @@ struct Eval<'a, 'b> {
     table: &'a LockTable,
     summaries: &'a [LockSummary],
     net: &'a [NetSummary],
-    owner: Option<&'a str>,
     fn_name: String,
     path: &'a str,
     /// Currently held bits.
@@ -664,7 +663,7 @@ impl Eval<'_, '_> {
                 if matches!(name, "Some" | "Ok" | "Err") {
                     return argbits;
                 }
-                let callees = self.ws.resolve_call(segs, self.owner);
+                let callees = self.typer.resolve_call(segs);
                 if callees.is_empty() {
                     let kinds = classify_unresolved_call(segs);
                     if kinds != 0 {
@@ -953,7 +952,6 @@ fn analyze_fn(
         table,
         summaries,
         net,
-        owner: f.owner.as_deref(),
         fn_name: qualified(f),
         path: ws.path_of(fn_idx),
         held: 0,

@@ -500,7 +500,7 @@ impl Eval<'_> {
                 let masks: Vec<u64> = args.iter().map(|a| self.eval(a)).collect();
                 match callee.as_ref() {
                     Expr::Path { segs, .. } => {
-                        let targets = self.ws.resolve_call(segs, self.owner.as_deref());
+                        let targets = self.typer.resolve_call(segs);
                         let name = segs.last().cloned().unwrap_or_default();
                         let mut m = self.apply_summary(&targets, &masks, *line, &name);
                         if targets.is_empty()

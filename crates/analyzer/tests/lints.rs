@@ -112,6 +112,37 @@ fn panic_path_clean_fixture_is_silent() {
 }
 
 #[test]
+fn bare_call_prefers_the_local_fn_over_a_foreign_namesake() {
+    // Two crates each define `fn setup`; only the foreign one panics. The
+    // protocol root calling its own `setup` must not inherit that panic,
+    // while a bare call with no local target still resolves across crates.
+    let local = "pub fn run_protocol() -> u8 { setup() }\n\
+                 fn setup() -> u8 { 1 }\n\
+                 pub fn run_imported() -> u8 { remote_only() }\n";
+    let foreign = "pub fn setup() -> u8 { panic!(\"boom\") }\n\
+                   pub fn remote_only() -> u8 { panic!(\"boom\") }\n";
+    let report = analyzer::lint_files(
+        &[
+            ("crates/core/src/proto.rs".into(), local.into()),
+            ("crates/net/src/boot.rs".into(), foreign.into()),
+        ],
+        false,
+    );
+    let paths: Vec<(&str, u32)> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "panic_path")
+        .map(|f| (f.file.as_str(), f.line))
+        .collect();
+    assert_eq!(
+        paths,
+        [("crates/core/src/proto.rs", 3)],
+        "{:?}",
+        report.findings
+    );
+}
+
+#[test]
 fn arith_fixture_trips_arith_rule() {
     let report = lint_fixture("arith_bad.rs");
     assert_eq!(rules_hit(&report), ["arith"], "{:?}", report.findings);

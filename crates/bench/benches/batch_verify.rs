@@ -1,5 +1,5 @@
 //! Benches behind Fig. 5 / Table II's "ours" rows: batch vs individual
-//! designated verification across batch sizes, serial vs parallel.
+//! designated verification across batch sizes.
 
 use seccloud_bench::Bench;
 use seccloud_ibs::{designate, sign, BatchItem, BatchVerifier, MasterKey};
@@ -28,9 +28,6 @@ fn bench_batch_vs_individual() {
         let (server, items) = make_items(n);
         g.bench(&format!("individual/{n}"), || {
             assert!(seccloud_ibs::verify_individually(&items, &server).is_none());
-        });
-        g.bench(&format!("individual_parallel/{n}"), || {
-            assert!(seccloud_ibs::verify_individually_parallel(&items, &server).is_none());
         });
         g.bench(&format!("batch/{n}"), || {
             let mut batch = BatchVerifier::new();

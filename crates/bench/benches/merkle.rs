@@ -1,5 +1,5 @@
-//! Benches for the Merkle commitment layer (paper eq. 6, Fig. 3) and the
-//! parallel-vs-serial tree-build ablation.
+//! Benches for the Merkle commitment layer (paper eq. 6, Fig. 3): tree
+//! build, single-leaf proof and verification.
 
 use seccloud_bench::Bench;
 use seccloud_merkle::MerkleTree;
@@ -12,14 +12,9 @@ fn bench_build() {
     let mut g = Bench::group("merkle_build");
     for &n in &[64usize, 1024, 16_384] {
         let d = data(n);
-        let serial = g.bench(&format!("serial/{n}"), || {
+        g.bench(&format!("from_data/{n}"), || {
             MerkleTree::from_data(d.iter().map(Vec::as_slice))
         });
-        let leaves: Vec<&[u8]> = d.iter().map(Vec::as_slice).collect();
-        let parallel = g.bench(&format!("parallel/{n}"), || {
-            MerkleTree::from_data_parallel(&leaves)
-        });
-        println!("   -> parallel speedup at n={n}: {:.2}x", serial / parallel);
     }
 }
 

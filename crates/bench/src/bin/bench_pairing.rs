@@ -6,9 +6,11 @@
 //!   G2 argument (ops/sec + speedup);
 //! * G1 scalar multiplication: GLV endomorphism split vs plain wNAF;
 //! * designated batch verification at ℓ ∈ {16, 64, 256} vs ℓ individual
-//!   verifications, serial and parallel.
+//!   verifications.
 //!
-//! Schema v3 drops v2's per-backend fields (`arch_*`, `backends`); every
+//! Schema v4 drops v3's parallel-singles columns
+//! (`parallel_singles_ops_per_sec`, `batch_speedup_vs_parallel_singles`)
+//! and adds the host (`host_cores`, `host_arch`) next to `threads`; every
 //! other field keeps its name and meaning.
 //!
 //! Run with `cargo run --release -p seccloud-bench --bin bench_pairing`.
@@ -82,37 +84,34 @@ fn main() {
         let singles_ms = measure_ms(1, iters, || {
             assert!(seccloud_ibs::verify_individually(&items, &server).is_none());
         });
-        let singles_par_ms = measure_ms(1, iters, || {
-            assert!(seccloud_ibs::verify_individually_parallel(&items, &server).is_none());
-        });
         if i > 0 {
             batch_rows.push_str(",\n");
         }
         batch_rows.push_str(&format!(
             "    {{ \"ell\": {ell}, \"batch_ops_per_sec\": {:.3}, \
-             \"singles_ops_per_sec\": {:.3}, \"parallel_singles_ops_per_sec\": {:.3}, \
-             \"batch_speedup_vs_singles\": {:.2}, \"batch_speedup_vs_parallel_singles\": {:.2} }}",
+             \"singles_ops_per_sec\": {:.3}, \"batch_speedup_vs_singles\": {:.2} }}",
             ops_per_sec(batch_ms),
             ops_per_sec(singles_ms),
-            ops_per_sec(singles_par_ms),
             singles_ms / batch_ms,
-            singles_par_ms / batch_ms,
         ));
         println!(
             "batch ℓ={ell:>3}: batch {batch_ms:.2} ms, singles {singles_ms:.2} ms \
-             (serial), {singles_par_ms:.2} ms (parallel) — batch speedup {:.2}x",
+             — batch speedup {:.2}x",
             singles_ms / batch_ms
         );
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"seccloud-bench-pairing/v3\",\n  \"threads\": {},\n  \
+        "{{\n  \"schema\": \"seccloud-bench-pairing/v4\",\n  \"threads\": {},\n  \
+         \"host_cores\": {},\n  \"host_arch\": \"{}\",\n  \
          \"pairing_ops_per_sec\": {:.3},\n  \"prepared_pairing_ops_per_sec\": {:.3},\n  \
          \"prepared_speedup\": {:.3},\n  \"g2_preparation_ms\": {:.4},\n  \
          \"g1_mul_glv_ops_per_sec\": {:.3},\n  \"g1_mul_wnaf_ops_per_sec\": {:.3},\n  \
          \"glv_speedup_vs_wnaf\": {:.3},\n  \
          \"batch_verify\": [\n{}\n  ]\n}}\n",
         seccloud_parallel::num_threads(),
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        std::env::consts::ARCH,
         ops_per_sec(plain_ms),
         ops_per_sec(prepared_ms),
         plain_ms / prepared_ms,

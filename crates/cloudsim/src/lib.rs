@@ -50,13 +50,12 @@
 
 pub mod agency;
 pub mod behavior;
-pub mod concurrent;
 pub mod csp;
 pub mod montecarlo;
 pub mod privacy;
 pub mod rpc;
 pub mod server;
 
-pub use agency::{AuditVerdict, DesignatedAgency};
+pub use agency::{AuditJob, AuditVerdict, DesignatedAgency};
 pub use csp::{Csp, Sla, SubTaskExecution};
 pub use server::{CloudServer, JobHandle, ServerError};

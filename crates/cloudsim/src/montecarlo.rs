@@ -75,45 +75,6 @@ pub fn run(experiment: &Experiment, seed: &[u8]) -> ExperimentResult {
     finish(params, t, trials, escapes)
 }
 
-/// Parallel counterpart of [`run`]. Trials fan out across
-/// [`seccloud_parallel::num_threads`] workers; each trial draws from its own
-/// DRBG seeded by `(seed, trial index)`, so the result is identical for
-/// every thread count (including `SECCLOUD_THREADS=1`) — but it is a
-/// *different* (equally valid) random transcript than the serial [`run`],
-/// which streams all trials from one generator.
-pub fn run_parallel(experiment: &Experiment, seed: &[u8]) -> ExperimentResult {
-    run_parallel_threads(experiment, seed, seccloud_parallel::num_threads())
-}
-
-/// [`run_parallel`] with an explicit worker count, for A/B determinism
-/// tests and benchmarking.
-pub fn run_parallel_threads(
-    experiment: &Experiment,
-    seed: &[u8],
-    threads: usize,
-) -> ExperimentResult {
-    let Experiment {
-        params,
-        n,
-        t,
-        trials,
-    } = *experiment;
-    assert!(t <= n, "cannot sample more items than exist");
-    let escapes: usize = seccloud_parallel::parallel_ranges(trials, threads, |range| {
-        range
-            .filter(|&trial| {
-                let mut drbg = HmacDrbg::new(
-                    &[seed, b"/mc-trial/", &(trial as u64).to_be_bytes()[..]].concat(),
-                );
-                trial_escapes(&params, n, t, &mut drbg)
-            })
-            .count()
-    })
-    .into_iter()
-    .sum();
-    finish(params, t, trials, escapes)
-}
-
 /// One simulated audit round: samples `t` of `n` items and rolls the cheat
 /// dice lazily per sampled item (equivalent to rolling all `n` up front
 /// because the per-item events are independent). Returns `true` iff the
@@ -166,33 +127,6 @@ pub fn sweep_t(
         .iter()
         .map(|&t| {
             let r = run(
-                &Experiment {
-                    params,
-                    n,
-                    t,
-                    trials,
-                },
-                &[seed, &t.to_be_bytes()].concat(),
-            );
-            (t, r.escape_rate, r.analytic)
-        })
-        .collect()
-}
-
-/// Parallel counterpart of [`sweep_t`]: every `t` value still gets the same
-/// derived seed, but its trials run through [`run_parallel`], so the series
-/// is deterministic per thread count *and* across thread counts.
-pub fn sweep_t_parallel(
-    params: CheatParams,
-    n: usize,
-    t_values: &[usize],
-    trials: usize,
-    seed: &[u8],
-) -> Vec<(usize, f64, f64)> {
-    t_values
-        .iter()
-        .map(|&t| {
-            let r = run_parallel(
                 &Experiment {
                     params,
                     n,
@@ -394,62 +328,6 @@ mod tests {
         // CSC = 1 (honest): never detected. CSC = 0, R = ∞: always caught.
         assert_eq!(run_crypto(1.0, None, 8, 4, 5), 1.0);
         assert_eq!(run_crypto(0.0, None, 8, 4, 5), 0.0);
-    }
-
-    #[test]
-    fn parallel_run_is_thread_count_invariant() {
-        let exp = Experiment {
-            params: CheatParams::new(0.7, 0.9).with_range(2.0),
-            n: 200,
-            t: 8,
-            trials: 3_000,
-        };
-        let reference = run_parallel_threads(&exp, b"invariant", 1);
-        for threads in [2, 3, 8, 64] {
-            assert_eq!(
-                run_parallel_threads(&exp, b"invariant", threads),
-                reference,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_run_matches_analytic_within_three_sigma() {
-        let result = run_parallel(
-            &Experiment {
-                params: CheatParams::new(0.8, 0.9).with_range(4.0),
-                n: 400,
-                t: 6,
-                trials: 4_000,
-            },
-            b"parallel-match",
-        );
-        assert!(
-            result.abs_error() <= result.three_sigma().max(0.02),
-            "sim {} vs analytic {}",
-            result.escape_rate,
-            result.analytic
-        );
-    }
-
-    #[test]
-    fn parallel_sweep_tracks_serial_sweep_analytics() {
-        let params = CheatParams::new(0.7, 0.9).with_range(2.0);
-        let serial = sweep_t(params, 200, &[1, 5, 10, 20], 2_000, b"sweep-cmp");
-        let parallel = sweep_t_parallel(params, 200, &[1, 5, 10, 20], 2_000, b"sweep-cmp");
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.0, p.0);
-            assert_eq!(s.2, p.2, "analytic values must agree exactly");
-            // Different transcripts, same distribution: both estimators sit
-            // within a few σ of the shared analytic value.
-            assert!(
-                (s.1 - p.1).abs() < 0.06,
-                "serial {} vs parallel {}",
-                s.1,
-                p.1
-            );
-        }
     }
 
     #[test]

@@ -215,28 +215,10 @@ impl StorageAuditReport {
     }
 }
 
-/// Audits a set of retrieved blocks individually (one pairing each).
+/// Audits a set of retrieved blocks individually (one pairing each). The
+/// per-block checks fan out over [`seccloud_parallel::num_threads`]
+/// workers; the failure set is the same for any worker count.
 pub fn audit_blocks(
-    verifier: &VerifierKey,
-    owner: &UserPublic,
-    blocks: &[SignedBlock],
-) -> StorageAuditReport {
-    let failed = blocks
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| !b.verify(verifier, owner))
-        .map(|(i, _)| i)
-        .collect();
-    StorageAuditReport {
-        failed,
-        checked: blocks.len(),
-    }
-}
-
-/// Parallel variant of [`audit_blocks`]: the one-pairing-per-block checks
-/// run on [`seccloud_parallel::num_threads`] workers. Reports the same
-/// failure set as the serial audit for any worker count.
-pub fn audit_blocks_parallel(
     verifier: &VerifierKey,
     owner: &UserPublic,
     blocks: &[SignedBlock],
@@ -333,9 +315,14 @@ mod tests {
         // The paper's storage-cheating case: serving data from position j
         // when position i was requested.
         let (_, user, cs, _) = setup();
-        let mut signed = user.sign_blocks(&blocks(3), &[cs.public()]);
-        signed[0].tamper_index(7);
-        assert!(!signed[0].verify(cs.key(), user.public()));
+        let mut signed = user.sign_blocks(&blocks(9), &[cs.public()]);
+        signed[7].tamper_index(99);
+        assert!(!signed[7].verify(cs.key(), user.public()));
+        // Next to a data tamper, the audit reports both offenders in order.
+        signed[2].tamper_data(b"bad".to_vec());
+        let report = audit_blocks(cs.key(), user.public(), &signed);
+        assert_eq!(report.failed, vec![2, 7]);
+        assert_eq!(report.checked, 9);
     }
 
     #[test]
@@ -379,18 +366,6 @@ mod tests {
         // Right position, wrong owner.
         let bob = sio.register("bob");
         assert!(!signed[1].verify_at(1, cs.key(), bob.public()));
-    }
-
-    #[test]
-    fn parallel_audit_matches_serial_audit() {
-        let (_, user, cs, _) = setup();
-        let mut signed = user.sign_blocks(&blocks(9), &[cs.public()]);
-        signed[2].tamper_data(b"bad".to_vec());
-        signed[7].tamper_index(99);
-        let serial = audit_blocks(cs.key(), user.public(), &signed);
-        let parallel = audit_blocks_parallel(cs.key(), user.public(), &signed);
-        assert_eq!(serial, parallel);
-        assert_eq!(parallel.failed, vec![2, 7]);
     }
 
     #[test]

@@ -173,12 +173,6 @@ impl BatchVerifier {
         let (u0, s0) = iter.next()?;
         Some(iter.fold((*u0, *s0), |(u, s), (tu, ts)| (u.add(tu), s.mul(ts))))
     }
-
-    /// Merges another batch into this one (useful when sub-batches are
-    /// aggregated concurrently and combined at the end).
-    pub fn merge(&mut self, other: &BatchVerifier) {
-        self.terms.extend_from_slice(&other.terms);
-    }
 }
 
 /// Verifies a slice of batch items one by one (the `2ℓ`-pairing baseline the
@@ -189,19 +183,6 @@ pub fn verify_individually(items: &[BatchItem], verifier: &VerifierKey) -> Optio
     items
         .iter()
         .position(|item| !item.signature.verify(verifier, &item.signer, &item.message))
-}
-
-/// Parallel variant of [`verify_individually`]: fans the per-item pairing
-/// checks out over [`seccloud_parallel::num_threads`] workers. Same result
-/// as the serial version for any worker count (each check is independent).
-pub fn verify_individually_parallel(items: &[BatchItem], verifier: &VerifierKey) -> Option<usize> {
-    // Materialize the prepared key once, before the fan-out, so workers
-    // share the cache instead of racing to initialize it.
-    let _ = verifier.sk_prepared();
-    let outcomes = seccloud_parallel::parallel_map(items, |_, item| {
-        item.signature.verify(verifier, &item.signer, &item.message)
-    });
-    outcomes.iter().position(|ok| !ok)
 }
 
 #[cfg(test)]
@@ -317,28 +298,6 @@ mod tests {
             b.push_item(item);
         }
         assert!(!b.verify(&other));
-    }
-
-    #[test]
-    fn merge_equals_sequential_push() {
-        let (_, v, items) = make_items(10, 5, "merge");
-        let mut whole = BatchVerifier::new();
-        for item in &items {
-            whole.push_item(item);
-        }
-        let mut left = BatchVerifier::new();
-        let mut right = BatchVerifier::new();
-        for item in &items[..4] {
-            left.push_item(item);
-        }
-        for item in &items[4..] {
-            right.push_item(item);
-        }
-        left.merge(&right);
-        assert_eq!(left.len(), whole.len());
-        assert_eq!(left.terms(), whole.terms());
-        assert_eq!(left.aggregate(), whole.aggregate());
-        assert!(left.verify(&v));
     }
 
     #[test]

@@ -89,58 +89,6 @@ impl MerkleTree {
         Self::from_leaves(data.into_iter().map(leaf_hash).collect())
     }
 
-    /// Parallel variant of [`MerkleTree::from_data`]: leaf hashing and the
-    /// wide interior levels fan out over [`seccloud_parallel::num_threads`]
-    /// workers. Bit-identical output to the serial build for any worker
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is empty.
-    pub fn from_data_parallel(data: &[&[u8]]) -> Self {
-        assert!(!data.is_empty(), "Merkle tree needs at least one leaf");
-        Self::from_leaves_parallel(seccloud_parallel::parallel_map(data, |_, d| leaf_hash(d)))
-    }
-
-    /// Parallel variant of [`MerkleTree::from_leaves`]. Levels narrower than
-    /// a threshold are built serially — near the root the hash count is too
-    /// small to amortize thread spawn.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaves` is empty.
-    pub fn from_leaves_parallel(leaves: Vec<Node>) -> Self {
-        /// Parent count below which a level is hashed on the calling thread.
-        const PARALLEL_THRESHOLD: usize = 512;
-        assert!(!leaves.is_empty(), "Merkle tree needs at least one leaf");
-        let threads = seccloud_parallel::num_threads();
-        let parent = |level: &[Node], i: usize| match (level.get(2 * i), level.get(2 * i + 1)) {
-            (Some(l), Some(r)) => node_hash(l, r),
-            (Some(l), None) => *l, // promote
-            (None, _) => [0; 32],  // out of range: `i` is always < parent count
-        };
-        let mut levels = vec![leaves];
-        loop {
-            let next = {
-                let Some(prev) = levels.last() else { break };
-                if prev.len() <= 1 {
-                    break;
-                }
-                let parents = prev.len().div_ceil(2);
-                if threads > 1 && parents >= PARALLEL_THRESHOLD {
-                    seccloud_parallel::parallel_ranges(parents, threads, |range| {
-                        range.map(|i| parent(prev, i)).collect::<Vec<Node>>()
-                    })
-                    .concat()
-                } else {
-                    (0..parents).map(|i| parent(prev, i)).collect()
-                }
-            };
-            levels.push(next);
-        }
-        Self { levels }
-    }
-
     /// The committed root `R`.
     pub fn root(&self) -> Node {
         self.levels
@@ -383,25 +331,6 @@ mod tests {
     #[should_panic(expected = "at least one leaf")]
     fn empty_tree_panics() {
         let _ = MerkleTree::from_leaves(Vec::new());
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical_to_serial() {
-        // Sizes straddling the per-level parallel threshold, plus odd
-        // counts exercising promotion.
-        for n in [1usize, 2, 3, 7, 33, 511, 512, 513, 1025, 2048] {
-            let d = data(n);
-            let serial = MerkleTree::from_data(d.iter().map(Vec::as_slice));
-            let slices: Vec<&[u8]> = d.iter().map(Vec::as_slice).collect();
-            let parallel = MerkleTree::from_data_parallel(&slices);
-            assert_eq!(serial, parallel, "n={n}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one leaf")]
-    fn empty_parallel_tree_panics() {
-        let _ = MerkleTree::from_data_parallel(&[]);
     }
 
     #[test]

@@ -1,25 +1,26 @@
 //! Dependency-free data parallelism for the SecCloud workspace.
 //!
-//! The pairing-heavy hot paths (per-block designated-signature transforms,
-//! audit response verification, Merkle tree construction, Monte Carlo
-//! detection sweeps) are embarrassingly parallel, but the build must stay
-//! offline-capable — no rayon, no crossbeam. This crate supplies the one
-//! primitive those paths need: a chunked, order-preserving parallel map on
-//! `std::thread::scope`.
+//! The pairing-heavy operations (per-block sign-then-designate, per-block
+//! storage audits, `DesignatedAgency::audit_many`, per-shard registry
+//! commitments, CSP sub-task dispatch) are embarrassingly parallel, but
+//! the build must stay offline-capable — no rayon, no crossbeam. This
+//! crate supplies the two primitives those operations fan out through:
+//! chunked, order-preserving maps over shared ([`parallel_map`]) or
+//! exclusively owned ([`parallel_map_mut`]) items on `std::thread::scope`.
 //!
 //! ## Threading model
 //!
-//! * The worker count defaults to [`std::thread::available_parallelism`]
-//!   and can be pinned with the `SECCLOUD_THREADS` environment variable
-//!   (`SECCLOUD_THREADS=1` forces serial execution; useful for profiling
-//!   and for bit-for-bit A/B tests against the serial paths).
+//! * Each operation has one entry point that fans out internally; no
+//!   caller picks a thread count. The worker count comes only from
+//!   [`num_threads`]: the `SECCLOUD_THREADS` environment variable, else
+//!   [`std::thread::available_parallelism`]. `SECCLOUD_THREADS=1` forces
+//!   serial execution on the calling thread (useful for profiling).
 //! * Output order always equals input order regardless of worker count —
 //!   every item's result lands in its input slot, so parallel and serial
 //!   execution are observationally identical for pure per-item closures.
 //! * Workers receive contiguous chunks; per-item closures also get the
-//!   item's *global* index, which callers use to derive independent,
-//!   deterministic DRBG streams per item (fork-by-index), keeping results
-//!   reproducible under any `SECCLOUD_THREADS` setting.
+//!   item's *global* index (a shard number, a server slot), so no result
+//!   depends on how the items were chunked.
 //!
 //! # Examples
 //!
@@ -30,8 +31,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// The configured worker count: `SECCLOUD_THREADS` if set to a positive
-/// integer, otherwise the machine's available parallelism (at least 1).
+/// The configured worker count. An unset `SECCLOUD_THREADS` means the
+/// machine's available parallelism (at least 1); a set value that parses
+/// as a positive integer is used as is, and any other set value (`0`,
+/// garbage) means 1 — serial.
 pub fn num_threads() -> usize {
     match std::env::var("SECCLOUD_THREADS") {
         Ok(v) => match v.trim().parse::<usize>() {
@@ -55,9 +58,10 @@ where
     parallel_map_threads(items, num_threads(), f)
 }
 
-/// Like [`parallel_map`] with an explicit worker count (clamped to
-/// `1..=items.len()`). `threads == 1` runs serially on the calling thread.
-pub fn parallel_map_threads<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
+/// [`parallel_map`]'s body with an explicit worker count (clamped to
+/// `1..=items.len()`), so the tests can force several workers on any
+/// host. `threads == 1` runs serially on the calling thread.
+fn parallel_map_threads<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -132,26 +136,6 @@ where
         .collect()
 }
 
-/// Splits `0..n` into up to `threads` contiguous ranges and maps `f` over
-/// them concurrently — the building block for parallel reductions: each
-/// worker folds its range locally, the caller merges the partials.
-pub fn parallel_ranges<U, F>(n: usize, threads: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(std::ops::Range<usize>) -> U + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = threads.clamp(1, n);
-    let chunk = n.div_ceil(workers);
-    let ranges: Vec<std::ops::Range<usize>> = (0..n)
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(n))
-        .collect();
-    parallel_map_threads(&ranges, workers, |_, r| f(r.clone()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,26 +164,6 @@ mod tests {
         let none: Vec<u8> = Vec::new();
         assert!(parallel_map_threads(&none, 8, |_, x| *x).is_empty());
         assert_eq!(parallel_map_threads(&[5u8], 8, |_, x| *x + 1), vec![6]);
-    }
-
-    #[test]
-    fn ranges_cover_exactly_once() {
-        for (n, threads) in [(10, 3), (1, 1), (16, 16), (7, 100), (64, 5)] {
-            let ranges = parallel_ranges(n, threads, |r| r);
-            let mut covered: Vec<usize> = ranges.into_iter().flatten().collect();
-            covered.sort_unstable();
-            assert_eq!(
-                covered,
-                (0..n).collect::<Vec<_>>(),
-                "n={n} threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn ranges_fold_matches_serial_sum() {
-        let partials = parallel_ranges(1000, 8, |r| r.map(|i| i as u64).sum::<u64>());
-        assert_eq!(partials.into_iter().sum::<u64>(), 499_500);
     }
 
     #[test]

@@ -72,8 +72,7 @@ impl Shard {
             return empty_shard_root(shard, epoch);
         }
         let leaves: Vec<Vec<u8>> = self.members.values().map(UserRecord::leaf_bytes).collect();
-        let refs: Vec<&[u8]> = leaves.iter().map(Vec::as_slice).collect();
-        MerkleTree::from_data_parallel(&refs).root()
+        MerkleTree::from_data(leaves.iter().map(Vec::as_slice)).root()
     }
 }
 
@@ -300,8 +299,7 @@ impl UserRegistry {
         let s = self.shards.get(shard as usize)?;
         let index = s.members.keys().position(|k| k == identity)?;
         let leaves: Vec<Vec<u8>> = s.members.values().map(UserRecord::leaf_bytes).collect();
-        let refs: Vec<&[u8]> = leaves.iter().map(Vec::as_slice).collect();
-        let path = MerkleTree::from_data_parallel(&refs).prove(index)?;
+        let path = MerkleTree::from_data(leaves.iter().map(Vec::as_slice)).prove(index)?;
         Some(MembershipProof { shard, index, path })
     }
 

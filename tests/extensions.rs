@@ -3,17 +3,15 @@
 //! facade crate the way a downstream user would.
 
 use seccloud::cloudsim::behavior::Behavior;
-use seccloud::cloudsim::concurrent::{parallel_batch_fold, AuditJob};
 use seccloud::cloudsim::rpc::encode_store_body;
 // lint: allow(transport, reason=byte-level baseline path exercised raw on purpose)
 use seccloud::cloudsim::rpc::WireServer;
-use seccloud::cloudsim::{CloudServer, DesignatedAgency};
+use seccloud::cloudsim::{AuditJob, CloudServer, DesignatedAgency};
 use seccloud::core::computation::{ComputationRequest, ComputeFunction, RequestItem};
 use seccloud::core::dynstore::{audit_dynamic, DynamicStore, OwnerLedger};
 use seccloud::core::storage::DataBlock;
 use seccloud::core::wire::WireMessage;
 use seccloud::core::Sio;
-use seccloud::ibs::{designate, sign, BatchItem, MasterKey};
 
 fn request(n: u64) -> ComputationRequest {
     ComputationRequest::new(
@@ -123,28 +121,9 @@ fn rpc_and_concurrent_audits_compose() {
             owner: &user,
         },
     ];
-    let verdicts = da.audit_many(&jobs, 6, 0, 2);
+    let verdicts = da.audit_many(&jobs, 6, 0);
     assert!(!verdicts[0].as_ref().unwrap().detected);
     assert!(verdicts[1].as_ref().unwrap().detected);
-}
-
-#[test]
-fn parallel_fold_scales_with_mixed_users() {
-    let m = MasterKey::from_seed(b"ext-fold");
-    let server = m.extract_verifier("cs");
-    let items: Vec<BatchItem> = (0..40)
-        .map(|i| {
-            let user = m.extract_user(&format!("user-{}", i % 7));
-            let msg = format!("doc-{i}").into_bytes();
-            let s = designate(&sign(&user, &msg, b"n"), server.public());
-            BatchItem {
-                signer: user.public().clone(),
-                message: msg,
-                signature: s,
-            }
-        })
-        .collect();
-    assert!(parallel_batch_fold(&items, &server, 8));
 }
 
 #[test]
