@@ -82,6 +82,15 @@ echo "== scale smoke bench: enrollment, per-shard commitments, epoch rotation, b
 # ≤10k simulated users, end to end through the release binary.
 ./target/release/bench_scale --smoke --out target/BENCH_scale_smoke.json
 
+echo "== experiments drift: deterministic paper-figure outputs match experiments/*.txt =="
+# detection_sim is deterministic too, but takes ~50 s; it is left to manual reruns.
+for b in fig4 optimal_t pool_detection; do
+    if ! ./target/release/${b} | diff -u "experiments/${b}.txt" -; then
+        echo "experiments/${b}.txt is stale (regenerate with: ./target/release/${b} > experiments/${b}.txt)"
+        exit 1
+    fi
+done
+
 echo "== fault/property/recovery suites: serial and 4-thread (${SECCLOUD_TESTKIT_CASES} cases) =="
 SECCLOUD_THREADS=1 cargo test -q --test fault_injection --test wire_roundtrip --test batch_users
 SECCLOUD_THREADS=4 cargo test -q --test fault_injection --test wire_roundtrip --test batch_users
@@ -95,8 +104,5 @@ SECCLOUD_THREADS=4 cargo test -q "${fanout_suites[@]}"
 echo "== socket runtime suite: real TCP + chaos proxy, serial and 4-worker server =="
 SECCLOUD_THREADS=1 cargo test -q --test net_rpc
 SECCLOUD_THREADS=4 cargo test -q --test net_rpc
-
-echo "== service smoke bench: loopback latency + audit success under socket faults =="
-./target/release/bench_service --smoke --out target/BENCH_service_smoke.json
 
 echo "CI OK"

@@ -13,9 +13,9 @@ use std::time::Instant;
 /// Measures the mean wall-clock milliseconds of `f` over `iters` calls
 /// after `warmup` unmeasured calls.
 ///
-/// A deliberately simple estimator for the experiment binaries — the
-/// Criterion benches are the rigorous source of timing numbers; the
-/// binaries only need table-of-magnitude figures to print paper-style rows.
+/// A deliberately simple estimator: the experiment binaries only need
+/// order-of-magnitude figures to print paper-style rows. End-to-end
+/// timings with run-to-run spread come from the `benchmark/` package.
 pub fn measure_ms<T>(warmup: usize, iters: usize, mut f: impl FnMut() -> T) -> f64 {
     assert!(iters > 0, "need at least one measured iteration");
     for _ in 0..warmup {
@@ -44,30 +44,23 @@ pub fn row(cells: &[String]) -> String {
     format!("| {} |", cells.join(" | "))
 }
 
+/// Wall time each [`Bench`] case aims to spend measuring.
+const BUDGET_MS: f64 = 300.0;
+
 /// A self-calibrating benchmark runner: picks an iteration count targeting
-/// `budget_ms` of wall time per case, measures, and prints one aligned row
-/// per case. The stand-in for Criterion in an offline workspace.
+/// [`BUDGET_MS`] of wall time per case, measures, and prints one aligned
+/// row per case. The stand-in for Criterion in an offline workspace.
 pub struct Bench {
     group: String,
-    budget_ms: f64,
-    results: Vec<(String, f64)>,
 }
 
 impl Bench {
-    /// Starts a named bench group with a ~300 ms measurement budget per case.
+    /// Starts a named bench group.
     pub fn group(name: &str) -> Self {
         println!("\n== {name} ==");
         Self {
             group: name.to_string(),
-            budget_ms: 300.0,
-            results: Vec::new(),
         }
-    }
-
-    /// Overrides the per-case measurement budget (milliseconds).
-    pub fn budget_ms(mut self, ms: f64) -> Self {
-        self.budget_ms = ms;
-        self
     }
 
     /// Times `f`, printing `group/label` with the mean latency and rate.
@@ -77,7 +70,7 @@ impl Bench {
         let start = Instant::now();
         std::hint::black_box(f());
         let probe_ms = (start.elapsed().as_secs_f64() * 1_000.0).max(1e-6);
-        let iters = ((self.budget_ms / probe_ms) as usize).clamp(1, 10_000);
+        let iters = ((BUDGET_MS / probe_ms) as usize).clamp(1, 10_000);
         let warmup = (iters / 10).max(1);
         let ms = measure_ms(warmup, iters, f);
         let rate = 1_000.0 / ms;
@@ -88,13 +81,7 @@ impl Bench {
             rate,
             iters
         );
-        self.results.push((label.to_string(), ms));
         ms
-    }
-
-    /// The `(label, mean ms)` rows measured so far.
-    pub fn results(&self) -> &[(String, f64)] {
-        &self.results
     }
 }
 

@@ -21,9 +21,11 @@
 //! re-runs the round against a *freshly dispatched* commitment.
 
 use seccloud_cloudsim::agency::{AuditVerdict, DesignatedAgency, StorageAuditVerdict};
-use seccloud_cloudsim::rpc::WireTransport;
+use seccloud_cloudsim::rpc::{RpcError, WireTransport};
+use seccloud_cloudsim::server::ServerError;
 use seccloud_core::computation::{leaf_bytes, AuditFailure, Commitment, ComputationRequest};
 use seccloud_core::storage::SignedBlock;
+use seccloud_core::warrant::WarrantError;
 use seccloud_core::wire::WireMessage;
 use seccloud_core::CloudUser;
 use seccloud_hash::ct_eq;
@@ -157,6 +159,21 @@ fn is_byzantine_evidence(
         })
 }
 
+/// Whether an audit call was refused because of the job it named rather
+/// than the challenge round itself: an unknown (or foreign) job, a warrant
+/// for another job's request, or a challenge beyond the job's items. Each
+/// is what an honest server answers to a job id damaged in transit.
+fn rejects_job_handle(e: &RpcError) -> bool {
+    matches!(
+        e,
+        RpcError::Server(
+            ServerError::UnknownJob
+                | ServerError::BadChallenge
+                | ServerError::Warrant(WarrantError::WrongRequest)
+        )
+    )
+}
+
 /// Runs one computation job to a terminal verdict through a resilient
 /// transport: dispatches the request, audits it, and on anything short of
 /// a pinned conviction escalates the challenge and retries against a fresh
@@ -261,6 +278,14 @@ pub fn run_job_resilient<T: WireTransport>(
                 steps = steps.saturating_add(1);
                 stats.escalations += 1;
             }
+            Err(e) if rejects_job_handle(&e) => {
+                // The job id in the compute reply is not signed, so the
+                // refusal carries no evidence: treat it like unpinnable
+                // damage and dispatch afresh.
+                steps = steps.saturating_add(1);
+                stats.escalations += 1;
+                job = None;
+            }
             Err(e) => {
                 let now_ms = transport.clock().now_ms();
                 return AuditResolution::Unresolved {
@@ -351,30 +376,41 @@ mod tests {
     use seccloud_core::computation::{ComputeFunction, RequestItem};
     use seccloud_core::storage::DataBlock;
     use seccloud_core::Sio;
+    use seccloud_ibs::{UserPublic, VerifierPublic};
     use seccloud_testkit::fault::{Endpoint, FaultKind, FaultyChannel};
 
     const N_BLOCKS: u64 = 12;
 
-    struct World {
+    struct World<T = FaultyChannel<WireServer>> {
         user: CloudUser,
         da: DesignatedAgency,
-        transport: ResilientTransport<FaultyChannel<WireServer>>,
+        transport: ResilientTransport<T>,
     }
 
     fn world(behavior: Behavior, seed: u64) -> World {
+        world_over(behavior, seed, |server| {
+            FaultyChannel::new(server, seed, 0.0)
+        })
+    }
+
+    /// One server, wrapped by `channel`, holding `N_BLOCKS` uploaded blocks.
+    fn world_over<T: WireTransport>(
+        behavior: Behavior,
+        seed: u64,
+        channel: impl FnOnce(WireServer) -> T,
+    ) -> World<T> {
         let sio = Sio::new(b"driver-tests");
         let user = sio.register("alice");
-        let server = WireServer::new(CloudServer::new(&sio, "cs", behavior, b"srv"));
+        let server = CloudServer::new(&sio, "cs", behavior, b"srv");
         let da = DesignatedAgency::new(&sio, "da", b"agency");
-        let channel = FaultyChannel::new(server, seed, 0.0);
-        let mut transport =
-            ResilientTransport::new(channel, RetryPolicy::default(), &seed.to_be_bytes());
         let blocks: Vec<DataBlock> = (0..N_BLOCKS)
             .map(|i| DataBlock::from_values(i, &[i * 7, i + 1]))
             .collect();
-        let signed = user.sign_blocks(
-            &blocks,
-            &[transport.inner().inner().inner().public(), da.public()],
+        let signed = user.sign_blocks(&blocks, &[server.public(), da.public()]);
+        let mut transport = ResilientTransport::new(
+            channel(WireServer::new(server)),
+            RetryPolicy::default(),
+            &seed.to_be_bytes(),
         );
         let body = encode_store_body(&signed);
         assert_eq!(
@@ -494,6 +530,104 @@ mod tests {
         assert!(stats.transient_faults >= 1);
         assert!(stats.escalations >= 1, "each lost round escalated");
         assert_eq!(w.transport.suspicion(), 0, "a dead channel convicts nobody");
+    }
+
+    /// Replaces the job id of the next `remaining` compute replies with
+    /// `to`, as damage to the unsigned id in transit would.
+    struct JobIdRewriter<T> {
+        inner: T,
+        to: u64,
+        remaining: usize,
+    }
+
+    impl<T: WireTransport> WireTransport for JobIdRewriter<T> {
+        fn rpc_store(&mut self, owner: &str, body: &[u8]) -> Result<u64, RpcError> {
+            self.inner.rpc_store(owner, body)
+        }
+
+        fn rpc_compute(
+            &mut self,
+            owner: &str,
+            auditor: &str,
+            body: &[u8],
+        ) -> Result<(u64, Vec<u8>), RpcError> {
+            let (job_id, commitment) = self.inner.rpc_compute(owner, auditor, body)?;
+            if self.remaining == 0 {
+                return Ok((job_id, commitment));
+            }
+            self.remaining -= 1;
+            Ok((self.to, commitment))
+        }
+
+        fn rpc_audit(
+            &mut self,
+            owner: &str,
+            auditor: &str,
+            job_id: u64,
+            challenge: &[u8],
+            warrant: &[u8],
+            now: u64,
+        ) -> Result<Vec<u8>, RpcError> {
+            self.inner
+                .rpc_audit(owner, auditor, job_id, challenge, warrant, now)
+        }
+
+        fn rpc_retrieve(&mut self, owner: &str, position: u64) -> Option<Vec<u8>> {
+            self.inner.rpc_retrieve(owner, position)
+        }
+
+        fn peer_verifier(&self) -> VerifierPublic {
+            self.inner.peer_verifier()
+        }
+
+        fn peer_signer(&self) -> UserPublic {
+            self.inner.peer_signer()
+        }
+    }
+
+    fn rewriting_world(to: u64, remaining: usize) -> World<JobIdRewriter<WireServer>> {
+        world_over(Behavior::Honest, 10, |inner| JobIdRewriter {
+            inner,
+            to,
+            remaining,
+        })
+    }
+
+    #[test]
+    fn damaged_job_id_is_redispatched() {
+        // After the first job, id 0 names a job for another request (the
+        // server answers `Warrant(WrongRequest)`) and id 999 names no job
+        // (`UnknownJob`).
+        for to in [0, 999] {
+            let mut w = rewriting_world(to, 0);
+            let other = ComputationRequest::new(vec![RequestItem {
+                function: ComputeFunction::Sum,
+                positions: vec![0, 1],
+            }]);
+            let first = run_job_resilient(&mut w.da, &mut w.transport, &w.user, &other, 1, 0);
+            assert!(first.is_clean(), "{first:?}");
+            w.transport.inner_mut().remaining = 1;
+            let res = run_job_resilient(&mut w.da, &mut w.transport, &w.user, &request(), 3, 0);
+            let AuditResolution::Clean { stats, .. } = res else {
+                panic!("job id {to}: a rejected handle must not end the audit: {res:?}");
+            };
+            assert_eq!(stats.dispatch_attempts, 2);
+            assert_eq!(stats.escalations, 1);
+            assert_eq!(w.transport.suspicion(), 0);
+        }
+    }
+
+    #[test]
+    fn job_ids_damaged_on_every_reply_end_unresolved_never_detected() {
+        let mut w = rewriting_world(999, usize::MAX);
+        let res = run_job_resilient(&mut w.da, &mut w.transport, &w.user, &request(), 3, 0);
+        let AuditResolution::Unresolved { stats, .. } = res else {
+            panic!("an unauditable job is neither clean nor convicted: {res:?}");
+        };
+        let max_rounds = w.transport.policy().max_rounds;
+        assert_eq!(stats.dispatch_attempts, u64::from(max_rounds));
+        assert_eq!(stats.byzantine_evidence, 0);
+        assert_eq!(w.transport.suspicion(), 0);
     }
 
     #[test]

@@ -803,6 +803,70 @@ fn recovery_sweep_replays_identically_from_its_seed() {
     assert_eq!(run(), run());
 }
 
+/// Dispatch-and-audit jobs through a `FaultyChannel` at `rate`, once over
+/// the raw wire and once through the resilient runtime, each arm against a
+/// fresh honest server with the same fault seed. Returns how many raw jobs
+/// ended in a passing audit; panics if any resilient job is not `Clean`.
+fn raw_and_resilient_jobs(rate: f64, seed: u64, jobs: u64) -> u64 {
+    let faulty_world = || {
+        let sio = Sio::new(b"recovery-rates");
+        let user = sio.register("alice");
+        let mut server = CloudServer::new(&sio, "cs", Behavior::Honest, b"srv");
+        let da = DesignatedAgency::new(&sio, "da", b"agency");
+        let blocks: Vec<DataBlock> = (0..N_BLOCKS).map(block).collect();
+        let signed = user.sign_blocks(&blocks, &[server.public(), da.public()]);
+        // Uploaded out of band, so faults land only on compute and audit.
+        assert_eq!(server.store(&user, signed), N_BLOCKS as usize);
+        // lint: allow(transport, reason=the raw arm measures what the resilient runtime recovers)
+        let channel = FaultyChannel::new(WireServer::new(server), seed, rate);
+        (user, da, channel)
+    };
+
+    let (user, mut da, mut channel) = faulty_world();
+    let mut raw_ok = 0;
+    for weight in 2..2 + jobs {
+        let req = request(weight, 4);
+        let outcome = channel
+            .rpc_compute(user.identity(), da.identity(), &req.to_wire())
+            .and_then(|(job_id, commitment)| {
+                da.audit_wire(&mut channel, &user, &req, job_id, &commitment, req.len(), 0)
+            });
+        if matches!(&outcome, Ok(v) if !v.detected) {
+            raw_ok += 1;
+        }
+    }
+
+    let (user, mut da, channel) = faulty_world();
+    let mut transport =
+        ResilientTransport::new(channel, RetryPolicy::default(), &seed.to_be_bytes());
+    for weight in 2..2 + jobs {
+        let req = request(weight, 4);
+        let res = run_job_resilient(&mut da, &mut transport, &user, &req, req.len(), 0);
+        assert!(
+            res.is_clean(),
+            "rate {rate}: honest job {weight} not recovered: {res:?}"
+        );
+    }
+    raw_ok
+}
+
+/// The price of no recovery layer: at 5 % and 20 % channel fault rates the
+/// raw wire loses audits of an honest server, while the resilient runtime
+/// ends every one of the same jobs `Clean`. Fixed seeds, so the cells are
+/// the same on every run.
+#[test]
+fn channel_fault_rates_lose_raw_audits_but_no_resilient_ones() {
+    const JOBS: u64 = 40;
+    for (rate, seed) in [(0.05, 12), (0.20, 13)] {
+        let raw_ok = raw_and_resilient_jobs(rate, seed, JOBS);
+        println!("rate {rate:.2}: raw {raw_ok}/{JOBS} clean, resilient {JOBS}/{JOBS} clean");
+        assert!(
+            raw_ok < JOBS,
+            "rate {rate}: the raw arm lost no audit, so the faults never fired"
+        );
+    }
+}
+
 /// The batch-level guarantee: a dead pool member produces per-job
 /// `Degraded` verdicts via failover — never a batch-wide error, and never
 /// an abort of jobs routed to healthy servers. Once the dead server's
