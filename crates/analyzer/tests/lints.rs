@@ -322,14 +322,17 @@ fn locks_clean_fixture_is_silent() {
 fn blocking_fixture_trips_blocking_rule() {
     let report = lint_fixture("blocking_bad.rs");
     assert_eq!(rules_hit(&report), ["blocking"], "{:?}", report.findings);
-    // Pairing under a bound guard + sleep on a guard-extending temporary.
-    assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
+    // Pairing and a weighted GT fold under bound guards + sleep on a
+    // guard-extending temporary.
+    assert_eq!(report.findings.len(), 3, "{:?}", report.findings);
     let msgs: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("miller_loop") && m.contains("pairing computation")),
-        "{msgs:?}"
-    );
+    for entry in ["miller_loop", "weighted_product_gt"] {
+        assert!(
+            msgs.iter()
+                .any(|m| m.contains(entry) && m.contains("pairing computation")),
+            "{entry}: {msgs:?}"
+        );
+    }
     assert!(
         msgs.iter()
             .any(|m| m.contains("sleep") && m.contains("while holding `State.inner`")),

@@ -26,12 +26,13 @@
 //! probability ≤ 2⁻⁶⁴ per verification attempt, coordinated or not.
 //! Individual verification costs one pairing per signature; the batch
 //! still costs one pairing total plus the weighted fold, whose marginal
-//! per-signature cost is a few `G1`/`GT` group operations via the shared
-//! bucket multi-exponentiation in [`seccloud_pairing::weighted_fold`] —
-//! the constant-vs-linear gap of Fig. 5 and Table II is preserved.
+//! per-signature cost is a few `G1`/`GT` group operations via the bucket
+//! multi-exponentiations [`seccloud_pairing::weighted_sum_g1`] and
+//! [`seccloud_pairing::weighted_product_gt`] — the constant-vs-linear gap
+//! of Fig. 5 and Table II is preserved.
 
 use seccloud_hash::{entropy_seed, HmacDrbg};
-use seccloud_pairing::{pairing_prepared, weighted_fold, Fr, Gt, G1};
+use seccloud_pairing::{pairing_prepared, weighted_product_gt, weighted_sum_g1, Fr, Gt, G1};
 
 use crate::keys::{UserPublic, VerifierKey};
 use crate::sign::{challenge_hash, DesignatedSignature};
@@ -51,7 +52,7 @@ pub struct BatchItem {
 /// Draws one nonzero 64-bit batch weight per term, seeded from process
 /// entropy. Weights must be unpredictable to whoever assembled the batch
 /// — they are drawn here, at verification time, never stored.
-pub(crate) fn draw_weights(n: usize) -> Vec<u64> {
+pub fn draw_weights(n: usize) -> Vec<u64> {
     let mut drbg = HmacDrbg::new(&entropy_seed());
     (0..n)
         .map(|_| {
@@ -144,8 +145,9 @@ impl BatchVerifier {
             return true;
         }
         let weights = draw_weights(self.terms.len());
-        let (u, sigma) = weighted_fold(&self.terms, &weights);
-        pairing_prepared(&u.to_affine(), prepared).ct_eq(&sigma)
+        let (points, sigmas): (Vec<G1>, Vec<Gt>) = self.terms.iter().copied().unzip();
+        let u = weighted_sum_g1(&points, &weights);
+        pairing_prepared(&u.to_affine(), prepared).ct_eq(&weighted_product_gt(&sigmas, &weights))
     }
 
     /// The retained per-signature terms `[(U + h·Q_ID, Σ)]`, in push

@@ -39,6 +39,6 @@ mod batch;
 mod keys;
 mod sign;
 
-pub use batch::{verify_individually, BatchItem, BatchVerifier};
+pub use batch::{draw_weights, verify_individually, BatchItem, BatchVerifier};
 pub use keys::{MasterKey, SystemParams, UserKey, UserPublic, VerifierKey, VerifierPublic};
 pub use sign::{designate, sign, simulate, DesignatedSignature, IbsSignature};

@@ -404,7 +404,29 @@ impl<C: CurveParams> Point<C> {
         if self.is_identity() {
             return Affine::identity();
         }
-        let z_inv = self.z.inverse().expect("nonzero z");
+        self.scaled_by(self.z.inverse().expect("nonzero z"))
+    }
+
+    /// Converts a *public* point to affine coordinates: free when `Z` is
+    /// already one (hashed and decoded points), otherwise one
+    /// variable-time inversion. Secret points use [`Self::to_affine`].
+    pub fn to_affine_vartime(&self) -> Affine<C> {
+        if self.is_identity() {
+            return Affine::identity();
+        }
+        if self.z == C::Base::one() {
+            return Affine {
+                x: self.x,
+                y: self.y,
+                infinity: false,
+                _curve: PhantomData,
+            };
+        }
+        self.scaled_by(self.z.inverse_vartime().expect("nonzero z"))
+    }
+
+    /// The affine point `(X·z_inv², Y·z_inv³)` of a non-identity point.
+    fn scaled_by(&self, z_inv: C::Base) -> Affine<C> {
         let z_inv2 = z_inv.square();
         let z_inv3 = z_inv2.mul(&z_inv);
         Affine {

@@ -132,6 +132,16 @@ mod tests {
     use seccloud_bigint::U256;
 
     #[test]
+    fn public_affine_conversion_matches_the_constant_time_one() {
+        // Z = 1 (hashed), Z ≠ 1 (after arithmetic) and the identity.
+        let hashed = hash_to_g1(b"vartime-affine");
+        let projective = hashed.double().add(&G1::generator());
+        for p in [hashed, projective, G1::identity()] {
+            assert_eq!(p.to_affine_vartime(), p.to_affine());
+        }
+    }
+
+    #[test]
     fn ct_ladder_matches_wnaf_glv() {
         let g = G1::generator();
         let mut drbg = seccloud_hash::HmacDrbg::new(b"g1-ct-ladder");

@@ -458,6 +458,9 @@ macro_rules! mont_field {
             fn inverse(&self) -> Option<Self> {
                 Self::inverse(self)
             }
+            fn inverse_vartime(&self) -> Option<Self> {
+                Self::inverse_vartime(self)
+            }
             fn ct_select(a: &Self, b: &Self, choice: u64) -> Self {
                 Self::ct_select(a, b, choice)
             }

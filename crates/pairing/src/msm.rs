@@ -14,13 +14,16 @@
 //! verification attempt), which keeps the weighted fold far cheaper than
 //! the pairings it guards.
 //!
-//! [`weighted_fold`] computes both sides' aggregation —
-//! `Σᵢ rᵢ·uᵢ ∈ G1` and `Πᵢ σᵢ^{rᵢ} ∈ GT` — with a shared-window bucket
-//! method (Pippenger), so the marginal cost per term is a handful of
-//! group operations rather than a full 64-bit scalar multiplication and
-//! exponentiation each: ~25 µs/term at 10k-term batches against ~270 µs
-//! naively. The window width is derived from the batch size by the loop's
-//! operation count.
+//! [`weighted_sum_g1`] (`Σᵢ rᵢ·uᵢ ∈ G1`) and [`weighted_product_gt`]
+//! (`Πᵢ σᵢ^{rᵢ} ∈ GT`) run one shared-window bucket method (Pippenger),
+//! so the marginal cost per term is a handful of group operations rather
+//! than a full 64-bit scalar multiplication or exponentiation each. The
+//! window width is derived from each call's term count by the loop's
+//! operation count. The two sides are separate calls because they need
+//! not cover the same terms: the sharded epoch verifier sums `G1` once
+//! per shard (each shard pairs with its own key) but multiplies every
+//! shard's `σ` terms in one `GT` fold, whose wider window makes it several
+//! times cheaper than one narrow fold per shard.
 //!
 //! `GT` squarings deliberately use the generic group multiplication, not
 //! the cyclotomic shortcut: `σ` values arrive from the wire and an
@@ -35,7 +38,7 @@ use crate::pairing::Gt;
 pub const WEIGHT_BITS: u32 = 64;
 
 /// Bucket-window width for a batch of `n` terms: the `c ∈ 1..=8` that
-/// minimises the fold loop's expected group operations (per side),
+/// minimises the fold loop's expected group operations,
 /// `⌈64/c⌉·(c + n·(1−2⁻ᶜ) + 2·(2ᶜ−1))` — `c` doublings, one bucket add per
 /// term with a nonzero digit, and the running-sum aggregation, per window.
 /// Ties go to the narrower window.
@@ -49,73 +52,103 @@ fn window_bits(n: usize) -> u32 {
     (2..=8).fold(1, |best, c| if ops(c) < ops(best) { c } else { best })
 }
 
-/// The weighted fold `(Σᵢ rᵢ·uᵢ, Πᵢ σᵢ^{rᵢ})` over `terms = [(uᵢ, σᵢ)]`
-/// and `weights = [rᵢ]` (extra entries on either side are ignored; the
-/// caller supplies one weight per term).
+/// The group operations the bucket loop needs, written additively.
+trait FoldGroup: Copy {
+    fn identity() -> Self;
+    fn op(&self, rhs: &Self) -> Self;
+    fn twice(&self) -> Self;
+}
+
+impl FoldGroup for G1 {
+    fn identity() -> Self {
+        G1::identity()
+    }
+    fn op(&self, rhs: &Self) -> Self {
+        self.add(rhs)
+    }
+    fn twice(&self) -> Self {
+        self.double()
+    }
+}
+
+impl FoldGroup for Gt {
+    fn identity() -> Self {
+        Gt::one()
+    }
+    fn op(&self, rhs: &Self) -> Self {
+        self.mul(rhs)
+    }
+    fn twice(&self) -> Self {
+        self.mul(self)
+    }
+}
+
+/// `Σᵢ rᵢ·xᵢ` over `terms = [xᵢ]` and `weights = [rᵢ]`, by the bucket
+/// method (extra entries on either side are ignored).
+fn bucket_fold<T: FoldGroup>(terms: &[T], weights: &[u64]) -> T {
+    let n = terms.len().min(weights.len());
+    if n == 0 {
+        return T::identity();
+    }
+    let c = window_bits(n);
+    let windows = WEIGHT_BITS.div_ceil(c);
+    let mask = (1u64 << c) - 1;
+    let mut acc = T::identity();
+    let mut buckets = vec![T::identity(); (1usize << c) - 1];
+    for w in (0..windows).rev() {
+        for _ in 0..c {
+            acc = acc.twice();
+        }
+        buckets.fill(T::identity());
+        let shift = w * c;
+        for (x, r) in terms.iter().zip(weights) {
+            let digit = ((r >> shift) & mask) as usize;
+            if let Some(b) = digit.checked_sub(1).and_then(|j| buckets.get_mut(j)) {
+                *b = b.op(x);
+            }
+        }
+        // Running-sum aggregation: Σⱼ j·Bⱼ in 2·(2ᶜ−1) operations.
+        let mut running = T::identity();
+        for b in buckets.iter().rev() {
+            running = running.op(b);
+            acc = acc.op(&running);
+        }
+    }
+    acc
+}
+
+/// The weighted sum `Σᵢ rᵢ·uᵢ ∈ G1` over `points = [uᵢ]` and
+/// `weights = [rᵢ]` (extra entries on either side are ignored; the caller
+/// supplies one weight per point).
 ///
-/// A zero weight erases its term from both sides — batch-verification
-/// callers must draw weights from `[1, 2⁶⁴)`.
+/// A zero weight erases its term — batch-verification callers must draw
+/// weights from `[1, 2⁶⁴)`.
 ///
 /// # Examples
 ///
 /// ```
-/// use seccloud_pairing::{hash_to_g1, hash_to_g2, pairing, weighted_fold, Fr};
+/// use seccloud_pairing::{hash_to_g1, weighted_sum_g1, Fr};
 ///
 /// let u = hash_to_g1(b"u");
-/// let sigma = pairing(&hash_to_g1(b"p").to_affine(), &hash_to_g2(b"q").to_affine());
-/// let (wu, wsigma) = weighted_fold(&[(u, sigma)], &[3]);
-/// assert_eq!(wu, u.mul_fr(&Fr::from_u64(3)));
-/// assert_eq!(wsigma, sigma.pow(&Fr::from_u64(3)));
+/// assert_eq!(weighted_sum_g1(&[u], &[3]), u.mul_fr(&Fr::from_u64(3)));
 /// ```
-pub fn weighted_fold(terms: &[(G1, Gt)], weights: &[u64]) -> (G1, Gt) {
-    let n = terms.len().min(weights.len());
-    if n == 0 {
-        return (G1::identity(), Gt::one());
-    }
-    let c = window_bits(n);
-    let windows = 64u32.div_ceil(c);
-    let mask = (1u64 << c) - 1;
-    let bucket_count = (1usize << c) - 1;
+pub fn weighted_sum_g1(points: &[G1], weights: &[u64]) -> G1 {
+    bucket_fold(points, weights)
+}
 
-    let mut g1_acc = G1::identity();
-    let mut gt_acc = Gt::one();
-    let mut g1_buckets = vec![G1::identity(); bucket_count];
-    let mut gt_buckets = vec![Gt::one(); bucket_count];
-    for w in (0..windows).rev() {
-        for _ in 0..c {
-            g1_acc = g1_acc.double();
-            gt_acc = gt_acc.mul(&gt_acc);
-        }
-        for b in g1_buckets.iter_mut() {
-            *b = G1::identity();
-        }
-        for b in gt_buckets.iter_mut() {
-            *b = Gt::one();
-        }
-        let shift = w * c;
-        for ((u, sigma), r) in terms.iter().zip(weights) {
-            let digit = ((r >> shift) & mask) as usize;
-            if digit == 0 {
-                continue;
-            }
-            if let (Some(gb), Some(tb)) =
-                (g1_buckets.get_mut(digit - 1), gt_buckets.get_mut(digit - 1))
-            {
-                *gb = gb.add(u);
-                *tb = tb.mul(sigma);
-            }
-        }
-        // Running-sum aggregation: Σⱼ j·Bⱼ (resp. Π Bⱼʲ) in 2·(2ᶜ−1) ops.
-        let mut g1_running = G1::identity();
-        let mut gt_running = Gt::one();
-        for (gb, tb) in g1_buckets.iter().zip(&gt_buckets).rev() {
-            g1_running = g1_running.add(gb);
-            gt_running = gt_running.mul(tb);
-            g1_acc = g1_acc.add(&g1_running);
-            gt_acc = gt_acc.mul(&gt_running);
-        }
-    }
-    (g1_acc, gt_acc)
+/// The weighted product `Πᵢ σᵢ^{rᵢ} ∈ GT` over `elements = [σᵢ]` and
+/// `weights = [rᵢ]`, under the same rules as [`weighted_sum_g1`].
+///
+/// # Examples
+///
+/// ```
+/// use seccloud_pairing::{hash_to_g1, hash_to_g2, pairing, weighted_product_gt, Fr};
+///
+/// let sigma = pairing(&hash_to_g1(b"p").to_affine(), &hash_to_g2(b"q").to_affine());
+/// assert_eq!(weighted_product_gt(&[sigma], &[3]), sigma.pow(&Fr::from_u64(3)));
+/// ```
+pub fn weighted_product_gt(elements: &[Gt], weights: &[u64]) -> Gt {
+    bucket_fold(elements, weights)
 }
 
 #[cfg(test)]
@@ -126,27 +159,37 @@ mod tests {
     use crate::g2::hash_to_g2;
     use crate::pairing::pairing;
 
-    fn sample_terms(n: usize) -> Vec<(G1, Gt)> {
+    fn sample_points(n: usize) -> Vec<G1> {
+        (0..n)
+            .map(|i| hash_to_g1(format!("msm-u-{i}").as_bytes()))
+            .collect()
+    }
+
+    fn sample_elements(n: usize) -> Vec<Gt> {
         (0..n)
             .map(|i| {
-                let u = hash_to_g1(format!("msm-u-{i}").as_bytes());
-                let sigma = pairing(
+                pairing(
                     &hash_to_g1(format!("msm-p-{i}").as_bytes()).to_affine(),
                     &hash_to_g2(format!("msm-q-{i}").as_bytes()).to_affine(),
-                );
-                (u, sigma)
+                )
             })
             .collect()
     }
 
-    fn naive(terms: &[(G1, Gt)], weights: &[u64]) -> (G1, Gt) {
-        terms
+    fn naive_sum(points: &[G1], weights: &[u64]) -> G1 {
+        points
             .iter()
             .zip(weights)
-            .fold((G1::identity(), Gt::one()), |(gu, gs), ((u, sigma), &r)| {
-                let k = Fr::from_u64(r);
-                (gu.add(&u.mul_fr(&k)), gs.mul(&sigma.pow(&k)))
+            .fold(G1::identity(), |acc, (u, &r)| {
+                acc.add(&u.mul_fr(&Fr::from_u64(r)))
             })
+    }
+
+    fn naive_product(elements: &[Gt], weights: &[u64]) -> Gt {
+        elements
+            .iter()
+            .zip(weights)
+            .fold(Gt::one(), |acc, (s, &r)| acc.mul(&s.pow(&Fr::from_u64(r))))
     }
 
     #[test]
@@ -154,19 +197,18 @@ mod tests {
         // Small batches fold fastest bit by bit; the width grows with n
         // and settles at 8 for large batches (7 never wins: ⌈64/7⌉ = 10
         // windows against 8 at c = 8).
-        let widths: Vec<u32> = [1, 2, 8, 9, 24, 25, 32, 41, 136, 330, 941, 942, 1 << 20]
+        let widths: Vec<u32> = [1, 2, 8, 9, 24, 25, 32, 41, 64, 136, 330, 941, 942, 1 << 20]
             .iter()
             .map(|&n| window_bits(n))
             .collect();
-        assert_eq!(widths, [1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 6, 8, 8]);
+        assert_eq!(widths, [1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6, 6, 8, 8]);
     }
 
     #[test]
-    fn matches_naive_across_window_regimes() {
+    fn both_sides_match_naive_at_widths_one_to_five() {
         // The first n of widths 1–5, weights exercising high/low bits.
         for (c, n) in [(1, 1usize), (2, 9), (3, 25), (4, 41), (5, 136)] {
             assert_eq!(window_bits(n), c);
-            let terms = sample_terms(n);
             let weights: Vec<u64> = (0..n)
                 .map(|i| {
                     u64::MAX
@@ -175,55 +217,72 @@ mod tests {
                         .max(1)
                 })
                 .collect();
+            let points = sample_points(n);
             assert_eq!(
-                weighted_fold(&terms, &weights),
-                naive(&terms, &weights),
-                "n = {n}"
+                weighted_sum_g1(&points, &weights),
+                naive_sum(&points, &weights),
+                "G1, n = {n}"
+            );
+            let elements = sample_elements(n);
+            assert_eq!(
+                weighted_product_gt(&elements, &weights),
+                naive_product(&elements, &weights),
+                "GT, n = {n}"
             );
         }
     }
 
     #[test]
     fn empty_and_zero_weight_edges() {
-        assert_eq!(weighted_fold(&[], &[]), (G1::identity(), Gt::one()));
-        let terms = sample_terms(3);
+        assert_eq!(weighted_sum_g1(&[], &[]), G1::identity());
+        assert_eq!(weighted_product_gt(&[], &[]), Gt::one());
+        let points = sample_points(3);
+        let elements = sample_elements(3);
         // A zero weight erases the term; extra weights are ignored.
-        let (u, s) = weighted_fold(&terms, &[0, 7, 0, 99]);
-        let (nu, ns) = naive(&terms, &[0, 7, 0]);
-        assert_eq!((u, s), (nu, ns));
+        assert_eq!(
+            weighted_sum_g1(&points, &[0, 7, 0, 99]),
+            naive_sum(&points, &[0, 7, 0])
+        );
+        assert_eq!(
+            weighted_product_gt(&elements, &[0, 7, 0, 99]),
+            naive_product(&elements, &[0, 7, 0])
+        );
         // Missing weights truncate the fold.
         assert_eq!(
-            weighted_fold(&terms, &[5]),
-            naive(&terms[..1], &[5]),
-            "terms beyond the weight list are ignored"
+            weighted_sum_g1(&points, &[5]),
+            naive_sum(&points[..1], &[5])
+        );
+        assert_eq!(
+            weighted_product_gt(&elements, &[5]),
+            naive_product(&elements[..1], &[5])
         );
     }
 
     #[test]
     fn weight_one_is_the_plain_fold() {
-        let terms = sample_terms(4);
-        let weights = [1u64; 4];
-        let plain = terms
-            .iter()
-            .fold((G1::identity(), Gt::one()), |(gu, gs), (u, sigma)| {
-                (gu.add(u), gs.mul(sigma))
-            });
-        assert_eq!(weighted_fold(&terms, &weights), plain);
+        let points = sample_points(4);
+        let elements = sample_elements(4);
+        let ones = [1u64; 4];
+        let sum = points.iter().fold(G1::identity(), |acc, u| acc.add(u));
+        let product = elements.iter().fold(Gt::one(), |acc, s| acc.mul(s));
+        assert_eq!(weighted_sum_g1(&points, &ones), sum);
+        assert_eq!(weighted_product_gt(&elements, &ones), product);
     }
 
     #[test]
-    fn weighted_fold_preserves_the_pairing_relation() {
-        // Honest designated terms: σᵢ = ê(uᵢ, Q). The weighted fold must
+    fn weighted_folds_preserve_the_pairing_relation() {
+        // Honest designated terms: σᵢ = ê(uᵢ, Q). The two folds must
         // keep ê(Σ rᵢ·uᵢ, Q) = Π σᵢ^{rᵢ} for any weights.
         let q = hash_to_g2(b"msm-relation-q").to_affine();
-        let terms: Vec<(G1, Gt)> = (0..6)
-            .map(|i| {
-                let u = hash_to_g1(format!("msm-rel-{i}").as_bytes());
-                (u, pairing(&u.to_affine(), &q))
-            })
+        let points: Vec<G1> = (0..6)
+            .map(|i| hash_to_g1(format!("msm-rel-{i}").as_bytes()))
             .collect();
+        let elements: Vec<Gt> = points.iter().map(|u| pairing(&u.to_affine(), &q)).collect();
         let weights: Vec<u64> = (1..=6).map(|i| 0x9E37_79B9_7F4A_7C15u64 ^ i).collect();
-        let (wu, wsigma) = weighted_fold(&terms, &weights);
-        assert_eq!(pairing(&wu.to_affine(), &q), wsigma);
+        let wu = weighted_sum_g1(&points, &weights);
+        assert_eq!(
+            pairing(&wu.to_affine(), &q),
+            weighted_product_gt(&elements, &weights)
+        );
     }
 }

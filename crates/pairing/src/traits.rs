@@ -33,6 +33,13 @@ pub trait FieldElement: Copy + Clone + PartialEq + Eq + Debug + Send + Sync + 's
     /// Multiplicative inverse; `None` for zero.
     fn inverse(&self) -> Option<Self>;
 
+    /// Multiplicative inverse for *public* operands only; `None` for zero.
+    /// Fields with a faster variable-time algorithm override it; the
+    /// default is [`Self::inverse`].
+    fn inverse_vartime(&self) -> Option<Self> {
+        self.inverse()
+    }
+
     /// Constant-time select: returns `a` when `choice == 0` and `b` when
     /// `choice == 1`, by masked limb arithmetic — no branch, no
     /// data-dependent memory access. `choice` **must** be 0 or 1.

@@ -3,9 +3,10 @@
 
 use std::sync::Arc;
 
-use seccloud_hash::{entropy_seed, HmacDrbg};
-use seccloud_ibs::BatchVerifier;
-use seccloud_pairing::{multi_miller_loop, weighted_fold, G2Prepared, Gt, G1};
+use seccloud_ibs::{draw_weights, BatchVerifier};
+use seccloud_pairing::{
+    multi_miller_loop, weighted_product_gt, weighted_sum_g1, G1Affine, G2Prepared, Gt, G1,
+};
 
 /// One shard's retained verification terms in the sense of paper eq. (8):
 /// the pairs `(Uᵢⱼ + hᵢⱼ·Q_IDᵢ, Σᵢⱼ)` for every audited signature (or
@@ -32,10 +33,13 @@ struct Lane {
 ///
 /// evaluated as one shared Miller loop and one final exponentiation,
 /// regardless of how many users, signatures or shards contributed. The
-/// marginal cost of an extra audited signature is a `G1`/`GT` slot at
-/// fold time plus a few group operations inside the shared-window
-/// [`weighted_fold`] at verify time; the marginal cost of an extra
-/// *shard* is one Miller-loop argument.
+/// left side's `G1` sums stay per shard, because each pairs with its own
+/// key; the right side is one product, so all shards' `Σ` terms share one
+/// [`weighted_product_gt`] fold. The marginal cost of an extra audited
+/// signature is a `G1`/`GT` slot at fold time plus a few group operations
+/// in its shard's [`weighted_sum_g1`] and in the epoch-wide `GT` fold at
+/// verify time; the marginal cost of an extra *shard* is one Miller-loop
+/// argument plus one `G1` fold.
 ///
 /// Soundness is the standard small-exponent argument: any set of
 /// corruptions — including coordinated ones whose error terms multiply
@@ -121,38 +125,37 @@ impl EpochVerifier {
     /// must never silently skip real audits). An accumulator with no
     /// folded signatures at all verifies vacuously.
     pub fn verify(&self, keys: &[Arc<G2Prepared>]) -> bool {
-        let mut drbg = HmacDrbg::new(&entropy_seed());
-        let mut points = Vec::with_capacity(self.lanes.len());
-        let mut expected = Gt::one();
-        for (shard, lane) in self.lanes.iter().enumerate() {
+        let mut live = Vec::with_capacity(self.lanes.len());
+        for (lane, shard) in self.lanes.iter().zip(0..) {
             if lane.terms.is_empty() {
                 continue;
             }
             let Some(key) = keys.get(shard) else {
                 return false;
             };
-            let weights: Vec<u64> = lane
-                .terms
-                .iter()
-                .map(|_| {
-                    let r = drbg.next_u64();
-                    if r == 0 {
-                        1
-                    } else {
-                        r
-                    }
-                })
-                .collect();
-            let (u, sigma) = weighted_fold(&lane.terms, &weights);
-            points.push((u.to_affine(), Arc::clone(key)));
-            expected = expected.mul(&sigma);
+            live.push((lane, key.as_ref()));
         }
-        if points.is_empty() {
+        if live.is_empty() {
             return true;
         }
-        let pairs: Vec<(&seccloud_pairing::G1Affine, &G2Prepared)> =
-            points.iter().map(|(p, k)| (p, k.as_ref())).collect();
-        multi_miller_loop(&pairs) == expected
+        // One weight per term, in lane order, drawn after the batch is
+        // fixed. Each lane's G1 fold takes the weights from its offset on
+        // and ignores the ones past its own terms. The folds already run
+        // in time variable in the weights, which are used once and then
+        // dropped, so the affine conversion may be variable-time too.
+        let weights = draw_weights(live.iter().map(|(lane, _)| lane.terms.len()).sum());
+        let mut args: Vec<(G1Affine, &G2Prepared)> = Vec::with_capacity(live.len());
+        let mut sigmas = Vec::with_capacity(weights.len());
+        let mut offset = 0;
+        for (lane, key) in live {
+            let points: Vec<G1> = lane.terms.iter().map(|(u, _)| *u).collect();
+            let u = weighted_sum_g1(&points, weights.get(offset..).unwrap_or_default());
+            offset += points.len();
+            args.push((u.to_affine_vartime(), key));
+            sigmas.extend(lane.terms.iter().map(|(_, sigma)| *sigma));
+        }
+        let pairs: Vec<(&G1Affine, &G2Prepared)> = args.iter().map(|(p, k)| (p, *k)).collect();
+        multi_miller_loop(&pairs) == weighted_product_gt(&sigmas, &weights)
     }
 }
 
@@ -199,6 +202,70 @@ mod tests {
             &seccloud_pairing::hash_to_g1(b"err-p").to_affine(),
             &seccloud_pairing::hash_to_g2(b"err-q").to_affine(),
         )
+    }
+
+    /// Per-lane `(u, Σ)` terms, indexed by shard.
+    type Lanes = Vec<Vec<(G1, Gt)>>;
+
+    /// `shards` lanes of two honest terms each, every lane designated to
+    /// its own shard's verifier.
+    fn lanes_of_two(shards: u32) -> (Lanes, Vec<Arc<G2Prepared>>) {
+        let sio = MasterKey::from_seed(b"registry-lanes-of-two");
+        let user = sio.extract_user("tenant");
+        let mut keys = Vec::new();
+        let lanes = (0..shards)
+            .map(|s| {
+                let verifier = sio.extract_verifier(&format!("da/shard-{s}"));
+                keys.push(verifier.sk_prepared());
+                let mut batch = BatchVerifier::new();
+                for j in 0..2u8 {
+                    let msg = format!("block {s}/{j}").into_bytes();
+                    let designated = designate(&sign(&user, &msg, &[j]), verifier.public());
+                    batch.push(user.public().clone(), msg, designated);
+                }
+                batch.terms().to_vec()
+            })
+            .collect();
+        (lanes, keys)
+    }
+
+    fn epoch_of(lanes: &Lanes) -> EpochVerifier {
+        let mut epoch = EpochVerifier::new(lanes.len() as u32, 1);
+        for (shard, terms) in (0..).zip(lanes) {
+            for (u, sigma) in terms {
+                assert!(epoch.fold_aggregate(shard, u, sigma, 1));
+            }
+        }
+        epoch
+    }
+
+    #[test]
+    fn one_gt_fold_covers_every_lane() {
+        // 32 lanes × 2 terms: each lane keeps its own G1 fold and key,
+        // while all 64 Σ terms meet in one weighted product.
+        let (honest, keys) = lanes_of_two(32);
+        assert!(epoch_of(&honest).verify(&keys));
+        // Another shard's Σ in the last lane.
+        let mut foreign = honest.clone();
+        foreign[31][1].1 = honest[0][0].1;
+        assert!(
+            !epoch_of(&foreign).verify(&keys),
+            "foreign Σ in the last lane"
+        );
+        // Errors e and e⁻¹ in the first and last lanes leave the
+        // unweighted product unchanged; the weights must still catch it.
+        let e = error_term();
+        let mut split = honest.clone();
+        split[0][0].1 = split[0][0].1.mul(&e);
+        split[31][1].1 = split[31][1].1.mul(&e.invert());
+        let product = |lanes: &Lanes| {
+            lanes
+                .iter()
+                .flatten()
+                .fold(Gt::one(), |acc, (_, sigma)| acc.mul(sigma))
+        };
+        assert_eq!(product(&split), product(&honest), "test premise");
+        assert!(!epoch_of(&split).verify(&keys), "e / e⁻¹ across lanes");
     }
 
     #[test]

@@ -19,13 +19,15 @@
 //! * **Cross-user, cross-shard batch verification** ([`EpochVerifier`]) —
 //!   per-shard aggregates `(U_A, Σ_A)` in the sense of eq. (8) fold into a
 //!   *single* `multi_miller_loop` call across shards: one shared Miller
-//!   loop, one final exponentiation, regardless of how many users or
-//!   shards contributed.
+//!   loop, one final exponentiation and one weighted `GT` fold, regardless
+//!   of how many users or shards contributed. Each extra shard adds one
+//!   Miller-loop argument and one weighted `G1` fold.
 //!
 //! Prepared verifier keys are resolved through the bounded LRU in
-//! [`seccloud_pairing::cache`], which is what keeps the per-audit cost at
-//! "one cache hit + one `G1` add + one `GT` multiply" instead of a ~1 ms
-//! key preparation.
+//! [`seccloud_pairing::cache`], which keeps the per-audit cost at one
+//! cache hit plus one retained `(G1, GT)` term — a few group operations
+//! in its shard's `G1` fold and in the epoch's `GT` fold at verify time —
+//! instead of a ~1 ms key preparation.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use seccloud_hash::Sha256;
 use seccloud_ibs::UserPublic;
-use seccloud_merkle::{MerklePath, MerkleTree};
+use seccloud_merkle::{leaf_hash, MerklePath, MerkleTree, Node};
 
 use crate::commit::{CommitmentCheck, ShardCommitment};
 use crate::shard::shard_of;
@@ -28,9 +28,23 @@ fn empty_shard_root(shard: u32, epoch: u64) -> [u8; 32] {
 pub struct UserRecord {
     public: UserPublic,
     enrolled_epoch: u64,
+    /// `leaf_hash(leaf_bytes())`, computed once when [`UserRegistry::enroll`]
+    /// builds the record (the only constructor, and the fields never
+    /// change), so shard trees are rebuilt without re-encoding `Q_ID`.
+    leaf: Node,
 }
 
 impl UserRecord {
+    fn new(public: UserPublic, enrolled_epoch: u64) -> Self {
+        let mut record = Self {
+            public,
+            enrolled_epoch,
+            leaf: Node::default(),
+        };
+        record.leaf = leaf_hash(&record.leaf_bytes());
+        record
+    }
+
     /// The tenant's public identity data `(ID, Q_ID)`.
     pub fn public(&self) -> &UserPublic {
         &self.public
@@ -50,7 +64,7 @@ impl UserRecord {
         out.extend_from_slice(LEAF_DOMAIN);
         out.extend_from_slice(&(id.len() as u64).to_be_bytes());
         out.extend_from_slice(id);
-        out.extend_from_slice(&self.public.q().to_affine().to_compressed());
+        out.extend_from_slice(&self.public.q().to_affine_vartime().to_compressed());
         out.extend_from_slice(&self.enrolled_epoch.to_be_bytes());
         out
     }
@@ -66,13 +80,30 @@ struct Shard {
 }
 
 impl Shard {
+    /// The Merkle tree over the members' cached leaves, in sorted order
+    /// (`None` for an empty shard).
+    fn tree(&self) -> Option<MerkleTree> {
+        (!self.members.is_empty())
+            .then(|| MerkleTree::from_leaves(self.members.values().map(|r| r.leaf).collect()))
+    }
+
     /// Computes the shard's Merkle root over its sorted member records.
     fn compute_root(&self, shard: u32, epoch: u64) -> [u8; 32] {
-        if self.members.is_empty() {
-            return empty_shard_root(shard, epoch);
+        self.tree()
+            .map_or_else(|| empty_shard_root(shard, epoch), |tree| tree.root())
+    }
+
+    /// The cached root, computing and caching it if the member set changed
+    /// since the last call.
+    fn root(&mut self, shard: u32, epoch: u64) -> [u8; 32] {
+        match self.root {
+            Some(root) => root,
+            None => {
+                let root = self.compute_root(shard, epoch);
+                self.root = Some(root);
+                root
+            }
         }
-        let leaves: Vec<Vec<u8>> = self.members.values().map(UserRecord::leaf_bytes).collect();
-        MerkleTree::from_data(leaves.iter().map(Vec::as_slice)).root()
     }
 }
 
@@ -166,10 +197,7 @@ impl UserRegistry {
             };
             s.members.insert(
                 public.identity().to_owned(),
-                UserRecord {
-                    public,
-                    enrolled_epoch,
-                },
+                UserRecord::new(public, enrolled_epoch),
             );
             s.root = None;
         }
@@ -207,15 +235,7 @@ impl UserRegistry {
     /// the member set changed since the last call. Out-of-range: `None`.
     pub fn commitment(&mut self, shard: u32) -> Option<ShardCommitment> {
         let epoch = self.epoch;
-        let s = self.shards.get_mut(shard as usize)?;
-        let root = match s.root {
-            Some(root) => root,
-            None => {
-                let root = s.compute_root(shard, epoch);
-                s.root = Some(root);
-                root
-            }
-        };
+        let root = self.shards.get_mut(shard as usize)?.root(shard, epoch);
         Some(ShardCommitment { shard, epoch, root })
     }
 
@@ -226,14 +246,7 @@ impl UserRegistry {
         let epoch = self.epoch;
         seccloud_parallel::parallel_map_mut(&mut self.shards, |i, s| {
             let shard = i as u32;
-            let root = match s.root {
-                Some(root) => root,
-                None => {
-                    let root = s.compute_root(shard, epoch);
-                    s.root = Some(root);
-                    root
-                }
-            };
+            let root = s.root(shard, epoch);
             ShardCommitment { shard, epoch, root }
         })
     }
@@ -292,19 +305,19 @@ impl UserRegistry {
     }
 
     /// Produces a membership proof for `identity` against its shard's
-    /// current commitment (rebuilding the shard tree — proofs are a
-    /// dispute path, not a hot path). `None` if not enrolled.
+    /// current commitment. `None` if not enrolled.
     pub fn prove_member(&self, identity: &str) -> Option<MembershipProof> {
         let shard = self.shard_of(identity);
         let s = self.shards.get(shard as usize)?;
         let index = s.members.keys().position(|k| k == identity)?;
-        let leaves: Vec<Vec<u8>> = s.members.values().map(UserRecord::leaf_bytes).collect();
-        let path = MerkleTree::from_data(leaves.iter().map(Vec::as_slice)).prove(index)?;
+        let path = s.tree()?.prove(index)?;
         Some(MembershipProof { shard, index, path })
     }
 
     /// Verifies a membership proof against a shard commitment: the record
-    /// must hash to a leaf authenticated under the commitment's root.
+    /// must hash to a leaf authenticated under the commitment's root. The
+    /// leaf is hashed here from [`UserRecord::leaf_bytes`], never taken
+    /// from the record's cache.
     pub fn verify_member(
         commitment: &ShardCommitment,
         record: &UserRecord,
@@ -459,6 +472,74 @@ mod tests {
             assert!(!UserRegistry::verify_member(commitment, &other, &proof));
         }
         assert!(reg.prove_member("nobody").is_none());
+    }
+
+    fn hex(root: &[u8; 32]) -> String {
+        root.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn commitment_roots_match_known_answers() {
+        // Roots of the leaf encoding as first defined (every leaf hashed
+        // from `leaf_bytes()` at commit time); the leaf cache must not
+        // move a committed byte, before or after a rotation.
+        let mut reg = populated(20, 4, 2);
+        let roots = |reg: &mut UserRegistry| -> Vec<String> {
+            reg.commitments().iter().map(|c| hex(&c.root)).collect()
+        };
+        assert_eq!(
+            roots(&mut reg),
+            [
+                "ed2a23beada9549a00d96baf893ffdb292ebadb61ea2e9776ab4a6d57bc34678",
+                "c587f6002134f44129ce7a179e90ac17aed6c986573174b6021c8e6f293f3098",
+                "b7fbae6b0ba8e7e08c1d1824904cea8aa8b1d56e05b0b7b6f1843975201b4a01",
+                "f7d2682d18e756f6b8b88f9eab1624a47ec479b19acf28481aa9a2a4a6ccc653",
+            ]
+        );
+        assert_eq!(reg.rotate_epoch(), 3);
+        assert_eq!(
+            roots(&mut reg),
+            [
+                "663f185af7b350a0997a8e5e1b2c24d89bee3520faf1f901daae5d0f98d35193",
+                "9d8f610c44906b792bced38a22f223a483ff6ea74970385165d75356ea32846b",
+                "0a47009618ef48ba4a7e8a6f39a6815349e79465dcc7014e405c9c31730f820b",
+                "ad5f107056d10caf5e0eb334a0dcaaeb0edec1e86807d07f9e99c8a298c01b4c",
+            ]
+        );
+    }
+
+    #[test]
+    fn cached_leaf_tracks_the_committed_bytes() {
+        let fresh = |reg: &UserRegistry, id: &str| {
+            let record = reg.get(id).expect("enrolled");
+            record.leaf == leaf_hash(&record.leaf_bytes())
+        };
+        let mut reg = populated(8, 2, 4);
+        assert!(fresh(&reg, "user-3"), "enrolment");
+        // Same public data: the original epoch (and so the leaf) is kept.
+        reg.enroll(UserPublic::from_identity("user-3"));
+        assert_eq!(reg.get("user-3").expect("enrolled").enrolled_epoch(), 4);
+        assert!(fresh(&reg, "user-3"), "re-enrolment with the same data");
+        // Rotation moves records between shards without touching them.
+        reg.rotate_epoch();
+        assert!(
+            (0..8).all(|i| fresh(&reg, &format!("user-{i}"))),
+            "rotation"
+        );
+        // Leaving and rejoining resets the enrollment epoch, and with it
+        // the committed bytes. (`UserPublic` is only ever `H1(ID)`, so an
+        // identity cannot come back with a different `Q_ID`; this is the
+        // reachable way into the epoch-reset branch.)
+        let before = reg.get("user-3").expect("enrolled").leaf;
+        reg.remove("user-3");
+        reg.enroll(UserPublic::from_identity("user-3"));
+        let rejoined = reg.get("user-3").expect("enrolled");
+        assert_eq!(rejoined.enrolled_epoch(), 5);
+        assert_ne!(rejoined.leaf, before);
+        assert!(fresh(&reg, "user-3"), "re-enrolment with a reset epoch");
+        let copy = reg.clone();
+        assert!(fresh(&copy, "user-3"), "clone");
+        assert_eq!(copy.get("user-3"), reg.get("user-3"));
     }
 
     #[test]
