@@ -82,6 +82,9 @@ echo "== scale smoke bench: enrollment, per-shard commitments, epoch rotation, b
 # ≤10k simulated users, end to end through the release binary.
 ./target/release/bench_scale --smoke --out target/BENCH_scale_smoke.json
 
+echo "== pairing smoke bench: every BENCH_pairing.json field, unit prices included, one call each =="
+./target/release/bench_pairing --smoke --out target/BENCH_pairing_smoke.json
+
 echo "== experiments drift: deterministic paper-figure outputs match experiments/*.txt =="
 # detection_sim is deterministic too, but takes ~50 s; it is left to manual reruns.
 for b in fig4 optimal_t pool_detection; do

@@ -77,7 +77,8 @@ fn bench_field_tower() {
 
 fn bench_final_exp_ablation() {
     // DESIGN.md ablation: how much of the pairing is the Miller loop vs the
-    // final exponentiation (whose hard part we run as a plain power).
+    // final exponentiation (whose hard part is a Frobenius chain over three
+    // signed-window powers by x).
     let mut g = Bench::group("final_exp_ablation");
     let p = hash_to_g1(b"ablation-p").to_affine();
     let q = hash_to_g2(b"ablation-q").to_affine();

@@ -123,7 +123,7 @@ impl BatchVerifier {
 
     /// Folds a [`BatchItem`] by reference.
     pub fn push_item(&mut self, item: &BatchItem) {
-        let h: Fr = challenge_hash(item.signature.u(), &item.message);
+        let h: Fr = challenge_hash(&item.signature.u().to_affine_vartime(), &item.message);
         let term = item.signature.u().add(&item.signer.q().mul_fr(&h));
         self.terms.push((term, *item.signature.sigma()));
     }
@@ -147,7 +147,10 @@ impl BatchVerifier {
         let weights = draw_weights(self.terms.len());
         let (points, sigmas): (Vec<G1>, Vec<Gt>) = self.terms.iter().copied().unzip();
         let u = weighted_sum_g1(&points, &weights);
-        pairing_prepared(&u.to_affine(), prepared).ct_eq(&weighted_product_gt(&sigmas, &weights))
+        // The fold is already variable-time in the one-use weights, so the
+        // public sum takes the variable-time conversion too.
+        pairing_prepared(&u.to_affine_vartime(), prepared)
+            .ct_eq(&weighted_product_gt(&sigmas, &weights))
     }
 
     /// The retained per-signature terms `[(U + h·Q_ID, Σ)]`, in push

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use seccloud_hash::HmacDrbg;
-use seccloud_pairing::{hash_to_g1, hash_to_g2, Fr, G2Prepared, G1, G2};
+use seccloud_pairing::{hash_to_g1, hash_to_g2, Fr, G1Affine, G2Affine, G2Prepared, G1, G2};
 
 /// Public system parameters published by the SIO after setup.
 ///
@@ -92,7 +92,8 @@ impl MasterKey {
     }
 
     /// Extracts a *user* key: `Q_ID = H1(ID) ∈ G1`, `sk_ID = s·Q_ID`
-    /// (paper eq. 4).
+    /// (paper eq. 4), stored affine — converted once here, with the
+    /// constant-time inversion, instead of on every signature.
     pub fn extract_user(&self, identity: &str) -> UserKey {
         let q = hash_to_g1(identity.as_bytes());
         UserKey {
@@ -100,12 +101,13 @@ impl MasterKey {
                 identity: identity.to_owned(),
                 q,
             },
-            sk: q.mul_fr_ct(&self.s),
+            sk: q.mul_fr_ct(&self.s).to_affine(),
         }
     }
 
     /// Extracts a *verifier* key (cloud server or designated agency):
-    /// `Q_V = H1(ID) ∈ G2`, `sk_V = s·Q_V`.
+    /// `Q_V = H1(ID) ∈ G2`, `sk_V = s·Q_V`, stored affine so that every
+    /// prepared-key lookup is a cache probe with no inversion.
     pub fn extract_verifier(&self, identity: &str) -> VerifierKey {
         let q = hash_to_g2(identity.as_bytes());
         VerifierKey {
@@ -113,7 +115,7 @@ impl MasterKey {
                 identity: identity.to_owned(),
                 q,
             },
-            sk: q.mul_fr_ct(&self.s),
+            sk: q.mul_fr_ct(&self.s).to_affine(),
         }
     }
 }
@@ -151,7 +153,7 @@ impl UserPublic {
 #[derive(Clone)]
 pub struct UserKey {
     public: UserPublic,
-    sk: G1,
+    sk: G1Affine,
 }
 
 impl Drop for UserKey {
@@ -171,7 +173,7 @@ impl std::fmt::Debug for UserKey {
 impl UserKey {
     /// Zeros the identity secret key; called from `Drop`.
     fn wipe(&mut self) {
-        seccloud_hash::wipe_copy(&mut self.sk, G1::identity());
+        seccloud_hash::wipe_copy(&mut self.sk, G1Affine::identity());
     }
 
     /// The public part.
@@ -184,8 +186,8 @@ impl UserKey {
         &self.public.identity
     }
 
-    /// The secret key `sk_ID = s·Q_ID ∈ G1` (crate-internal).
-    pub(crate) fn sk(&self) -> &G1 {
+    /// The secret key `sk_ID = s·Q_ID ∈ G1`, affine (crate-internal).
+    pub(crate) fn sk(&self) -> &G1Affine {
         &self.sk
     }
 }
@@ -225,9 +227,10 @@ impl VerifierPublic {
 
     /// The prepared form of `Q_V`, shared through the process-wide
     /// prepared-key cache (prepared on first use anywhere, then amortized
-    /// across every instance naming the same point).
+    /// across every instance naming the same point). `Q_V` is public, so
+    /// the cache key is converted with the variable-time inversion.
     pub fn q_prepared(&self) -> Arc<G2Prepared> {
-        seccloud_pairing::cache::global().get_or_prepare(&self.q.to_affine())
+        seccloud_pairing::cache::global().get_or_prepare(&self.q.to_affine_vartime())
     }
 }
 
@@ -236,7 +239,7 @@ impl VerifierPublic {
 #[derive(Clone)]
 pub struct VerifierKey {
     public: VerifierPublic,
-    sk: G2,
+    sk: G2Affine,
 }
 
 impl Drop for VerifierKey {
@@ -259,8 +262,8 @@ impl VerifierKey {
     /// its line coefficients when the last handle drops); called from
     /// `Drop`.
     fn wipe(&mut self) {
-        seccloud_pairing::cache::secret().remove(&self.sk.to_affine());
-        seccloud_hash::wipe_copy(&mut self.sk, G2::identity());
+        seccloud_pairing::cache::secret().remove(&self.sk);
+        seccloud_hash::wipe_copy(&mut self.sk, G2Affine::identity());
     }
 
     /// The public part.
@@ -273,10 +276,10 @@ impl VerifierKey {
         &self.public.identity
     }
 
-    /// The secret key `sk_V = s·Q_V ∈ G2` (test hook; production paths go
-    /// through the prepared form below).
+    /// The secret key `sk_V = s·Q_V ∈ G2`, affine (test hook; production
+    /// paths go through the prepared form below).
     #[cfg(test)]
-    pub(crate) fn sk(&self) -> &G2 {
+    pub(crate) fn sk(&self) -> &G2Affine {
         &self.sk
     }
 
@@ -297,7 +300,7 @@ impl VerifierKey {
     /// preparation alive past a `wipe()` of this key; drop the handle as
     /// soon as the verification engine is done with it.
     pub fn sk_prepared(&self) -> Arc<G2Prepared> {
-        seccloud_pairing::cache::secret().get_or_prepare_ct(&self.sk.to_affine())
+        seccloud_pairing::cache::secret().get_or_prepare_ct(&self.sk)
     }
 }
 
@@ -338,7 +341,7 @@ mod tests {
         // ê(sk_ID, P₂) = ê(Q_ID, s·P₂) — the defining property of eq. (4).
         let m = MasterKey::from_seed(b"relation");
         let u = m.extract_user("alice");
-        let lhs = pairing(&u.sk().to_affine(), &G2::generator().to_affine());
+        let lhs = pairing(u.sk(), &G2::generator().to_affine());
         let rhs = pairing(
             &u.public().q().to_affine(),
             &m.params().p_pub_g2().to_affine(),
@@ -347,7 +350,7 @@ mod tests {
 
         // ê(P₁, sk_V) = ê(s·P₁, Q_V) for verifier keys.
         let v = m.extract_verifier("da");
-        let lhs = pairing(&G1::generator().to_affine(), &v.sk().to_affine());
+        let lhs = pairing(&G1::generator().to_affine(), v.sk());
         let rhs = pairing(
             &m.params().p_pub_g1().to_affine(),
             &v.public().q().to_affine(),
@@ -376,7 +379,7 @@ mod tests {
         let mut m = MasterKey::from_seed(b"wipe-test");
         let mut u = m.extract_user("alice");
         let mut v = m.extract_verifier("cs");
-        let sk_point = v.sk.to_affine();
+        let sk_point = v.sk;
         let _ = v.sk_prepared(); // populate the secret cache so wipe() has work to do
         assert!(seccloud_pairing::cache::secret().contains(&sk_point));
         assert!(

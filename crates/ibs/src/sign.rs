@@ -2,7 +2,7 @@
 //! (paper Sections V-B and VII-B).
 
 use seccloud_hash::{HmacDrbg, Sha256};
-use seccloud_pairing::{pairing, pairing_prepared, Fr, Gt, G1, G2};
+use seccloud_pairing::{pairing, pairing_prepared, Fr, G1Affine, Gt, G1, G2};
 
 use crate::keys::{SystemParams, UserKey, UserPublic, VerifierKey, VerifierPublic};
 
@@ -37,7 +37,7 @@ impl IbsSignature {
         signer: &UserPublic,
         message: &[u8],
     ) -> bool {
-        let h = challenge_hash(&self.u, message);
+        let h = challenge_hash(&self.u.to_affine_vartime(), message);
         let lhs = pairing(&self.v.to_affine(), &G2::generator().to_affine());
         let target = self.u.add(&signer.q().mul_fr(&h));
         let rhs = pairing(&target.to_affine(), &params.p_pub_g2().to_affine());
@@ -79,10 +79,12 @@ impl DesignatedSignature {
     ///
     /// Pairs against the verifier's cached [`seccloud_pairing::G2Prepared`]
     /// key, so repeated verifications skip the twist arithmetic entirely.
+    /// `U` and `U + h·Q_ID` are public, so both affine conversions take the
+    /// variable-time path (free for a decoded `U`, whose `Z` is 1).
     pub fn verify(&self, verifier: &VerifierKey, signer: &UserPublic, message: &[u8]) -> bool {
-        let h = challenge_hash(&self.u, message);
+        let h = challenge_hash(&self.u.to_affine_vartime(), message);
         let target = self.u.add(&signer.q().mul_fr(&h));
-        pairing_prepared(&target.to_affine(), &verifier.sk_prepared()).ct_eq(&self.sigma)
+        pairing_prepared(&target.to_affine_vartime(), &verifier.sk_prepared()).ct_eq(&self.sigma)
     }
 
     /// What a *non-designated* third party can conclude from the signature:
@@ -96,7 +98,7 @@ impl DesignatedSignature {
         signer: &UserPublic,
         message: &[u8],
     ) -> bool {
-        let h = challenge_hash(&self.u, message);
+        let h = challenge_hash(&self.u.to_affine_vartime(), message);
         let target = self.u.add(&signer.q().mul_fr(&h));
         // A third party can compute this value…
         let guess = pairing_prepared(&target.to_affine(), &verifier.q_prepared());
@@ -107,8 +109,11 @@ impl DesignatedSignature {
 }
 
 /// The challenge hash `h = H2(U ‖ m) ∈ Z_q*` (paper Section V-B-1).
-pub(crate) fn challenge_hash(u: &G1, message: &[u8]) -> Fr {
-    let ua = u.to_affine();
+///
+/// Takes `U` affine so each caller picks the conversion its `U` needs:
+/// the constant-time one for a fresh nonce commitment, the variable-time
+/// one for a received signature.
+pub(crate) fn challenge_hash(ua: &G1Affine, message: &[u8]) -> Fr {
     let mut input = Vec::with_capacity(64 + message.len());
     if ua.is_identity() {
         input.extend_from_slice(&[0u8; 64]);
@@ -130,7 +135,7 @@ pub(crate) fn challenge_hash(u: &G1, message: &[u8]) -> Fr {
 /// designated signatures on any message. Signatures stay reproducible per
 /// `(key, message, nonce)`.
 pub fn sign(user: &UserKey, message: &[u8], nonce: &[u8]) -> IbsSignature {
-    let sk = user.sk().to_affine();
+    let sk = user.sk();
     let mut seed = [
         b"seccloud/ibs-nonce".as_slice(),
         &sk.x().to_be_bytes(),
@@ -145,8 +150,8 @@ pub fn sign(user: &UserKey, message: &[u8], nonce: &[u8]) -> IbsSignature {
     // Constant-time ladders: leaking the nonce `r` through the wNAF digit
     // pattern leaks `sk` via `V = (r + h)·sk`.
     let u = user.public().q().mul_fr_ct(&r);
-    let h = challenge_hash(&u, message);
-    let v = user.sk().mul_fr_ct(&r.add(&h));
+    let h = challenge_hash(&u.to_affine(), message);
+    let v = G1::from(*sk).mul_fr_ct(&r.add(&h));
     IbsSignature { u, v }
 }
 
@@ -172,7 +177,7 @@ pub fn simulate(
 ) -> DesignatedSignature {
     let r = Fr::random_nonzero(drbg);
     let u = signer.q().mul_fr_ct(&r);
-    let h = challenge_hash(&u, message);
+    let h = challenge_hash(&u.to_affine(), message);
     let target = u.add(&signer.q().mul_fr(&h));
     let sigma = pairing_prepared(&target.to_affine(), &verifier.sk_prepared());
     DesignatedSignature { u, sigma }

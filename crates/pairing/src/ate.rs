@@ -80,12 +80,11 @@ pub(crate) fn twist_frobenius_sq(q: (Fp2, Fp2)) -> (Fp2, Fp2) {
 /// Builds the sparse line value `l(P) = y_P + w·(−λ·x_P + (λ·x_T − y_T)·v)`
 /// for a line of slope `λ` through the twist point `(x_T, y_T)`, evaluated
 /// at `P = (x_P, y_P) ∈ G1` — returned as the three populated `w`-basis
-/// slots `(a, b, c)` consumed by [`Fp12::mul_by_014`].
-fn line_value(lambda: &Fp2, x_t: &Fp2, y_t: &Fp2, x_p: &Fp, y_p: &Fp) -> (Fp2, Fp2, Fp2) {
-    let a = Fp2::from_fp(*y_p);
+/// slots `(a, b, c)` consumed by [`Fp12::mul_by_014`], with `a = y_P ∈ Fp`.
+fn line_value(lambda: &Fp2, x_t: &Fp2, y_t: &Fp2, x_p: &Fp, y_p: &Fp) -> (Fp, Fp2, Fp2) {
     let b = lambda.scale(x_p).neg();
     let c = lambda.mul(x_t).sub(y_t);
-    (a, b, c)
+    (*y_p, b, c)
 }
 
 /// Affine twist-point state for the Miller loop. Steps return the sparse
@@ -97,7 +96,7 @@ struct TwistMiller {
 
 impl TwistMiller {
     /// Tangent step: line at `T` evaluated at `P`, then `T ← 2T`.
-    fn double_step(&mut self, x_p: &Fp, y_p: &Fp) -> Option<(Fp2, Fp2, Fp2)> {
+    fn double_step(&mut self, x_p: &Fp, y_p: &Fp) -> Option<(Fp, Fp2, Fp2)> {
         let (x, y) = self.t?;
         if y.is_zero() {
             self.t = None;
@@ -115,7 +114,7 @@ impl TwistMiller {
     }
 
     /// Chord step: line through `T` and `r`, then `T ← T + r`.
-    fn add_step(&mut self, r: (Fp2, Fp2), x_p: &Fp, y_p: &Fp) -> Option<(Fp2, Fp2, Fp2)> {
+    fn add_step(&mut self, r: (Fp2, Fp2), x_p: &Fp, y_p: &Fp) -> Option<(Fp, Fp2, Fp2)> {
         let Some((x1, y1)) = self.t else {
             self.t = Some(r);
             return None;
@@ -139,9 +138,10 @@ impl TwistMiller {
     }
 }
 
-/// Folds a sparse line into the Miller accumulator (13 `Fp2` muls instead
-/// of a full 18-mul `Fp12` multiplication; `None` means a line value of 1).
-fn absorb_line(f: &Fp12, line: Option<(Fp2, Fp2, Fp2)>) -> Fp12 {
+/// Folds a sparse line into the Miller accumulator ([`Fp12::mul_by_014`]
+/// instead of a full 18-mul `Fp12` multiplication; `None` means a line
+/// value of 1).
+fn absorb_line(f: &Fp12, line: Option<(Fp, Fp2, Fp2)>) -> Fp12 {
     match line {
         Some((a, b, c)) => f.mul_by_014(&a, &b, &c),
         None => *f,

@@ -29,7 +29,7 @@ const WNAF_TABLE: usize = 1 << (WNAF_W - 2);
 /// Recodes a little-endian limb scalar into width-[`WNAF_W`] non-adjacent
 /// form digits (LSB first): each digit is odd in `(−2^w, 2^w)` or zero, and
 /// no two adjacent digits are both nonzero.
-fn wnaf_digits(scalar: &[u64]) -> Vec<i64> {
+pub(crate) fn wnaf_digits(scalar: &[u64]) -> Vec<i64> {
     let mut digits: Vec<i64> = Vec::with_capacity(scalar.len() * 64 + 1);
     // Work on a mutable little-endian copy.
     let mut limbs = scalar.to_vec();
@@ -379,22 +379,39 @@ impl<C: CurveParams> Point<C> {
         Self::ct_select(&out, rhs, self.z.ct_is_zero())
     }
 
-    /// Constant-time scalar multiplication: a fixed 256-iteration
-    /// double-and-always-add ladder over [`Point::double_ct`] /
-    /// [`Point::add_ct`], with the addition folded in by masked select.
-    /// Runs the identical instruction and memory-access sequence for
-    /// every `(point, scalar)` pair — use this whenever the scalar is key
-    /// material (extraction, per-signature nonces); the wNAF path
-    /// ([`Point::mul_u256`]) stays several times faster for public
-    /// scalars.
+    /// Constant-time scalar multiplication: a fixed 4-bit window ladder
+    /// over [`Point::double_ct`] / [`Point::add_ct`]. It builds the table
+    /// `{O, P, 2P, …, 15P}` with 15 `add_ct`, then walks the 64 windows of
+    /// the 256-bit scalar from the top: four `double_ct`, a masked scan of
+    /// all 16 entries that selects the window's multiple, and one
+    /// `add_ct`. Window values come from shifts and masks and pick a table
+    /// entry only through [`Point::ct_select`], so the instruction and
+    /// memory-access sequence is the same for every `(point, scalar)` pair
+    /// — use this whenever the scalar is key material (extraction,
+    /// per-signature nonces). About 256 doublings and 79 additions, half
+    /// the work of a bit-at-a-time double-and-always-add ladder; the
+    /// variable-time paths ([`Point::mul_u256`], GLV on `G1`) stay about
+    /// twice as fast for public scalars.
     pub fn mul_u256_ct(&self, scalar: &U256) -> Self {
+        let mut table = [Self::identity(); 16];
+        for i in 1..16 {
+            table[i] = table[i - 1].add_ct(self);
+        }
         let limbs = scalar.limbs();
         let mut acc = Self::identity();
-        for i in (0..256).rev() {
-            acc = acc.double_ct();
-            let sum = acc.add_ct(self);
-            let bit = (limbs[i / 64] >> (i % 64)) & 1;
-            acc = Self::ct_select(&acc, &sum, bit);
+        for w in (0..64).rev() {
+            for _ in 0..4 {
+                acc = acc.double_ct();
+            }
+            let window = (limbs[w / 16] >> ((w % 16) * 4)) & 0xf;
+            let mut entry = Self::identity();
+            for (j, candidate) in (0u64..).zip(table.iter()) {
+                // 1 exactly when j == window, by mask arithmetic.
+                let diff = j ^ window;
+                let hit = ((diff | diff.wrapping_neg()) >> 63) ^ 1;
+                entry = Self::ct_select(&entry, candidate, hit);
+            }
+            acc = acc.add_ct(&entry);
         }
         acc
     }
@@ -568,4 +585,19 @@ impl<C: CurveParams> fmt::Debug for Affine<C> {
             write!(f, "{}({:?}, {:?})", C::NAME, self.x, self.y)
         }
     }
+}
+
+/// Scalars that between them hit every 4-bit window value of
+/// [`Point::mul_u256_ct`], the all-zero and all-ones windows, and the
+/// partial top window (`Fr` has 254 bits).
+#[cfg(test)]
+pub(crate) fn ladder_edge_scalars() -> Vec<crate::fr::Fr> {
+    use crate::fr::Fr;
+    let mut out: Vec<Fr> = [0, 1, 15, 16, 255, u64::MAX]
+        .into_iter()
+        .map(Fr::from_u64)
+        .collect();
+    out.push(Fr::zero().sub(&Fr::one()));
+    out.push(Fr::from_u256(&U256::from_limbs([u64::MAX; 4])));
+    out
 }

@@ -187,6 +187,10 @@ impl FieldElement for Fp2 {
         ))
     }
 
+    fn inverse_vartime(&self) -> Option<Self> {
+        Self::inverse_vartime(self)
+    }
+
     fn ct_select(a: &Self, b: &Self, choice: u64) -> Self {
         Self::new(
             Fp::ct_select(&a.c0, &b.c0, choice),
@@ -319,6 +323,21 @@ mod tests {
                 assert!(a.is_zero());
             }
         }
+    }
+
+    #[test]
+    fn trait_vartime_inverse_is_the_inherent_one() {
+        // The generic curve code reaches `inverse_vartime` through the
+        // trait; it must be the binary-Euclid inverse, not the default
+        // Fermat one, and agree with `inverse` on every input.
+        let mut d = HmacDrbg::new(b"fp2-inv-vartime");
+        for _ in 0..24 {
+            let a = fp2(&mut d);
+            let via_trait = <Fp2 as FieldElement>::inverse_vartime(&a);
+            assert_eq!(via_trait, a.inverse());
+            assert_eq!(via_trait, Fp2::inverse_vartime(&a));
+        }
+        assert_eq!(<Fp2 as FieldElement>::inverse_vartime(&Fp2::zero()), None);
     }
 
     #[test]

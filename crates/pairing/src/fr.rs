@@ -25,19 +25,49 @@ impl Fr {
         Self::from_hash(b"seccloud/H", msg)
     }
 
-    /// The paper's `H2 : {0,1}* → Z_q*` — like [`Fr::hash`] but never zero
-    /// (re-hashes with a counter in the negligible zero case).
+    /// The paper's `H2 : {0,1}* → Z_q*` — like [`Fr::hash`] but never
+    /// zero. SHA-256 reads `msg` once, in the shape of RFC 9380
+    /// `expand_message_xmd`: with `DST' = "seccloud/H2" ‖ I2OSP(11, 1)`,
+    ///
+    /// ```text
+    /// b₀ = SHA-256(Z_pad ‖ msg ‖ I2OSP(64, 2) ‖ I2OSP(0, 1) ‖ DST')   Z_pad = 64 zero bytes
+    /// b₁ = SHA-256(b₀ ‖ I2OSP(1, 1) ‖ DST')
+    /// bᵢ = SHA-256((b₀ ⊕ bᵢ₋₁) ‖ I2OSP(i, 1) ‖ DST')
+    /// ```
+    ///
+    /// Attempt `k = 0, 1, …` reads `b₂ₖ₊₁ ‖ b₂ₖ₊₂` as a 64-byte big-endian
+    /// integer reduced mod `r` and returns the first nonzero one; attempt 0
+    /// is exactly `expand_message_xmd(msg, "seccloud/H2", 64)`, and a zero
+    /// (probability ~2⁻²⁵⁴) continues the chain instead of rehashing `msg`.
     pub fn hash_nonzero(msg: &[u8]) -> Self {
-        let mut ctr: u32 = 0;
+        const DST: &[u8] = b"seccloud/H2";
+        let dst_prime = [DST, &[DST.len() as u8]].concat();
+        let mut h = seccloud_hash::Sha256::new();
+        h.update(&[0u8; 64]);
+        h.update(msg);
+        h.update(&[0, 64, 0]);
+        h.update(&dst_prime);
+        let b0 = h.finalize();
+        let mut block = [0u8; 32];
+        let mut index = 0u8;
+        let mut next_block = || {
+            index = index.wrapping_add(1);
+            let mut chained = b0;
+            for (c, b) in chained.iter_mut().zip(block) {
+                *c ^= b;
+            }
+            let mut h = seccloud_hash::Sha256::new();
+            h.update(&chained);
+            h.update(&[index]);
+            h.update(&dst_prime);
+            block = h.finalize();
+            block
+        };
         loop {
-            let mut input = Vec::with_capacity(msg.len() + 4);
-            input.extend_from_slice(msg);
-            input.extend_from_slice(&ctr.to_be_bytes());
-            let v = Self::from_hash(b"seccloud/H2", &input);
+            let v = Self::from_bytes_wide(&[next_block(), next_block()].concat());
             if !v.is_zero() {
                 return v;
             }
-            ctr += 1;
         }
     }
 
@@ -64,7 +94,7 @@ impl Fr {
 mod tests {
     use super::*;
     use seccloud_bigint::U256;
-    use seccloud_hash::HmacDrbg;
+    use seccloud_hash::{HmacDrbg, Sha256};
 
     fn fr(d: &mut HmacDrbg) -> Fr {
         Fr::from_u256(&U256::from_limbs(std::array::from_fn(|_| d.next_u64())))
@@ -87,6 +117,21 @@ mod tests {
         for i in 0..50u32 {
             assert!(!Fr::hash_nonzero(&i.to_be_bytes()).is_zero());
         }
+    }
+
+    #[test]
+    fn hash_nonzero_follows_its_documented_construction() {
+        // Recompute H2 from the doc comment's formulas on a storage-sized
+        // (16 KiB) input, one SHA-256 call per block.
+        let msg: Vec<u8> = (0..16 * 1024u32).map(|i| (i * 31 + 7) as u8).collect();
+        let dst_prime = b"seccloud/H2\x0b";
+        let b0 = Sha256::digest(&[&[0u8; 64][..], &msg, &[0, 64, 0], dst_prime].concat());
+        let b1 = Sha256::digest(&[&b0[..], &[1], dst_prime].concat());
+        let x: Vec<u8> = b0.iter().zip(b1).map(|(a, b)| a ^ b).collect();
+        let b2 = Sha256::digest(&[&x[..], &[2], dst_prime].concat());
+        let want = Fr::from_bytes_wide(&[b1, b2].concat());
+        assert_eq!(Fr::hash_nonzero(&msg), want);
+        assert_ne!(Fr::hash_nonzero(&msg[1..]), want);
     }
 
     #[test]

@@ -46,10 +46,11 @@ impl G1 {
     }
 
     /// Constant-time scalar multiplication for *secret* scalars (key
-    /// extraction, per-signature nonces): a fixed double-and-always-add
-    /// ladder with no GLV decomposition (the lattice reduction is
-    /// variable-time in the scalar) and no wNAF recoding. Several times
-    /// slower than [`G1::mul_fr`] — reserve it for key material.
+    /// extraction, per-signature nonces): the fixed 4-bit window ladder
+    /// of [`crate::ec::Point::mul_u256_ct`], with no GLV decomposition
+    /// (the lattice reduction is variable-time in the scalar) and no wNAF
+    /// recoding. About twice the cost of [`G1::mul_fr`] — reserve it for
+    /// key material.
     pub fn mul_fr_ct(&self, k: &Fr) -> Self {
         self.mul_u256_ct(&k.to_u256())
     }
@@ -149,7 +150,13 @@ mod tests {
             let k = Fr::random_nonzero(&mut drbg);
             assert_eq!(g.mul_fr_ct(&k), g.mul_fr(&k));
         }
+        for base in [g, hash_to_g1(b"g1-ct-ladder-base")] {
+            for k in crate::ec::ladder_edge_scalars() {
+                assert_eq!(base.mul_fr_ct(&k), base.mul_fr(&k), "k = {k:?}");
+            }
+        }
         assert!(g.mul_fr_ct(&Fr::zero()).is_identity());
+        assert!(G1::identity().mul_fr_ct(&Fr::from_u64(7)).is_identity());
         assert_eq!(g.mul_fr_ct(&Fr::from_u64(1)), g);
         // r − 1 exercises the full 254-bit ladder depth: (r−1)·G = −G.
         let r_minus_1 = Fr::zero().sub(&Fr::from_u64(1));

@@ -69,8 +69,9 @@ impl G2 {
     }
 
     /// Constant-time scalar multiplication for *secret* scalars: the
-    /// fixed-sequence ladder of [`crate::ec::Point::mul_u256_ct`] instead
-    /// of the wNAF recoding (whose digit pattern is scalar-dependent).
+    /// fixed 4-bit window ladder of [`crate::ec::Point::mul_u256_ct`]
+    /// instead of the wNAF recoding (whose digit pattern is
+    /// scalar-dependent).
     pub fn mul_fr_ct(&self, k: &Fr) -> Self {
         self.mul_u256_ct(&k.to_u256())
     }
@@ -187,9 +188,26 @@ mod tests {
             let k = Fr::random_nonzero(&mut drbg);
             assert_eq!(g.mul_fr_ct(&k), g.mul_fr(&k));
         }
+        for base in [g, hash_to_g2(b"g2-ct-ladder-base")] {
+            for k in crate::ec::ladder_edge_scalars() {
+                assert_eq!(base.mul_fr_ct(&k), base.mul_fr(&k), "k = {k:?}");
+            }
+        }
         assert!(g.mul_fr_ct(&Fr::zero()).is_identity());
         let r_minus_1 = Fr::zero().sub(&Fr::from_u64(1));
         assert_eq!(g.mul_fr_ct(&r_minus_1), g.neg());
+    }
+
+    #[test]
+    fn public_affine_conversion_matches_the_constant_time_one() {
+        // Hashed points leave cofactor clearing with Z ≠ 1; a decoded
+        // point has Z = 1; then a scalar multiple and the identity.
+        let hashed = hash_to_g2(b"vartime-affine");
+        let decoded = G2::from(hashed.to_affine());
+        let multiplied = hashed.mul_fr(&Fr::hash(b"vartime-affine-k"));
+        for p in [hashed, decoded, multiplied, G2::identity()] {
+            assert_eq!(p.to_affine_vartime(), p.to_affine());
+        }
     }
 
     #[test]

@@ -25,14 +25,15 @@
 //! shard's `σ` terms in one `GT` fold, whose wider window makes it several
 //! times cheaper than one narrow fold per shard.
 //!
-//! `GT` squarings deliberately use the generic group multiplication, not
-//! the cyclotomic shortcut: `σ` values arrive from the wire and an
+//! `GT` squarings deliberately use the generic `Fp12` squaring, not the
+//! cyclotomic shortcut: `σ` values arrive from the wire and an
 //! adversarial non-subgroup element must be folded with the same
 //! arithmetic the comparison side uses, never with arithmetic that is
 //! only valid on the cyclotomic subgroup.
 
 use crate::g1::G1;
 use crate::pairing::Gt;
+use crate::traits::FieldElement;
 
 /// Number of bits in the batch-verification weights.
 pub const WEIGHT_BITS: u32 = 64;
@@ -75,11 +76,21 @@ impl FoldGroup for Gt {
     fn identity() -> Self {
         Gt::one()
     }
+    /// Passes the other side through when one side is the identity, as
+    /// `G1`'s `add` does: every bucket, the running sum and the
+    /// accumulator start at the identity, and each first step would
+    /// otherwise cost a full `Fp12` product.
     fn op(&self, rhs: &Self) -> Self {
-        self.mul(rhs)
+        if self.is_one() {
+            *rhs
+        } else if rhs.is_one() {
+            *self
+        } else {
+            self.mul(rhs)
+        }
     }
     fn twice(&self) -> Self {
-        self.mul(self)
+        Gt::from_unchecked_fp12(self.as_fp12().square())
     }
 }
 
@@ -223,7 +234,10 @@ mod tests {
                 naive_sum(&points, &weights),
                 "G1, n = {n}"
             );
-            let elements = sample_elements(n);
+            // An identity term must fold like any other under the
+            // identity pass-through.
+            let mut elements = sample_elements(n);
+            elements[n / 2] = Gt::one();
             assert_eq!(
                 weighted_product_gt(&elements, &weights),
                 naive_product(&elements, &weights),

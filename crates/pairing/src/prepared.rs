@@ -42,11 +42,9 @@ impl LineStep {
     /// Evaluates the cached line at `P = (x_P, y_P)` to the sparse triple
     /// consumed by [`Fp12::mul_by_014`], or `None` for a unit contribution.
     #[inline]
-    fn eval(&self, x_p: &Fp, y_p: &Fp) -> Option<(Fp2, Fp2, Fp2)> {
+    fn eval(&self, x_p: &Fp, y_p: &Fp) -> Option<(Fp, Fp2, Fp2)> {
         match self {
-            LineStep::Line { neg_lambda, c1 } => {
-                Some((Fp2::from_fp(*y_p), neg_lambda.scale(x_p), *c1))
-            }
+            LineStep::Line { neg_lambda, c1 } => Some((*y_p, neg_lambda.scale(x_p), *c1)),
             LineStep::One => None,
         }
     }
@@ -371,6 +369,45 @@ mod tests {
     use crate::g1::{hash_to_g1, G1};
     use crate::g2::{hash_to_g2, G2};
     use crate::pairing::{multi_pairing, pairing};
+
+    /// `Π ê(Pᵢ, Qᵢ)` over the three pairs of the test below, as
+    /// `Gt::to_bytes` hex, recorded before the signed-window final
+    /// exponentiation and the `Fp` line slot.
+    const KAT_MULTI_MILLER: &str = "\
+        2ab97ffc56f7f577ba58bb5bdfa28922fabc69184a92a880393b173f676c02a9\
+        14cb27f1f8156bebe00dd26e1e9edf7b9584c293d6f5d7078c663d8bf35ec315\
+        24f679f4415b4e2688036c596045270f69bb4aad769c1323ec5aaaf8028304cd\
+        1018cc3cf09703066b9dbd119b5c8e54585f0e096f85924b252027bb19928bf4\
+        2833d8728dccd38125f8e25db56ae1aca1e4b8cb1e519272b49b6666ae5a145e\
+        2a30a1b5b4b237a0a3b8353da1822ff64b57dda8af40d94046e2dedde9df16f5\
+        1fd65a7983016e239653e7994ad8af30d6e858dfefbec2f33c9a4d80bd813a9b\
+        1b78ab55b6b25c3875b9c9f55fc77bfc22272ec08129adb8d5bfb1c4f6e3851d\
+        2f402bbd9fa3b97a41421f780e653c68f54de472d2f297ec6767b65c32826730\
+        08d6563627fcf8f0422bc698aa576235622b9415401660a98b661a3e6476f5c0\
+        0356f66c13dd3c41f39d9bc1d21db36146731210885ebb059666a7e4cd0d21b6\
+        17475f51f24e79134cb48e6c7f294e78bb60896467c61e0c4b482fbc1dabe8dc";
+
+    #[test]
+    fn multi_miller_loop_reproduces_known_answer() {
+        let p: Vec<_> = (0..3)
+            .map(|i| hash_to_g1(format!("mml-kat-p-{i}").as_bytes()).to_affine())
+            .collect();
+        let q: Vec<_> = (0..3)
+            .map(|i| hash_to_g2(format!("mml-kat-q-{i}").as_bytes()).to_affine())
+            .collect();
+        let prep = [
+            G2Prepared::from(&q[0]),
+            G2Prepared::from_ct(&q[1]),
+            G2Prepared::from(&q[2]),
+        ];
+        let value = multi_miller_loop(&[(&p[0], &prep[0]), (&p[1], &prep[1]), (&p[2], &prep[2])]);
+        let hex: String = value
+            .to_bytes()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, KAT_MULTI_MILLER);
+    }
 
     #[test]
     fn prepared_equals_unprepared_on_random_points() {
