@@ -43,7 +43,7 @@ const PAIRING_ENTRY_POINTS: [&str; 5] = [
     "miller_loop",
     "multi_miller_loop",
     "final_exponentiation",
-    "weighted_sum_g1",
+    "multi_mul_g1",
     "weighted_product_gt",
 ];
 

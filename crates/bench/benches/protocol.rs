@@ -1,12 +1,12 @@
 //! Benches for the end-to-end protocol steps: block signing (Protocol II),
 //! commitment generation (Protocol III) and the sampling audit
-//! (Algorithm 1) at several sampling sizes — including the
-//! batch-vs-individual audit ablation.
+//! (Algorithm 1, one batched pairing per audit) at several sampling
+//! sizes.
 
 use seccloud_bench::Bench;
 use seccloud_core::computation::{
-    verify_response, verify_response_batched, AuditChallenge, Commitment, CommitmentSession,
-    ComputationRequest, ComputeFunction, RequestItem,
+    verify_response, AuditChallenge, Commitment, CommitmentSession, ComputationRequest,
+    ComputeFunction, RequestItem,
 };
 use seccloud_core::storage::{DataBlock, SignedBlock};
 use seccloud_core::{CloudUser, Sio, VerifierCredential};
@@ -86,7 +86,7 @@ fn bench_audit() {
         g.bench(&format!("respond/{t}"), || {
             session.respond(&challenge).unwrap()
         });
-        g.bench(&format!("verify_individual/{t}"), || {
+        g.bench(&format!("verify/{t}"), || {
             let outcome = verify_response(
                 w.da.key(),
                 w.user.public(),
@@ -97,17 +97,6 @@ fn bench_audit() {
                 &response,
             );
             assert!(outcome.is_valid());
-        });
-        g.bench(&format!("verify_batched/{t}"), || {
-            assert!(verify_response_batched(
-                w.da.key(),
-                w.user.public(),
-                w.cs.signer_public(),
-                &w.request,
-                &challenge,
-                &commitment,
-                &response,
-            ));
         });
     }
 }

@@ -9,16 +9,20 @@
 //!   eq. 8–9): final exponentiation, the constant-time `G1`/`G2` ladders,
 //!   `sign`, and designated verification of a 40-byte and a 16 KiB
 //!   message, each the fastest of 25 short timed rounds;
-//! * designated batch verification at ℓ ∈ {16, 64, 256} vs ℓ individual
-//!   verifications.
+//! * the `GT` subgroup test batch verification runs on every pushed `Σ`;
+//! * designated batch verification at ℓ ∈ {9, 16, 64, 256} vs ℓ individual
+//!   verifications (ℓ = 9 is an Algorithm-1 audit at t = 4: eight input
+//!   blocks and `Sig(R)`).
 //!
-//! Schema v5 adds the unit prices (`final_exponentiation_us`,
-//! `g1_mul_ct_us`, `g2_mul_ct_us`, `sign_us`, `designated_verify_us`);
-//! every v4 field keeps its name and meaning.
+//! Schema v5 added the unit prices (`final_exponentiation_us`,
+//! `g1_mul_ct_us`, `g2_mul_ct_us`, `sign_us`, `designated_verify_us`).
+//! Schema v6 adds `gt_subgroup_check_us` and the ℓ = 9 batch row; every
+//! v5 field keeps its name and meaning, but each batch now pays one
+//! subgroup test per signature, which the v5 batch skipped.
 //!
 //! Run with `cargo run --release -p seccloud-bench --bin bench_pairing`.
 //! The file lands in the current working directory; `--out PATH` moves
-//! it. `--smoke` times every quantity once, with batch ℓ = 16 only, so CI
+//! it. `--smoke` times every quantity once, with batch ℓ = 9 only, so CI
 //! can check that each field is still emitted (the numbers are not
 //! meaningful).
 #![forbid(unsafe_code)]
@@ -120,6 +124,8 @@ fn main() {
     let final_exp_us = effort.unit_us(|| final_exponentiation(&miller_value));
     let g1_ct_us = effort.unit_us(|| g.mul_fr_ct(&k));
     let g2_ct_us = effort.unit_us(|| G2::generator().mul_fr_ct(&k));
+    let sigma = pairing(&p, &q);
+    let subgroup_us = effort.unit_us(|| assert!(sigma.is_in_subgroup()));
     let sio = MasterKey::from_seed(b"bench-pairing-units");
     let user = sio.extract_user("alice");
     let server = sio.extract_verifier("cs");
@@ -137,11 +143,16 @@ fn main() {
     }
     println!(
         "final exp {final_exp_us:.1} µs, G1 ct mul {g1_ct_us:.1} µs, \
-         G2 ct mul {g2_ct_us:.1} µs, sign {sign_us:.1} µs"
+         G2 ct mul {g2_ct_us:.1} µs, sign {sign_us:.1} µs, \
+         GT subgroup test {subgroup_us:.1} µs"
     );
 
     let mut batch_rows = Vec::new();
-    let batch_sizes: &[usize] = if effort.smoke { &[16] } else { &[16, 64, 256] };
+    let batch_sizes: &[usize] = if effort.smoke {
+        &[9]
+    } else {
+        &[9, 16, 64, 256]
+    };
     for &ell in batch_sizes {
         let (server, items) = make_items(ell);
         let iters = effort.n((512 / ell).max(2));
@@ -170,7 +181,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"seccloud-bench-pairing/v5\",\n  \"threads\": {},\n  \
+        "{{\n  \"schema\": \"seccloud-bench-pairing/v6\",\n  \"threads\": {},\n  \
          \"host_cores\": {},\n  \"host_arch\": \"{}\",\n  \
          \"pairing_ops_per_sec\": {:.3},\n  \"prepared_pairing_ops_per_sec\": {:.3},\n  \
          \"prepared_speedup\": {:.3},\n  \"g2_preparation_ms\": {:.4},\n  \
@@ -178,6 +189,7 @@ fn main() {
          \"glv_speedup_vs_wnaf\": {:.3},\n  \
          \"final_exponentiation_us\": {:.1},\n  \"g1_mul_ct_us\": {:.1},\n  \
          \"g2_mul_ct_us\": {:.1},\n  \"sign_us\": {:.1},\n  \
+         \"gt_subgroup_check_us\": {:.1},\n  \
          \"designated_verify_us\": [\n{}\n  ],\n  \
          \"batch_verify\": [\n{}\n  ]\n}}\n",
         seccloud_parallel::num_threads(),
@@ -194,6 +206,7 @@ fn main() {
         g1_ct_us,
         g2_ct_us,
         sign_us,
+        subgroup_us,
         verify_rows.join(",\n"),
         batch_rows.join(",\n"),
     );

@@ -4,12 +4,12 @@
 use seccloud_core::computation::{
     verify_response, AuditChallenge, AuditOutcome, AuditResponse, Commitment, ComputationRequest,
 };
-use seccloud_core::storage::SignedBlock;
+use seccloud_core::storage::{audit_blocks, SignedBlock};
 use seccloud_core::warrant::Warrant;
 use seccloud_core::wire::WireMessage;
 use seccloud_core::{CloudUser, Sio, VerifierCredential};
 use seccloud_hash::HmacDrbg;
-use seccloud_ibs::VerifierPublic;
+use seccloud_ibs::{UserPublic, VerifierPublic};
 
 use crate::rpc::{RpcError, WireTransport};
 use crate::server::{CloudServer, JobHandle, ServerError};
@@ -110,10 +110,8 @@ impl DesignatedAgency {
     ///
     /// Per the paper's SSC analysis, a server keeping only an `SSC`
     /// fraction of the data intact escapes with probability `SSC^t`
-    /// (eq. 12 with negligible forgery).
-    /// The per-position retrieve-and-verify checks (one pairing each) fan
-    /// out over [`seccloud_parallel::num_threads`] workers; sampling stays
-    /// serial so the challenge stream depends only on the agency's DRBG.
+    /// (eq. 12 with negligible forgery). The sampled blocks' signatures
+    /// are checked in one batched [`audit_blocks`].
     pub fn storage_audit(
         &mut self,
         server: &CloudServer,
@@ -123,30 +121,58 @@ impl DesignatedAgency {
     ) -> StorageAuditVerdict {
         let t = (sample_size as u64).min(n_blocks);
         let positions = self.drbg.sample_distinct(n_blocks, t);
-        /// Per-position verdict, ordered like the sampled positions.
-        enum Verdict {
-            Ok,
+        let served = positions
+            .iter()
+            .map(|&pos| match server.retrieve(owner.identity(), pos) {
+                None => Served::Missing,
+                Some(block) => Served::Block(block.clone()),
+            })
+            .collect();
+        self.storage_verdict(owner.public(), positions, served)
+    }
+
+    /// Sorts what a storage audit got back for each sampled position into
+    /// missing and invalid positions. A block is authentic when it sits at
+    /// its position (eq. 5 binds the position into the signed message)
+    /// and its designation verifies; the signatures of every block at its
+    /// position are checked in one batched [`audit_blocks`].
+    fn storage_verdict(
+        &self,
+        owner: &UserPublic,
+        sampled: Vec<u64>,
+        served: Vec<Served>,
+    ) -> StorageAuditVerdict {
+        /// A sampled position before the signature check.
+        enum Pending {
             Missing,
             Invalid,
+            Batched(usize),
         }
-        let verdicts = seccloud_parallel::parallel_map(&positions, |_, &pos| {
-            match server.retrieve(owner.identity(), pos) {
-                None => Verdict::Missing,
-                Some(block) if block.verify_at(pos, self.cred.key(), owner.public()) => Verdict::Ok,
-                Some(_) => Verdict::Invalid,
-            }
-        });
+        let mut blocks = Vec::new();
+        let pending: Vec<Pending> = served
+            .into_iter()
+            .zip(&sampled)
+            .map(|(served, &pos)| match served {
+                Served::Block(block) if block.block().index() == pos => {
+                    blocks.push(block);
+                    Pending::Batched(blocks.len() - 1)
+                }
+                Served::Missing => Pending::Missing,
+                Served::Block(_) | Served::Undecodable => Pending::Invalid,
+            })
+            .collect();
+        let failed = audit_blocks(self.cred.key(), owner, &blocks).failed;
         let mut missing = Vec::new();
         let mut invalid = Vec::new();
-        for (&pos, verdict) in positions.iter().zip(&verdicts) {
-            match verdict {
-                Verdict::Missing => missing.push(pos),
-                Verdict::Invalid => invalid.push(pos),
-                Verdict::Ok => {}
+        for (&pos, state) in sampled.iter().zip(pending) {
+            match state {
+                Pending::Missing => missing.push(pos),
+                Pending::Batched(k) if failed.binary_search(&k).is_err() => {}
+                Pending::Batched(_) | Pending::Invalid => invalid.push(pos),
             }
         }
         StorageAuditVerdict {
-            sampled: positions,
+            sampled,
             missing,
             invalid,
         }
@@ -359,8 +385,9 @@ impl DesignatedAgency {
     /// challenged block as bytes and re-establishes authenticity from
     /// scratch — a position is `missing` if the channel returns nothing and
     /// `invalid` if the bytes fail to decode, carry the wrong index, or
-    /// fail signature verification. A faulty channel can therefore only
-    /// push the verdict toward unhealthy, never toward a false pass.
+    /// fail signature verification (one batched check for all blocks). A
+    /// faulty channel can therefore only push the verdict toward
+    /// unhealthy, never toward a false pass.
     pub fn storage_audit_wire(
         &mut self,
         transport: &mut impl WireTransport,
@@ -370,23 +397,27 @@ impl DesignatedAgency {
     ) -> StorageAuditVerdict {
         let t = (sample_size as u64).min(n_blocks);
         let positions = self.drbg.sample_distinct(n_blocks, t);
-        let mut missing = Vec::new();
-        let mut invalid = Vec::new();
-        for &pos in &positions {
-            match transport.rpc_retrieve(owner.identity(), pos) {
-                None => missing.push(pos),
-                Some(bytes) => match SignedBlock::from_wire(&bytes) {
-                    Ok(block) if block.verify_at(pos, self.cred.key(), owner.public()) => {}
-                    Ok(_) | Err(_) => invalid.push(pos),
-                },
-            }
-        }
-        StorageAuditVerdict {
-            sampled: positions,
-            missing,
-            invalid,
-        }
+        let served = positions
+            .iter()
+            .map(|&pos| match transport.rpc_retrieve(owner.identity(), pos) {
+                None => Served::Missing,
+                Some(bytes) => {
+                    SignedBlock::from_wire(&bytes).map_or(Served::Undecodable, Served::Block)
+                }
+            })
+            .collect();
+        self.storage_verdict(owner.public(), positions, served)
     }
+}
+
+/// What a storage audit got back for one sampled position.
+enum Served {
+    /// Nothing came back.
+    Missing,
+    /// Bytes came back that do not decode to a block.
+    Undecodable,
+    /// A decoded block, not yet authenticated.
+    Block(SignedBlock),
 }
 
 #[cfg(test)]

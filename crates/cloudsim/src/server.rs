@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashMap};
 use seccloud_core::computation::{
     AuditChallenge, AuditResponse, Commitment, CommitmentSession, ComputationRequest,
 };
-use seccloud_core::storage::SignedBlock;
+use seccloud_core::storage::{audit_blocks, SignedBlock};
 use seccloud_core::warrant::{Warrant, WarrantError};
 use seccloud_core::{CloudUser, Sio, VerifierCredential};
 use seccloud_hash::HmacDrbg;
@@ -162,7 +162,9 @@ impl CloudServer {
 
     /// Ingests uploaded blocks for `owner`, authenticating each designated
     /// signature first (paper eq. 5: "CSs or DA could checks its validity
-    /// of the stored data").
+    /// of the stored data") — all of them in one batched
+    /// [`audit_blocks`], which accepts exactly the blocks that verify one
+    /// by one.
     ///
     /// Storage-cheating servers apply their attack *after* ingest — the
     /// data was valid when it arrived.
@@ -174,9 +176,10 @@ impl CloudServer {
     /// remote server actually has (used by the byte-level [`crate::rpc`]
     /// layer).
     pub fn store_public(&mut self, owner: &UserPublic, blocks: Vec<SignedBlock>) -> usize {
+        let failed = audit_blocks(self.cred.key(), owner, &blocks).failed;
         let mut accepted = 0;
-        for mut block in blocks {
-            if !block.verify(self.cred.key(), owner) {
+        for (slot, mut block) in blocks.into_iter().enumerate() {
+            if failed.binary_search(&slot).is_ok() {
                 continue;
             }
             if let Behavior::PrivacyLeaker = self.behavior {
@@ -415,6 +418,25 @@ mod tests {
             let b = server.retrieve("alice", pos).unwrap();
             assert!(!b.verify(da_cred.key(), user.public()));
         }
+    }
+
+    #[test]
+    fn ingest_checks_an_upload_in_one_pairing() {
+        let (_, user, mut server, da) = setup(Behavior::Honest);
+        let mut signed = user.sign_blocks(&blocks(16), &[server.public(), da.public()]);
+        let before = seccloud_pairing::counters::snapshot();
+        assert_eq!(server.store(&user, signed.clone()), 16);
+        let spent = seccloud_pairing::counters::snapshot().since(&before);
+        assert_eq!(
+            (spent.final_exponentiations, spent.gt_subgroup_tests),
+            (1, 15)
+        );
+        // A bad block is located and refused; the rest are stored.
+        let (_, user, mut server, _) = setup(Behavior::Honest);
+        signed[3].tamper_data(b"evil".to_vec());
+        assert_eq!(server.store(&user, signed), 15);
+        assert!(server.retrieve("alice", 3).is_none());
+        assert!(server.retrieve("alice", 4).is_some());
     }
 
     #[test]

@@ -475,6 +475,12 @@ impl AuditOutcome {
 ///   `Sig(R)` must be designated to it).
 /// * `owner` — the data owner whose block signatures are checked.
 /// * `server_signer` — the CS identity that signed the root.
+///
+/// Every designated signature the audit checks — `Sig(R)` and each input
+/// block's — folds into one [`BatchVerifier`] (Section VI, one pairing).
+/// Only when that batch rejects does the audit rerun the checks one
+/// pairing per signature, to name the failing items; either way the
+/// outcome is the one the per-signature checks give.
 pub fn verify_response(
     auditor: &VerifierKey,
     owner: &UserPublic,
@@ -485,81 +491,60 @@ pub fn verify_response(
     response: &AuditResponse,
 ) -> AuditOutcome {
     let root_msg = root_signature_message(&commitment.root, &request.digest());
-    let root_sig_ok = commitment.server_identity == server_signer.identity()
+    let signer_ok = commitment.server_identity == server_signer.identity();
+    let outcome = |root_sig_ok, signature_ok: &mut dyn FnMut(&SignedBlock) -> bool| {
+        let failures = challenge
+            .indices
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, &index)| {
+                check_item(
+                    request,
+                    index,
+                    response.items.get(slot),
+                    commitment,
+                    &mut *signature_ok,
+                )
+                .err()
+                .map(|f| (index, f))
+            })
+            .collect();
+        AuditOutcome {
+            root_sig_ok,
+            nonce_ok: response.nonce == challenge.nonce,
+            failures,
+            checked: challenge.indices.len(),
+        }
+    };
+
+    // Batch first: each signature check passes provisionally and pushes
+    // its signature; a missing designation fails as it would below.
+    let mut batch = BatchVerifier::new();
+    if signer_ok {
+        batch.push(
+            server_signer.clone(),
+            root_msg.clone(),
+            commitment.root_sig.clone(),
+        );
+    }
+    let provisional = outcome(signer_ok, &mut |block| match block
+        .designation_for(auditor.identity())
+    {
+        Some(sig) => {
+            batch.push(owner.clone(), block.block().signed_message(), sig.clone());
+            true
+        }
+        None => false,
+    });
+    if batch.verify(auditor) {
+        return provisional;
+    }
+    // Some signature is bad: check each on its own to locate it.
+    let root_sig_ok = signer_ok
         && commitment
             .root_sig
             .verify(auditor, server_signer, &root_msg);
-    let nonce_ok = response.nonce == challenge.nonce;
-
-    let failures = challenge
-        .indices
-        .iter()
-        .enumerate()
-        .filter_map(|(slot, &index)| {
-            check_item(
-                request,
-                index,
-                response.items.get(slot),
-                commitment,
-                |block| block.verify(auditor, owner),
-            )
-            .err()
-            .map(|f| (index, f))
-        })
-        .collect();
-    AuditOutcome {
-        root_sig_ok,
-        nonce_ok,
-        failures,
-        checked: challenge.indices.len(),
-    }
-}
-
-/// Batched variant of [`verify_response`]: the same per-item checks, but
-/// all designated signatures (the input blocks *and* `Sig(R)`) fold into a
-/// single pairing via [`BatchVerifier`] (Section VI).
-///
-/// Returns `true` iff the response is fully valid. On `false`, run
-/// [`verify_response`] to locate the offending item.
-pub fn verify_response_batched(
-    auditor: &VerifierKey,
-    owner: &UserPublic,
-    server_signer: &UserPublic,
-    request: &ComputationRequest,
-    challenge: &AuditChallenge,
-    commitment: &Commitment,
-    response: &AuditResponse,
-) -> bool {
-    if response.nonce != challenge.nonce {
-        return false;
-    }
-    if commitment.server_identity != server_signer.identity() {
-        return false;
-    }
-    let mut batch = BatchVerifier::new();
-    // Fold Sig(R).
-    let root_msg = root_signature_message(&commitment.root, &request.digest());
-    batch.push(server_signer.clone(), root_msg, commitment.root_sig.clone());
-
-    let items_ok = challenge.indices.iter().enumerate().all(|(slot, &index)| {
-        // Defer each block's signature to the batch: only a missing
-        // designation fails here.
-        check_item(
-            request,
-            index,
-            response.items.get(slot),
-            commitment,
-            |block| match block.designation_for(auditor.identity()) {
-                Some(sig) => {
-                    batch.push(owner.clone(), block.block().signed_message(), sig.clone());
-                    true
-                }
-                None => false,
-            },
-        )
-        .is_ok()
-    });
-    items_ok && batch.verify(auditor)
+    outcome(root_sig_ok, &mut |block| block.verify(auditor, owner))
 }
 
 /// Algorithm 1's per-item predicates for challenged `index`, in order:
@@ -571,7 +556,7 @@ fn check_item(
     index: usize,
     item: Option<&AuditItemResponse>,
     commitment: &Commitment,
-    mut signature_ok: impl FnMut(&SignedBlock) -> bool,
+    signature_ok: &mut dyn FnMut(&SignedBlock) -> bool,
 ) -> Result<(), AuditFailure> {
     let Some(item) = item else {
         return Err(AuditFailure::Missing);
@@ -594,7 +579,7 @@ fn check_item(
         return Err(AuditFailure::WrongPositions);
     }
     // IsSignatureWrong: each input block authenticates under the DA key.
-    if !item.inputs.iter().all(&mut signature_ok) {
+    if !item.inputs.iter().all(signature_ok) {
         return Err(AuditFailure::BadSignature);
     }
     // IsComputingWrong: recompute fᵢ over the authenticated readings.
@@ -709,53 +694,69 @@ mod tests {
         );
         assert!(outcome.is_valid(), "{outcome:?}");
         assert_eq!(outcome.checked, 4);
-        assert!(verify_response_batched(
+    }
+
+    /// Runs `verify_response` for `w`'s parties and the pairing work it
+    /// spent on this thread.
+    fn audit_counted(
+        w: &World,
+        challenge: &AuditChallenge,
+        commitment: &Commitment,
+        response: &AuditResponse,
+    ) -> (AuditOutcome, seccloud_pairing::counters::OpCounts) {
+        let before = seccloud_pairing::counters::snapshot();
+        let outcome = verify_response(
             w.da.key(),
             w.user.public(),
             w.cs.signer_public(),
             &w.request,
-            &challenge,
-            &commitment,
-            &response,
-        ));
+            challenge,
+            commitment,
+            response,
+        );
+        (
+            outcome,
+            seccloud_pairing::counters::snapshot().since(&before),
+        )
     }
 
     #[test]
-    fn serial_and_batched_verifiers_agree() {
+    fn a_clean_audit_costs_one_pairing() {
+        // Items 0, 1, 3, 4 read 3 + 2 + 1 + 2 = 8 blocks: with Sig(R), 9
+        // signatures, which the per-signature checks price at 9 pairings.
+        // The batch tests every Σ but the first, which it weighs by one.
         let w = world();
         let (commitment, session) = commit(&w);
-        let challenge = AuditChallenge::from_indices((0..w.request.len()).collect());
+        let challenge = AuditChallenge::from_indices(vec![0, 1, 3, 4]);
         let response = session.respond(&challenge).unwrap();
-        let verify = |response: &AuditResponse| {
-            let outcome = verify_response(
-                w.da.key(),
-                w.user.public(),
-                w.cs.signer_public(),
-                &w.request,
-                &challenge,
-                &commitment,
-                response,
-            );
-            let batched = verify_response_batched(
-                w.da.key(),
-                w.user.public(),
-                w.cs.signer_public(),
-                &w.request,
-                &challenge,
-                &commitment,
-                response,
-            );
-            assert_eq!(outcome.is_valid(), batched, "{outcome:?}");
-            outcome
-        };
-        assert!(verify(&response).is_valid());
+        let (outcome, spent) = audit_counted(&w, &challenge, &commitment, &response);
+        assert!(outcome.is_valid(), "{outcome:?}");
+        assert_eq!(spent.final_exponentiations, 1);
+        assert_eq!((spent.miller_loops, spent.miller_lanes), (1, 1));
+        assert_eq!(spent.gt_subgroup_tests, 8);
+    }
 
-        // Two independently tampered items: both verifiers reject, and the
-        // reporting one names exactly those two.
-        let mut bad = response.clone();
+    #[test]
+    fn a_forged_block_falls_back_to_per_item_checks() {
+        let w = world();
+        let (commitment, session) = commit(&w);
+        let challenge = AuditChallenge::from_indices(vec![0, 1, 3, 4]);
+        let mut bad = session.respond(&challenge).unwrap();
+        bad.items[2].inputs[0].tamper_data(b"evil".to_vec());
+        let (outcome, spent) = audit_counted(&w, &challenge, &commitment, &bad);
+        assert_eq!(outcome.failures, vec![(3, AuditFailure::BadSignature)]);
+        assert!(outcome.root_sig_ok && outcome.nonce_ok);
+        // The batch, then Sig(R) and the 8 blocks one pairing each.
+        assert_eq!(spent.final_exponentiations, 1 + 9);
+        assert_eq!(spent.gt_subgroup_tests, 8);
+
+        // Two independently tampered items: the report names exactly those
+        // two, the signature failure as such.
+        let challenge = AuditChallenge::from_indices((0..w.request.len()).collect());
+        let mut bad = session.respond(&challenge).unwrap();
         bad.items[1].claimed_y = bad.items[1].claimed_y.wrapping_add(1);
         bad.items[4].inputs[0].tamper_data(b"evil".to_vec());
-        let outcome = verify(&bad);
+        let (outcome, _) = audit_counted(&w, &challenge, &commitment, &bad);
         assert_eq!(outcome.failures.len(), 2);
         assert!(matches!(
             outcome.failures[1],
@@ -872,15 +873,6 @@ mod tests {
             &response,
         );
         assert_eq!(outcome.failures, vec![(1, AuditFailure::BadSignature)]);
-        assert!(!verify_response_batched(
-            w.da.key(),
-            w.user.public(),
-            w.cs.signer_public(),
-            &w.request,
-            &challenge,
-            &commitment,
-            &response,
-        ));
     }
 
     #[test]

@@ -215,43 +215,38 @@ impl StorageAuditReport {
     }
 }
 
-/// Audits a set of retrieved blocks individually (one pairing each). The
-/// per-block checks fan out over [`seccloud_parallel::num_threads`]
-/// workers; the failure set is the same for any worker count.
+/// Audits a set of retrieved blocks: every block's designation to
+/// `verifier` folds into one [`BatchVerifier`] (Section VI, one pairing),
+/// and only when that batch rejects are the blocks checked one pairing
+/// each — fanned out over [`seccloud_parallel::num_threads`] workers — to
+/// name the offenders. The failure set is the per-block one either way,
+/// for any worker count.
 pub fn audit_blocks(
     verifier: &VerifierKey,
     owner: &UserPublic,
     blocks: &[SignedBlock],
 ) -> StorageAuditReport {
-    let outcomes = seccloud_parallel::parallel_map(blocks, |_, b| b.verify(verifier, owner));
-    StorageAuditReport {
-        failed: outcomes
+    let mut batch = BatchVerifier::new();
+    let mut failed = Vec::new();
+    for (i, b) in blocks.iter().enumerate() {
+        match b.designation_for(verifier.identity()) {
+            Some(sig) => batch.push(owner.clone(), b.block().signed_message(), sig.clone()),
+            None => failed.push(i),
+        }
+    }
+    if !batch.verify(verifier) {
+        let outcomes = seccloud_parallel::parallel_map(blocks, |_, b| b.verify(verifier, owner));
+        failed = outcomes
             .iter()
             .enumerate()
             .filter(|(_, ok)| !**ok)
             .map(|(i, _)| i)
-            .collect(),
+            .collect();
+    }
+    StorageAuditReport {
+        failed,
         checked: blocks.len(),
     }
-}
-
-/// Audits a set of retrieved blocks with one batch pairing (Section VI).
-///
-/// Returns `true` when the whole batch verifies; on failure fall back to
-/// [`audit_blocks`] to locate the offenders.
-pub fn audit_blocks_batched(
-    verifier: &VerifierKey,
-    owner: &UserPublic,
-    blocks: &[SignedBlock],
-) -> bool {
-    let mut batch = BatchVerifier::new();
-    for b in blocks {
-        let Some(sig) = b.designation_for(verifier.identity()) else {
-            return false;
-        };
-        batch.push(owner.clone(), b.block().signed_message(), sig.clone());
-    }
-    batch.verify(verifier)
 }
 
 #[cfg(test)]
@@ -307,7 +302,10 @@ mod tests {
         let report = audit_blocks(cs.key(), user.public(), &signed);
         assert_eq!(report.failed, vec![1]);
         assert!(!report.is_valid());
-        assert!(!audit_blocks_batched(da.key(), user.public(), &signed));
+        assert_eq!(
+            audit_blocks(da.key(), user.public(), &signed).failed,
+            vec![1]
+        );
     }
 
     #[test]
@@ -327,10 +325,27 @@ mod tests {
 
     #[test]
     fn batched_audit_agrees_with_individual() {
-        let (_, user, cs, _) = setup();
-        let signed = user.sign_blocks(&blocks(10), &[cs.public()]);
+        let (_, user, cs, da) = setup();
+        let mut signed = user.sign_blocks(&blocks(10), &[cs.public()]);
+        let before = seccloud_pairing::counters::snapshot();
         assert!(audit_blocks(cs.key(), user.public(), &signed).is_valid());
-        assert!(audit_blocks_batched(cs.key(), user.public(), &signed));
+        let spent = seccloud_pairing::counters::snapshot().since(&before);
+        assert_eq!(
+            (spent.final_exponentiations, spent.gt_subgroup_tests),
+            (1, 9)
+        );
+        // A block without a designation to the auditor fails without a
+        // pairing, the others still batch.
+        signed[4] = user.sign_blocks(&blocks(5)[4..], &[da.public()]).remove(0);
+        assert_eq!(
+            audit_blocks(cs.key(), user.public(), &signed).failed,
+            vec![4]
+        );
+        signed[8].tamper_data(b"x".to_vec());
+        assert_eq!(
+            audit_blocks(cs.key(), user.public(), &signed).failed,
+            vec![4, 8]
+        );
     }
 
     #[test]
@@ -399,6 +414,6 @@ mod tests {
         let (_, user, cs, _) = setup();
         let report = audit_blocks(cs.key(), user.public(), &[]);
         assert!(report.is_valid());
-        assert!(audit_blocks_batched(cs.key(), user.public(), &[]));
+        assert_eq!(report.checked, 0);
     }
 }

@@ -150,6 +150,7 @@ fn absorb_line(f: &Fp12, line: Option<(Fp, Fp2, Fp2)>) -> Fp12 {
 
 /// The optimal-ate Miller function (no final exponentiation).
 fn miller_loop_ate(p: &G1Affine, q: &G2Affine) -> Fp12 {
+    crate::counters::miller_loop(1);
     let (x_p, y_p) = (p.x(), p.y());
     let q_aff = (q.x(), q.y());
     let s = loop_count();

@@ -200,6 +200,68 @@ impl<C: CurveParams> Point<C> {
         }
     }
 
+    /// Mixed addition with an affine right-hand side (madd-2007-bl:
+    /// 7M + 4S, against 11M + 5S for [`Self::add`]), with the same
+    /// doubling and inverse fallbacks.
+    pub(crate) fn add_affine(&self, rhs: &Affine<C>) -> Self {
+        if rhs.infinity {
+            return *self;
+        }
+        if self.is_identity() {
+            return Self::from(*rhs);
+        }
+        let z1z1 = self.z.square();
+        let u2 = rhs.x.mul(&z1z1);
+        let s2 = rhs.y.mul(&self.z).mul(&z1z1);
+        if self.x == u2 {
+            return if self.y == s2 {
+                self.double()
+            } else {
+                Self::identity()
+            };
+        }
+        let h = u2.sub(&self.x);
+        let hh = h.square();
+        let i = hh.double().double();
+        let j = h.mul(&i);
+        let r = s2.sub(&self.y).double();
+        let v = self.x.mul(&i);
+        let x3 = r.square().sub(&j).sub(&v.double());
+        let y3 = r.mul(&v.sub(&x3)).sub(&self.y.mul(&j).double());
+        let z3 = self.z.add(&h).square().sub(&z1z1).sub(&hh);
+        Self {
+            x: x3,
+            y: y3,
+            z: z3,
+            _curve: PhantomData,
+        }
+    }
+
+    /// The affine forms of public `points` at the price of one
+    /// variable-time inversion in all (Montgomery's trick) plus three
+    /// multiplications each.
+    pub(crate) fn batch_to_affine_vartime(points: &[Self]) -> Vec<Affine<C>> {
+        // prefix[i] = Z₀·…·Z_{i−1} over the non-identity points.
+        let mut prefix = Vec::with_capacity(points.len());
+        let mut acc = C::Base::one();
+        for p in points {
+            prefix.push(acc);
+            if !p.is_identity() {
+                acc = acc.mul(&p.z);
+            }
+        }
+        let mut inv = acc.inverse_vartime().expect("product of nonzero Z");
+        let mut out = vec![Affine::identity(); points.len()];
+        for (i, p) in points.iter().enumerate().rev() {
+            if p.is_identity() {
+                continue;
+            }
+            out[i] = p.scaled_by(inv.mul(&prefix[i]));
+            inv = inv.mul(&p.z);
+        }
+        out
+    }
+
     /// Point negation.
     pub fn neg(&self) -> Self {
         Self {

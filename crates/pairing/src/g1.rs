@@ -179,6 +179,24 @@ mod tests {
     }
 
     #[test]
+    fn mixed_add_and_batch_normalization_handle_every_degenerate_case() {
+        let g = G1::generator();
+        let p = g.mul_fr(&Fr::from_u64(5));
+        let q = g.mul_fr(&Fr::from_u64(9));
+        let points = [p, G1::identity(), q, p.double()];
+        let affine = G1::batch_to_affine_vartime(&points);
+        for (pt, a) in points.iter().zip(&affine) {
+            assert_eq!(*a, pt.to_affine());
+        }
+        let (pa, qa) = (affine[0], affine[2]);
+        assert_eq!(p.add_affine(&qa), p.add(&q));
+        assert_eq!(p.add_affine(&pa), p.double());
+        assert!(p.add_affine(&pa.neg()).is_identity());
+        assert_eq!(G1::identity().add_affine(&pa), p);
+        assert_eq!(p.add_affine(&G1Affine::identity()), p);
+    }
+
+    #[test]
     fn generator_is_on_curve_and_has_order_r() {
         let g = G1::generator();
         assert!(g.to_affine().is_on_curve());

@@ -18,11 +18,11 @@
 
 use std::sync::OnceLock;
 
-use seccloud_bigint::ApInt;
+use seccloud_bigint::{ApInt, U256};
 
 use crate::fp::Fp;
 use crate::fr::Fr;
-use crate::g1::G1;
+use crate::g1::{G1Affine, G1};
 use crate::params;
 
 /// A sign-magnitude arbitrary-precision integer. `ApInt` is unsigned; the
@@ -249,14 +249,37 @@ fn decompose(k: &ApInt, g: &Glv) -> (SInt, SInt) {
 /// with the shared-doubling Strauss–Shamir ladder. Half the doublings of a
 /// full-width wNAF walk.
 pub(crate) fn mul_glv(p: &G1, k: &Fr) -> G1 {
-    let g = glv();
-    let (k1, k2) = decompose(&ApInt::from_uint(&k.to_u256()), g);
+    let [(p1, half1), (p2, half2)] = split(p, k);
+    G1::double_scalar_mul(&p1, &half1, &p2, &half2)
+}
+
+/// The GLV split of `[k]P` into `[|k₁|]P′ + [|k₂|]φ(P)′`, signs folded
+/// into the points: two terms with half-length (≈ 127-bit) scalars.
+pub(crate) fn split(p: &G1, k: &Fr) -> [(G1, U256); 2] {
+    let (p1, half1, flip, half2) = split_relative(p, k);
+    let phi = p1.endo_scale_x(&glv().beta);
+    [(p1, half1), (if flip { phi.neg() } else { phi }, half2)]
+}
+
+/// [`split`] with the second point given relative to the first:
+/// `(P′, |k₁|, flip, |k₂|)` where `P′ = ±P` carries `k₁`'s sign and the
+/// second point is `φ(P′)`, negated when `flip`. A caller that tabulates
+/// multiples of `P′` gets the second point's table by mapping each entry
+/// through [`endo_affine`].
+pub(crate) fn split_relative(p: &G1, k: &Fr) -> (G1, U256, bool, U256) {
+    let (k1, k2) = decompose(&ApInt::from_uint(&k.to_u256()), glv());
     let p1 = if k1.neg { p.neg() } else { *p };
-    let phi = p.endo_scale_x(&g.beta);
-    let p2 = if k2.neg { phi.neg() } else { phi };
     let half1 = k1.mag.to_uint().expect("|k₁| ≈ √r fits in 256 bits");
     let half2 = k2.mag.to_uint().expect("|k₂| ≈ √r fits in 256 bits");
-    G1::double_scalar_mul(&p1, &half1, &p2, &half2)
+    (p1, half1, k1.neg != k2.neg, half2)
+}
+
+/// `φ(x, y) = (βx, y)` on an affine point (the identity maps to itself).
+pub(crate) fn endo_affine(a: &G1Affine) -> G1Affine {
+    if a.is_identity() {
+        return *a;
+    }
+    G1Affine::from_xy_unchecked(a.x().mul(&glv().beta), a.y())
 }
 
 #[cfg(test)]
@@ -340,5 +363,27 @@ mod tests {
         }
         // Identity base point.
         assert!(mul_glv(&G1::identity(), &Fr::from_u64(42)).is_identity());
+    }
+
+    #[test]
+    fn relative_split_recombines_under_both_signs() {
+        // [k₁]P′ + [k₂](±φ(P′)) = [k]P, with the second point taken from
+        // P′'s affine form through endo_affine, for both values of flip.
+        let mut d = HmacDrbg::new(b"glv-relative");
+        let p = crate::hash_to_g1(b"glv-relative-base");
+        let mut seen = [false; 2];
+        for _ in 0..24 {
+            let k = Fr::random_nonzero(&mut d);
+            let (p1, k1, flip, k2) = split_relative(&p, &k);
+            let phi = G1::from(endo_affine(&p1.to_affine()));
+            let p2 = if flip { phi.neg() } else { phi };
+            assert_eq!(
+                G1::double_scalar_mul(&p1, &k1, &p2, &k2),
+                p.mul_limbs_wnaf(k.to_u256().limbs())
+            );
+            seen[usize::from(flip)] = true;
+        }
+        assert_eq!(seen, [true, true], "both signs of the second half occur");
+        assert!(endo_affine(&G1Affine::identity()).is_identity());
     }
 }

@@ -40,6 +40,7 @@
 pub mod arch;
 mod ate;
 pub mod cache;
+pub mod counters;
 pub mod ec;
 mod fixed_base;
 mod fp;
@@ -68,7 +69,7 @@ pub use fp6::Fp6;
 pub use fr::Fr;
 pub use g1::{hash_to_g1, G1Affine, G1Params, G1};
 pub use g2::{hash_to_g2, G2Affine, G2Params, G2};
-pub use msm::{weighted_product_gt, weighted_sum_g1, WEIGHT_BITS};
+pub use msm::{multi_mul_g1, weighted_product_gt, WEIGHT_BITS};
 pub use pairing::{
     final_exponentiation, multi_pairing, multi_pairing_tate, pairing, pairing_tate, Gt,
 };

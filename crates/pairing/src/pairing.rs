@@ -94,12 +94,61 @@ impl Gt {
         Gt(v)
     }
 
+    /// Whether this value lies in `μ_r`, the order-`r` subgroup pairing
+    /// values live in. Exact, at the cost of one power by `3x + 1` plus a
+    /// few Frobenius maps (about a sixth of a prepared pairing):
+    ///
+    /// - a nonzero `f` with `f^(p⁴)·f = f^(p²)` has order dividing
+    ///   `Φ₁₂(p) = p⁴ − p² + 1` (it is cyclotomic);
+    /// - `f^(6x+2)·f^p·f^(p³) = f^(p²)` — the optimal-ate relation — further
+    ///   makes its order divide `6x + 2 + p − p² + p³`;
+    /// - `gcd(6x + 2 + p − p² + p³, p⁴ − p² + 1) = r` for BN254's `x`
+    ///   (recomputed in `optimal_ate_relation_pins_the_order_to_r`), so the
+    ///   two relations together hold exactly on `μ_r`.
+    ///
+    /// A value from the wire must pass this before it is raised to a
+    /// verifier-drawn weight: an element of small order outside `μ_r` (say
+    /// `−1`) can vanish under an even weight and let a forged term through
+    /// a randomized batch. Comparing against a freshly computed pairing
+    /// needs no test. Variable-time: the input is public.
+    pub fn is_in_subgroup(&self) -> bool {
+        crate::counters::gt_subgroup_test();
+        let Some(f_p2) = self.cyclotomic_frobenius_p2() else {
+            return false;
+        };
+        // Cyclotomic from here on: squarings may take the Granger–Scott
+        // shortcut and the power by 3x + 1 its signed window.
+        let f = &self.0;
+        let f_6x2 = cyclotomic_pow_wnaf(f, bn_3x1_digits()).cyclotomic_square();
+        f_6x2.mul(&f.frobenius_p()).mul(&f_p2.frobenius_p()) == f_p2
+    }
+
+    /// Whether this value is nonzero and cyclotomic (`f^(p⁴)·f = f^(p²)`,
+    /// so its order divides `p⁴ − p² + 1`): the first half of
+    /// [`Self::is_in_subgroup`], at the price of two Frobenius maps and one
+    /// product. It is what [`crate::weighted_product_gt`]'s cyclotomic
+    /// arithmetic needs to compute the true product; it does not make a
+    /// randomized batch sound on its own (an element of small order
+    /// dividing `(p⁴ − p² + 1)/r` passes it).
+    pub fn is_cyclotomic(&self) -> bool {
+        self.cyclotomic_frobenius_p2().is_some()
+    }
+
+    /// `f^(p²)` when `f` is nonzero and cyclotomic, else `None`.
+    fn cyclotomic_frobenius_p2(&self) -> Option<Fp12> {
+        let f = &self.0;
+        let f_p2 = f.frobenius_p2();
+        (!f.is_zero() && f_p2.frobenius_p2().mul(f) == f_p2).then_some(f_p2)
+    }
+
     /// Deserializes a `GT` element from the 384-byte encoding of
     /// [`Gt::to_bytes`], checking that every coefficient is canonical.
     ///
-    /// Subgroup membership is *not* checked (it would cost an `r`-power);
-    /// a non-subgroup value is harmless here because `Gt` is only ever
-    /// compared against freshly computed pairings during verification.
+    /// Subgroup membership is *not* checked here: most decoded values are
+    /// only compared against freshly computed pairings, which needs no
+    /// test, and a storage read would pay one per block. Whoever raises a
+    /// decoded value to a secret or random exponent — batch verification's
+    /// weighted fold — must first check [`Gt::is_in_subgroup`].
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         if bytes.len() != 384 {
             return None;
@@ -211,6 +260,7 @@ impl MillerState {
 
 /// The Miller function `f_{r,P}(ψ(Q))` (no final exponentiation).
 fn miller_loop(p: &G1Affine, q: &G2Affine) -> Fp12 {
+    crate::counters::miller_loop(1);
     let (x_q, y_q) = untwist(q);
     let p_aff = (p.x(), p.y());
     let r: U256 = Fr::modulus();
@@ -238,6 +288,16 @@ fn bn_x_digits() -> &'static [i64] {
     DIGITS.get_or_init(|| crate::ec::wnaf_digits(&[params::BN_X]))
 }
 
+/// The width-4 wNAF digits of `3x + 1` (it fits 64 bits), least
+/// significant first: 65 digits of which 12 are nonzero. Squaring
+/// `f^(3x+1)` gives the subgroup test its `f^(6x+2)` for 66 cyclotomic
+/// squarings and 14 multiplications, where `f^x` followed by
+/// `((f^x)²·f^x·f)²` costs 66 and 18.
+fn bn_3x1_digits() -> &'static [i64] {
+    static DIGITS: OnceLock<Vec<i64>> = OnceLock::new();
+    DIGITS.get_or_init(|| crate::ec::wnaf_digits(&[3 * params::BN_X + 1]))
+}
+
 /// `f ↦ f^x` for `f` in the cyclotomic subgroup, by a signed window over
 /// the public wNAF digits of `x`: a table `{f, f³, f⁵, f⁷}` (one
 /// cyclotomic squaring, three multiplications), then one cyclotomic
@@ -249,6 +309,12 @@ fn bn_x_digits() -> &'static [i64] {
 /// so the operation sequence does not depend on `f`, which in designated
 /// verification derives from the verifier's secret key.
 fn cyclotomic_exp_by_x(f: &Fp12) -> Fp12 {
+    cyclotomic_pow_wnaf(f, bn_x_digits())
+}
+
+/// `f^e` for `f` in the cyclotomic subgroup and the width-4 wNAF digits
+/// of a fixed public `e > 0` (see [`cyclotomic_exp_by_x`]).
+fn cyclotomic_pow_wnaf(f: &Fp12, digits: &[i64]) -> Fp12 {
     let f2 = f.cyclotomic_square();
     let mut table = [*f; 4];
     for i in 1..4 {
@@ -262,7 +328,7 @@ fn cyclotomic_exp_by_x(f: &Fp12) -> Fp12 {
             t
         }
     };
-    let (top, rest) = bn_x_digits().split_last().expect("x ≠ 0");
+    let (top, rest) = digits.split_last().expect("e ≠ 0");
     let mut acc = entry(*top);
     for &d in rest.iter().rev() {
         acc = acc.cyclotomic_square();
@@ -311,6 +377,7 @@ fn final_exp_hard_part_chain(f: &Fp12) -> Fp12 {
 /// Easy part via Frobenius (`(p⁶−1)(p²+1)`), hard part by the
 /// Frobenius-assisted addition chain of [`final_exp_hard_part_chain`].
 pub fn final_exponentiation(f: &Fp12) -> Fp12 {
+    crate::counters::final_exponentiation();
     // f^(p⁶ − 1) = conj(f) · f⁻¹
     let f = f
         .conjugate()
@@ -457,6 +524,105 @@ mod tests {
             .rev()
             .fold(0i128, |acc, &d| 2 * acc + i128::from(d));
         assert_eq!(value, i128::from(params::BN_X));
+    }
+
+    #[test]
+    fn subgroup_test_power_is_six_x_plus_two() {
+        // The test's window over 3x + 1, squared once, is the binary
+        // power by 6x + 2, at the operation count its docs state.
+        use seccloud_bigint::ApInt;
+        let e = &(&ApInt::from_u64(params::BN_X) * &ApInt::from_u64(6)) + &ApInt::from_u64(2);
+        for tag in [b"6x2-a".as_slice(), b"6x2-b"] {
+            let cyc = cyclotomic_sample(tag);
+            assert_eq!(
+                cyclotomic_pow_wnaf(&cyc, bn_3x1_digits()).cyclotomic_square(),
+                cyc.cyclotomic_pow(&e)
+            );
+        }
+        let digits = bn_3x1_digits();
+        let nonzero = digits.iter().filter(|&&d| d != 0).count();
+        assert_eq!((digits.len(), nonzero), (65, 12));
+        // Table 1 + walk 64 + final 1 squarings; table 3 + walk 11 products.
+        assert_eq!((1 + digits.len() - 1 + 1, 3 + nonzero - 1), (66, 14));
+        let value = digits
+            .iter()
+            .rev()
+            .fold(0i128, |acc, &d| 2 * acc + i128::from(d));
+        assert_eq!(value, 3 * i128::from(params::BN_X) + 1);
+    }
+
+    /// An easy-part image `f^((p⁶−1)(p²+1))` of a hashed `Fp12`: cyclotomic,
+    /// and (with overwhelming probability) not in `μ_r`.
+    fn cyclotomic_sample(tag: &[u8]) -> Fp12 {
+        let raw = Fp12::new(
+            Fp6::new(
+                Fp2::from_hash(b"sg-a", tag),
+                Fp2::from_hash(b"sg-b", tag),
+                Fp2::from_hash(b"sg-c", tag),
+            ),
+            Fp6::from_fp2(Fp2::from_hash(b"sg-d", tag)),
+        );
+        let easy = raw.conjugate().mul(&raw.inverse().expect("nonzero"));
+        easy.frobenius_p2().mul(&easy)
+    }
+
+    #[test]
+    fn subgroup_test_agrees_with_the_r_power_oracle() {
+        let r = params::r_apint();
+        let oracle = |g: &Gt| !g.0.is_zero() && g.0.pow_apint(r) == Fp12::one();
+        let sigma = pairing(
+            &hash_to_g1(b"sg-p").to_affine(),
+            &hash_to_g2(b"sg-q").to_affine(),
+        );
+        let cyc = cyclotomic_sample(b"0");
+        let h_t = params::final_exp_hard_part();
+        // e^r has order dividing the cofactor h_T = (p⁴ − p² + 1)/r.
+        let small_order = Gt(cyc.pow_apint(r));
+        let cases = [
+            ("pairing value", sigma, true),
+            ("pairing value squared", sigma.mul(&sigma), true),
+            ("one", Gt::one(), true),
+            ("zero", Gt(Fp12::zero()), false),
+            ("minus one", Gt(Fp12::one().neg()), false),
+            ("minus sigma", Gt(sigma.0.neg()), false),
+            (
+                "not cyclotomic",
+                Gt(Fp12::from_fp6(Fp6::from_fp2(Fp2::xi()))),
+                false,
+            ),
+            ("cyclotomic, outside mu_r", Gt(cyc), false),
+            ("order dividing h_T", small_order, false),
+            ("sigma times that", sigma.mul(&small_order), false),
+            ("hard-part image", Gt(cyc.pow_apint(h_t)), true),
+        ];
+        for (name, g, expected) in cases {
+            assert_eq!(oracle(&g), expected, "{name}: oracle");
+            assert_eq!(g.is_in_subgroup(), expected, "{name}: fast test");
+        }
+        assert!(!small_order.is_one(), "test premise: a nontrivial element");
+    }
+
+    #[test]
+    fn optimal_ate_relation_pins_the_order_to_r() {
+        use seccloud_bigint::ApInt;
+        let p = params::p_apint();
+        let x = ApInt::from_u64(params::BN_X);
+        let p2 = p * p;
+        let p3 = &p2 * p;
+        let phi12 = &(&(&p2 * &p2) - &p2) + &ApInt::one();
+        let six_x_2 = &(&x * &ApInt::from_u64(6)) + &ApInt::from_u64(2);
+        let relation = &(&(&six_x_2 + p) + &p3) - &p2;
+        assert_eq!(&relation.gcd(&phi12), params::r_apint());
+    }
+
+    #[test]
+    fn subgroup_tests_are_counted() {
+        let before = crate::counters::snapshot();
+        assert!(Gt::one().is_in_subgroup());
+        assert!(!Gt(Fp12::zero()).is_in_subgroup());
+        let spent = crate::counters::snapshot().since(&before);
+        assert_eq!(spent.gt_subgroup_tests, 2);
+        assert_eq!(spent.final_exponentiations, 0);
     }
 
     #[test]

@@ -322,6 +322,7 @@ pub fn multi_miller_loop(pairs: &[(&G1Affine, &G2Prepared)]) -> Gt {
     if live.is_empty() {
         return Gt::one();
     }
+    crate::counters::miller_loop(live.len());
     let s = loop_count();
     let bits = s.bits();
     let mut f = Fp12::one();

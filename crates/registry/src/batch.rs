@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use seccloud_ibs::{draw_weights, BatchVerifier};
 use seccloud_pairing::{
-    multi_miller_loop, weighted_product_gt, weighted_sum_g1, G1Affine, G2Prepared, Gt, G1,
+    multi_miller_loop, multi_mul_g1, weighted_product_gt, Fr, G1Affine, G2Prepared, Gt, G1,
 };
 
 /// One shard's retained verification terms in the sense of paper eq. (8):
@@ -37,7 +37,7 @@ struct Lane {
 /// key; the right side is one product, so all shards' `Σ` terms share one
 /// [`weighted_product_gt`] fold. The marginal cost of an extra audited
 /// signature is a `G1`/`GT` slot at fold time plus a few group operations
-/// in its shard's [`weighted_sum_g1`] and in the epoch-wide `GT` fold at
+/// in its shard's [`multi_mul_g1`] and in the epoch-wide `GT` fold at
 /// verify time; the marginal cost of an extra *shard* is one Miller-loop
 /// argument plus one `G1` fold.
 ///
@@ -45,15 +45,20 @@ struct Lane {
 /// corruptions — including coordinated ones whose error terms multiply
 /// to one, within a lane or across lanes — survives the weighted product
 /// only if the adversary predicts the weights, i.e. with probability
-/// ≤ 2⁻⁶⁴ per verification attempt. Terms folded through
-/// [`Self::fold_aggregate`] are weighted per *aggregate* (the caller
-/// pre-merged them), so their internal consistency is vouched for by
-/// whoever produced the aggregate; [`Self::fold`] retains per-signature
-/// terms and needs no such trust.
+/// ≤ 2⁻⁶⁴ per verification attempt, provided every `Σ` lies in `μ_r`.
+/// Terms folded through [`Self::fold_aggregate`] are weighted per
+/// *aggregate* (the caller pre-merged them), so whoever produced the
+/// aggregate vouches for its internal consistency and for its `Σ` being
+/// in `μ_r`; [`Self::fold`] retains per-signature terms after
+/// [`BatchVerifier::is_poisoned`] has tested them, and needs no such
+/// trust.
 #[derive(Clone, Debug)]
 pub struct EpochVerifier {
     epoch: u64,
     lanes: Vec<Lane>,
+    /// Whether a folded batch held a `Σ` outside `μ_r`, or a folded
+    /// aggregate a `Σ` that is not cyclotomic.
+    poisoned: bool,
 }
 
 impl EpochVerifier {
@@ -63,6 +68,7 @@ impl EpochVerifier {
         Self {
             epoch,
             lanes: vec![Lane::default(); shards.max(1) as usize],
+            poisoned: false,
         }
     }
 
@@ -91,10 +97,21 @@ impl EpochVerifier {
     /// signatures (batched pushes fold pre-merged terms, which share one
     /// verification weight — see the type docs). Out-of-range shards are
     /// ignored and reported as `false`.
+    ///
+    /// The producer vouches that `sigma` lies in `μ_r`, as
+    /// [`BatchVerifier::aggregate`] does by refusing a `Σ_A` outside `μ_r`.
+    /// There is no subgroup test here: at ~0.1 ms one would cost more than
+    /// the ~50 µs a folded aggregate costs in all, and an epoch of 64 folds
+    /// would pay it 64 times. The few-µs [`Gt::is_cyclotomic`] check does
+    /// run: a `sigma` that fails it (zero, say) would leave the cyclotomic
+    /// `GT` fold's product meaningless, so it fails the epoch instead.
     pub fn fold_aggregate(&mut self, shard: u32, u: &G1, sigma: &Gt, count: usize) -> bool {
         let Some(lane) = self.lanes.get_mut(shard as usize) else {
             return false;
         };
+        if !sigma.is_cyclotomic() {
+            self.poisoned = true;
+        }
         lane.terms.push((*u, *sigma));
         lane.folded += count;
         true
@@ -106,12 +123,17 @@ impl EpochVerifier {
     /// even when the batch is empty — agreeing with
     /// [`Self::fold_aggregate`] so callers can use the result to validate
     /// shard routing; an empty batch for a *valid* shard folds nothing
-    /// and returns `true`.
+    /// and returns `true`. A poisoned batch (a `Σ` outside `μ_r`) fails
+    /// the whole epoch's [`Self::verify`].
     pub fn fold(&mut self, shard: u32, batch: &BatchVerifier) -> bool {
         let Some(lane) = self.lanes.get_mut(shard as usize) else {
             return false;
         };
-        lane.terms.extend_from_slice(batch.terms());
+        if batch.is_poisoned() {
+            self.poisoned = true;
+        } else {
+            lane.terms.extend(batch.terms());
+        }
         lane.folded += batch.len();
         true
     }
@@ -125,6 +147,9 @@ impl EpochVerifier {
     /// must never silently skip real audits). An accumulator with no
     /// folded signatures at all verifies vacuously.
     pub fn verify(&self, keys: &[Arc<G2Prepared>]) -> bool {
+        if self.poisoned {
+            return false;
+        }
         let mut live = Vec::with_capacity(self.lanes.len());
         for (lane, shard) in self.lanes.iter().zip(0..) {
             if lane.terms.is_empty() {
@@ -148,9 +173,14 @@ impl EpochVerifier {
         let mut sigmas = Vec::with_capacity(weights.len());
         let mut offset = 0;
         for (lane, key) in live {
-            let points: Vec<G1> = lane.terms.iter().map(|(u, _)| *u).collect();
-            let u = weighted_sum_g1(&points, weights.get(offset..).unwrap_or_default());
-            offset += points.len();
+            let terms: Vec<(G1, Fr)> = lane
+                .terms
+                .iter()
+                .zip(weights.get(offset..).unwrap_or_default())
+                .map(|((u, _), &w)| (*u, Fr::from_u64(w)))
+                .collect();
+            let u = multi_mul_g1(&terms);
+            offset += lane.terms.len();
             args.push((u.to_affine_vartime(), key));
             sigmas.extend(lane.terms.iter().map(|(_, sigma)| *sigma));
         }
@@ -223,7 +253,7 @@ mod tests {
                     let designated = designate(&sign(&user, &msg, &[j]), verifier.public());
                     batch.push(user.public().clone(), msg, designated);
                 }
-                batch.terms().to_vec()
+                batch.terms()
             })
             .collect();
         (lanes, keys)
@@ -285,6 +315,32 @@ mod tests {
     }
 
     #[test]
+    fn a_non_cyclotomic_aggregate_fails_the_epoch() {
+        // Zero and a hashed Fp12 element are not cyclotomic; the
+        // cyclotomic fold would compute nothing meaningful from them, so
+        // folding one fails the whole epoch, honest terms included.
+        let raw = seccloud_pairing::Fp12::new(
+            seccloud_pairing::Fp6::from_fp2(seccloud_pairing::Fp2::from_hash(b"nc", b"a")),
+            seccloud_pairing::Fp6::from_fp2(seccloud_pairing::Fp2::from_hash(b"nc", b"b")),
+        );
+        let bytes: Vec<u8> = [raw.c0, raw.c1]
+            .iter()
+            .flat_map(|c6| [c6.c0, c6.c1, c6.c2])
+            .flat_map(|c2| [c2.c0.to_be_bytes(), c2.c1.to_be_bytes()])
+            .flatten()
+            .collect();
+        let hashed = Gt::from_bytes(&bytes).expect("canonical");
+        let zero = Gt::from_bytes(&[0u8; 384]).expect("canonical");
+        for bad in [zero, hashed] {
+            assert!(!bad.is_cyclotomic());
+            let (mut epoch, keys) = folded_epoch(4, 1, 2);
+            assert!(epoch.verify(&keys));
+            assert!(epoch.fold_aggregate(1, &G1::identity(), &bad, 1));
+            assert!(!epoch.verify(&keys));
+        }
+    }
+
+    #[test]
     fn coordinated_corruptions_in_one_lane_fail() {
         // The cancellation attack on the unweighted product: two extra
         // items in the *same* lane whose sigma errors are e and e⁻¹. Their
@@ -311,6 +367,27 @@ mod tests {
         assert!(epoch.fold_aggregate(0, &G1::identity(), &e, 1));
         assert!(epoch.fold_aggregate(1, &G1::identity(), &e.invert(), 1));
         assert!(!epoch.verify(&keys), "cross-lane cancellation must fail");
+    }
+
+    #[test]
+    fn a_poisoned_batch_fails_the_epoch() {
+        let (mut epoch, keys) = folded_epoch(4, 1, 2);
+        assert!(epoch.verify(&keys));
+        let sio = MasterKey::from_seed(b"registry-batch-tests");
+        let user = sio.extract_user("tenant-0");
+        let honest = designate(
+            &sign(&user, b"m", b"n"),
+            sio.extract_verifier("da/shard-0").public(),
+        );
+        let zero = Gt::from_bytes(&[0u8; 384]).expect("canonical");
+        let mut batch = BatchVerifier::new();
+        batch.push(
+            user.public().clone(),
+            b"m".to_vec(),
+            seccloud_ibs::DesignatedSignature::from_parts(*honest.u(), zero),
+        );
+        assert!(epoch.fold(0, &batch), "routing still succeeds");
+        assert!(!epoch.verify(&keys));
     }
 
     #[test]

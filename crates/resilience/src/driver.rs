@@ -24,7 +24,7 @@ use seccloud_cloudsim::agency::{AuditVerdict, DesignatedAgency, StorageAuditVerd
 use seccloud_cloudsim::rpc::{RpcError, WireTransport};
 use seccloud_cloudsim::server::ServerError;
 use seccloud_core::computation::{leaf_bytes, AuditFailure, Commitment, ComputationRequest};
-use seccloud_core::storage::SignedBlock;
+use seccloud_core::storage::{audit_blocks, SignedBlock};
 use seccloud_core::warrant::WarrantError;
 use seccloud_core::wire::WireMessage;
 use seccloud_core::CloudUser;
@@ -307,6 +307,11 @@ pub fn run_job_resilient<T: WireTransport>(
 /// verifies or the policy's rounds run out. Damage can only push positions
 /// toward `missing`/`invalid` — a flaky channel never yields a false pass,
 /// and a burst-faulty one never yields a false alarm.
+///
+/// Each round retrieves every position still open, then checks the
+/// signatures of all blocks that decoded at their position in one batched
+/// [`audit_blocks`]; a position ends `missing` if its last retrieve came
+/// back empty and `invalid` otherwise.
 pub fn storage_audit_resilient<T: WireTransport>(
     da: &mut DesignatedAgency,
     transport: &mut ResilientTransport<T>,
@@ -320,39 +325,49 @@ pub fn storage_audit_resilient<T: WireTransport>(
     let n = usize::try_from(n_blocks).unwrap_or(usize::MAX);
     let challenge = da.sample_challenge(n, sample_size.min(n));
     stats.final_sample_size = challenge.len();
-    let mut missing = Vec::new();
-    let mut invalid = Vec::new();
-    let mut sampled = Vec::new();
-    for &idx in &challenge.indices {
-        let pos = idx as u64;
-        sampled.push(pos);
-        enum Last {
-            Missing,
-            Invalid,
-        }
-        let mut last = Last::Missing;
-        let mut ok = false;
-        for round in 0..max_rounds {
+    let sampled: Vec<u64> = challenge.indices.iter().map(|&i| i as u64).collect();
+    // Per position: `None` once its block verified, otherwise whether its
+    // last retrieve came back empty.
+    let mut open: Vec<Option<bool>> = vec![Some(true); sampled.len()];
+    for round in 0..max_rounds {
+        let mut slots = Vec::new();
+        let mut blocks = Vec::new();
+        for ((slot, &pos), state) in sampled.iter().enumerate().zip(open.iter_mut()) {
+            if state.is_none() {
+                continue;
+            }
             if round > 0 {
                 stats.transient_faults += 1;
             }
             stats.audit_rounds += 1;
-            match transport.rpc_retrieve(owner.identity(), pos) {
-                None => last = Last::Missing,
-                Some(bytes) => match SignedBlock::from_wire(&bytes) {
-                    Ok(block) if block.verify_at(pos, da.credential().key(), owner.public()) => {
-                        ok = true;
-                        break;
-                    }
-                    Ok(_) | Err(_) => last = Last::Invalid,
-                },
+            let bytes = transport.rpc_retrieve(owner.identity(), pos);
+            if let Some(block) = bytes
+                .as_deref()
+                .and_then(|b| SignedBlock::from_wire(b).ok())
+            {
+                if block.block().index() == pos {
+                    slots.push(slot);
+                    blocks.push(block);
+                }
+            }
+            *state = Some(bytes.is_none());
+        }
+        let failed = audit_blocks(da.credential().key(), owner.public(), &blocks).failed;
+        for (k, slot) in slots.into_iter().enumerate() {
+            if failed.binary_search(&k).is_err() {
+                open[slot] = None;
             }
         }
-        if !ok {
-            match last {
-                Last::Missing => missing.push(pos),
-                Last::Invalid => invalid.push(pos),
-            }
+        if open.iter().all(Option::is_none) {
+            break;
+        }
+    }
+    let (mut missing, mut invalid) = (Vec::new(), Vec::new());
+    for (&pos, state) in sampled.iter().zip(&open) {
+        match state {
+            Some(true) => missing.push(pos),
+            Some(false) => invalid.push(pos),
+            None => {}
         }
     }
     stats.virtual_elapsed_ms = transport.clock().now_ms().saturating_sub(start_ms);

@@ -3,16 +3,22 @@
 
 use std::collections::HashSet;
 
+use seccloud::cloudsim::behavior::Behavior;
+use seccloud::cloudsim::CloudServer;
 use seccloud::core::computation::{
-    verify_response, verify_response_batched, AuditChallenge, AuditResponse, Commitment,
-    CommitmentSession, ComputationRequest, ComputeFunction, RequestItem,
+    leaf_bytes, root_signature_message, verify_response, AuditChallenge, AuditFailure,
+    AuditOutcome, AuditResponse, Commitment, CommitmentSession, ComputationRequest,
+    ComputeFunction, RequestItem,
 };
-use seccloud::core::storage::DataBlock;
+use seccloud::core::storage::{audit_blocks, DataBlock, SignedBlock};
 use seccloud::core::warrant::{Warrant, WarrantError};
 use seccloud::core::{CloudUser, Sio, VerifierCredential};
 use seccloud::hash::HmacDrbg;
-use seccloud::ibs::DesignatedSignature;
-use seccloud::pairing::{Fr, G1};
+use seccloud::ibs::{verify_individually, BatchItem, BatchVerifier, DesignatedSignature};
+use seccloud::pairing::{params, FieldElement, Fp12, Fr, G1};
+use seccloud::registry::EpochVerifier;
+use seccloud::testkit::forall::forall_with;
+use seccloud::testkit::{algebraic_faults, AlgebraicFault, Config, Tape};
 
 struct World {
     sio: Sio,
@@ -60,23 +66,76 @@ fn commit(w: &World) -> (Commitment, CommitmentSession) {
     .unwrap()
 }
 
-/// The batched accept-check over the same inputs as `verify_response`.
-fn batched_accepts(
+/// Algorithm 1 one signature at a time: each designated signature costs
+/// its own pairing. This is the reference `verify_response` must agree
+/// with, restated from the paper rather than taken from the crate.
+fn per_item_outcome(
+    w: &World,
+    request: &ComputationRequest,
+    challenge: &AuditChallenge,
+    commitment: &Commitment,
+    response: &AuditResponse,
+) -> AuditOutcome {
+    let (da, owner, signer) = (w.da.key(), w.user.public(), w.cs.signer_public());
+    let root_msg = root_signature_message(&commitment.root, &request.digest());
+    let root_sig_ok = commitment.server_identity == signer.identity()
+        && commitment.root_sig.verify(da, signer, &root_msg);
+    let check = |slot: usize, index: usize| -> Result<(), AuditFailure> {
+        let item = response.items.get(slot).ok_or(AuditFailure::Missing)?;
+        let req = request.items.get(index).ok_or(AuditFailure::Missing)?;
+        if item.item_index != index {
+            return Err(AuditFailure::Missing);
+        }
+        let at: Vec<u64> = item.inputs.iter().map(|b| b.block().index()).collect();
+        if at != req.positions {
+            return Err(AuditFailure::WrongPositions);
+        }
+        if !item.inputs.iter().all(|b| b.verify(da, owner)) {
+            return Err(AuditFailure::BadSignature);
+        }
+        let values: Vec<u64> = item
+            .inputs
+            .iter()
+            .flat_map(|b| b.block().values())
+            .collect();
+        let expected = req.function.eval(&values);
+        if expected != item.claimed_y {
+            return Err(AuditFailure::WrongResult {
+                expected,
+                claimed: item.claimed_y,
+            });
+        }
+        if commitment.results.get(index) != Some(&item.claimed_y) {
+            return Err(AuditFailure::CommitmentMismatch);
+        }
+        let leaf = leaf_bytes(index, &req.positions, item.claimed_y);
+        if !item.path.verify(&commitment.root, &leaf, index) {
+            return Err(AuditFailure::BadPath);
+        }
+        Ok(())
+    };
+    AuditOutcome {
+        root_sig_ok,
+        nonce_ok: response.nonce == challenge.nonce,
+        failures: challenge
+            .indices
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, &index)| check(slot, index).err().map(|f| (index, f)))
+            .collect(),
+        checked: challenge.indices.len(),
+    }
+}
+
+/// Whether the per-signature reference accepts.
+fn individually_accepts(
     w: &World,
     request: &ComputationRequest,
     challenge: &AuditChallenge,
     commitment: &Commitment,
     response: &AuditResponse,
 ) -> bool {
-    verify_response_batched(
-        w.da.key(),
-        w.user.public(),
-        w.cs.signer_public(),
-        request,
-        challenge,
-        commitment,
-        response,
-    )
+    per_item_outcome(w, request, challenge, commitment, response).is_valid()
 }
 
 /// The scheme's public challenge hash `h = H2(U ‖ m)`.
@@ -106,7 +165,7 @@ fn replayed_root_signature_from_another_request_fails() {
         !outcome.root_sig_ok,
         "Sig(R) is bound to the request digest"
     );
-    assert!(!batched_accepts(
+    assert!(!individually_accepts(
         &w,
         &other,
         &challenge,
@@ -141,7 +200,7 @@ fn commitment_root_swapped_with_another_trees_root() {
     );
     // Both the root signature (signed over the old root) and paths break.
     assert!(!outcome.is_valid());
-    assert!(!batched_accepts(
+    assert!(!individually_accepts(
         &w,
         &w.request,
         &challenge,
@@ -183,7 +242,7 @@ fn cross_user_signature_substitution_fails() {
         .failures
         .iter()
         .any(|(_, f)| matches!(f, seccloud::core::computation::AuditFailure::BadSignature)));
-    assert!(!batched_accepts(
+    assert!(!individually_accepts(
         &w,
         &w.request,
         &challenge,
@@ -232,7 +291,9 @@ fn batched_and_individual_verification_agree_on_tampered_responses() {
     let challenge = AuditChallenge::from_indices(vec![0, 2]);
     let good = session.respond(&challenge).unwrap();
 
-    // Matrix of tampers; each must be rejected by both verifiers.
+    // Matrix of tampers; `verify_response` (one batched pairing, per-item
+    // checks only to locate a failure) must reject each with the outcome
+    // the per-signature reference gives.
     let mut tampered = Vec::new();
     {
         let mut r = good.clone();
@@ -272,10 +333,11 @@ fn batched_and_individual_verification_agree_on_tampered_responses() {
             &commitment,
             response,
         );
-        assert!(!outcome.is_valid(), "individual verifier missed: {label}");
-        assert!(
-            !batched_accepts(&w, &w.request, &challenge, &commitment, response),
-            "batched verifier missed: {label}"
+        assert!(!outcome.is_valid(), "batched verifier missed: {label}");
+        assert_eq!(
+            outcome,
+            per_item_outcome(&w, &w.request, &challenge, &commitment, response),
+            "batched and per-item outcomes differ: {label}"
         );
     }
 
@@ -290,7 +352,7 @@ fn batched_and_individual_verification_agree_on_tampered_responses() {
         &good,
     )
     .is_valid());
-    assert!(batched_accepts(
+    assert!(individually_accepts(
         &w,
         &w.request,
         &challenge,
@@ -380,4 +442,196 @@ fn foreign_system_parameters_are_useless() {
     let fake_da = foreign.register_verifier("da");
     let block = &w.stored[0];
     assert!(!block.verify(fake_da.key(), w.user.public()));
+}
+
+/// Cases per algebraic-fault property: each case costs a few dozen
+/// pairings, so the count stays below the runner's default of 200.
+const ALGEBRAIC_CASES: usize = 48;
+
+fn algebraic_config() -> Config {
+    Config {
+        cases: ALGEBRAIC_CASES,
+        tape_len: 64,
+        ..Config::from_env()
+    }
+}
+
+/// `blocks` with a fault plan applied to their designations for
+/// `target` (the other designee is `other`).
+fn faulted(
+    blocks: &[SignedBlock],
+    plan: &[(usize, AlgebraicFault)],
+    target: &str,
+    other: &str,
+) -> Vec<SignedBlock> {
+    let mut out = blocks.to_vec();
+    for &(slot, fault) in plan {
+        out[slot] = fault.apply(&out[slot], target, other);
+    }
+    out
+}
+
+/// The DA-designated batch items of `blocks` (a block without a DA
+/// designation contributes none).
+fn da_items(w: &World, blocks: &[SignedBlock]) -> Vec<BatchItem> {
+    blocks
+        .iter()
+        .filter_map(|b| {
+            Some(BatchItem {
+                signer: w.user.public().clone(),
+                message: b.block().signed_message(),
+                signature: b.designation_for("da")?.clone(),
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn batch_verifier_accepts_iff_every_item_verifies() {
+    let w = world();
+    forall_with(
+        "batch-verifier-under-algebraic-faults",
+        &algebraic_config(),
+        |t: &mut Tape| algebraic_faults(t, w.stored.len()),
+        |plan| {
+            let items = da_items(&w, &faulted(&w.stored, plan, "da", "cs"));
+            let mut batch = BatchVerifier::new();
+            for item in &items {
+                batch.push_item(item);
+            }
+            let individually = verify_individually(&items, w.da.key()).is_none();
+            // The subgroup test against the plain r-power oracle.
+            let outside_mu_r = items.iter().any(|i| {
+                let sigma = i.signature.sigma().as_fp12();
+                sigma.is_zero() || sigma.pow_apint(params::r_apint()) != Fp12::one()
+            });
+            if batch.is_poisoned() != outside_mu_r {
+                return Err(format!(
+                    "poisoned = {}, oracle = {outside_mu_r}",
+                    batch.is_poisoned()
+                ));
+            }
+            (batch.verify(w.da.key()) == individually)
+                .then_some(())
+                .ok_or(format!(
+                    "batch disagrees; individually valid = {individually}"
+                ))
+        },
+    );
+}
+
+#[test]
+fn verify_response_matches_the_per_item_path_under_algebraic_faults() {
+    let w = world();
+    let (commitment, session) = commit(&w);
+    let challenge = AuditChallenge::from_indices((0..w.request.len()).collect());
+    let good = session.respond(&challenge).unwrap();
+    let slots: usize = good.items.iter().map(|i| i.inputs.len()).sum();
+    forall_with(
+        "verify-response-under-algebraic-faults",
+        &algebraic_config(),
+        // The last slot is Sig(R).
+        |t: &mut Tape| algebraic_faults(t, slots + 1),
+        |plan| {
+            let mut response = good.clone();
+            let mut commitment = commitment.clone();
+            for &(slot, fault) in plan {
+                if slot == slots {
+                    commitment.root_sig = fault.corrupt(&commitment.root_sig);
+                    continue;
+                }
+                let item = &mut response.items[slot / 2];
+                let block = &mut item.inputs[slot % 2];
+                *block = fault.apply(block, "da", "cs");
+            }
+            let outcome = verify_response(
+                w.da.key(),
+                w.user.public(),
+                w.cs.signer_public(),
+                &w.request,
+                &challenge,
+                &commitment,
+                &response,
+            );
+            let expected = per_item_outcome(&w, &w.request, &challenge, &commitment, &response);
+            (outcome == expected)
+                .then_some(())
+                .ok_or(format!("batched {outcome:?} != per-item {expected:?}"))
+        },
+    );
+}
+
+#[test]
+fn audit_blocks_matches_per_block_verification() {
+    let w = world();
+    forall_with(
+        "audit-blocks-under-algebraic-faults",
+        &algebraic_config(),
+        |t: &mut Tape| algebraic_faults(t, w.stored.len()),
+        |plan| {
+            let blocks = faulted(&w.stored, plan, "da", "cs");
+            let report = audit_blocks(w.da.key(), w.user.public(), &blocks);
+            let expected: Vec<usize> = (0..blocks.len())
+                .filter(|&i| !blocks[i].verify(w.da.key(), w.user.public()))
+                .collect();
+            (report.failed == expected && report.checked == blocks.len())
+                .then_some(())
+                .ok_or(format!(
+                    "report {:?} != per-block {expected:?}",
+                    report.failed
+                ))
+        },
+    );
+}
+
+#[test]
+fn store_public_accepts_exactly_the_blocks_that_verify() {
+    let w = world();
+    forall_with(
+        "store-public-under-algebraic-faults",
+        &algebraic_config(),
+        |t: &mut Tape| algebraic_faults(t, w.stored.len()),
+        |plan| {
+            let mut server = CloudServer::new(&w.sio, "cs", Behavior::Honest, b"algebraic");
+            let blocks = faulted(&w.stored, plan, "cs", "da");
+            let expected: Vec<u64> = blocks
+                .iter()
+                .filter(|b| b.verify(w.cs.key(), w.user.public()))
+                .map(|b| b.block().index())
+                .collect();
+            let accepted = server.store_public(w.user.public(), blocks);
+            let stored: Vec<u64> = (0..w.stored.len() as u64)
+                .filter(|&p| server.retrieve(w.user.identity(), p).is_some())
+                .collect();
+            (accepted == expected.len() && stored == expected)
+                .then_some(())
+                .ok_or(format!("stored {stored:?}, expected {expected:?}"))
+        },
+    );
+}
+
+#[test]
+fn epoch_fold_fails_on_any_bad_item() {
+    let w = world();
+    let keys = [w.da.key().sk_prepared()];
+    forall_with(
+        "epoch-fold-under-algebraic-faults",
+        &algebraic_config(),
+        |t: &mut Tape| algebraic_faults(t, w.stored.len()),
+        |plan| {
+            let items = da_items(&w, &faulted(&w.stored, plan, "da", "cs"));
+            let mut batch = BatchVerifier::new();
+            for item in &items {
+                batch.push_item(item);
+            }
+            let mut epoch = EpochVerifier::new(1, 0);
+            assert!(epoch.fold(0, &batch));
+            let individually = verify_individually(&items, w.da.key()).is_none();
+            (epoch.verify(&keys) == individually)
+                .then_some(())
+                .ok_or(format!(
+                    "epoch disagrees; individually valid = {individually}"
+                ))
+        },
+    );
 }
