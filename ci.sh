@@ -22,6 +22,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier-1 build, plus every workspace binary the steps below run: cargo build --release --workspace =="
 cargo build --release --workspace
 
+echo "== benchmark/ builds against the crates' public API: cargo check (benchmark/Cargo.lock restored) =="
+# The benchmark is its own workspace with a lock that cargo rewrites on
+# every build; check it against the crates as they are, then put the
+# committed lock back byte for byte, on failure too.
+mkdir -p target/benchmark-check
+cp benchmark/Cargo.lock target/benchmark-check/Cargo.lock.committed
+restore_bench_lock() { cp target/benchmark-check/Cargo.lock.committed benchmark/Cargo.lock; }
+trap restore_bench_lock EXIT
+cargo check --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark-check
+restore_bench_lock
+trap - EXIT
+
 echo "== seccloud-lint (token rules + interprocedural taint / panic_path / arith / dispatch / ctflow / vartime / atomics / locks / blocking / deadline) =="
 lint_start=$(date +%s%N)
 ./target/release/seccloud-lint

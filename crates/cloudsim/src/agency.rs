@@ -225,9 +225,9 @@ impl DesignatedAgency {
     /// [`seccloud_parallel::num_threads`] workers.
     ///
     /// This is the *direct* (in-process) batch entry point; over a real wire,
-    /// route batches through `seccloud-resilience`'s `ResilientPool`
-    /// instead, which adds per-server breakers and replica failover so one
-    /// dead endpoint degrades only its own jobs.
+    /// run each job through `seccloud-resilience`'s `run_job_resilient`,
+    /// which retries channel damage and escalates the challenge before it
+    /// issues a verdict.
     ///
     /// # Errors
     ///

@@ -28,16 +28,13 @@ pub enum RpcError {
         /// How long the attempt took before it was abandoned.
         elapsed_ms: u64,
     },
-    /// The endpoint's circuit breaker is open: the call failed fast
-    /// without touching the wire.
-    ChannelUnavailable,
 }
 
 impl RpcError {
     /// Whether retrying this call can plausibly succeed.
     ///
     /// The split is the trust boundary of the whole resilience layer:
-    /// decode failures, timeouts and open breakers are *channel* conditions
+    /// decode failures and timeouts are *channel* conditions
     /// — nothing about them is authenticated, so they carry no evidence
     /// about the server and retrying is sound. [`ServerError`]s are
     /// *authenticated decisions* by the far end (delegated through
@@ -48,7 +45,6 @@ impl RpcError {
             RpcError::Malformed(e) => e.is_transient(),
             RpcError::Server(e) => e.is_transient(),
             RpcError::Timeout { .. } => true,
-            RpcError::ChannelUnavailable => true,
         }
     }
 }
@@ -61,7 +57,6 @@ impl std::fmt::Display for RpcError {
             RpcError::Timeout { elapsed_ms } => {
                 write!(f, "call timed out after {elapsed_ms} ms")
             }
-            RpcError::ChannelUnavailable => write!(f, "circuit breaker open"),
         }
     }
 }

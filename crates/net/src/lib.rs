@@ -22,8 +22,8 @@
 //!   accept loop with per-connection deadlines, bounded admission,
 //!   `SECCLOUD_THREADS`-sized workers, request caps and graceful shutdown;
 //! * [`client`] — [`NetTransport`], a reconnect-on-drop `WireTransport`
-//!   over `TcpStream`, drop-in under `ResilientTransport`, circuit
-//!   breakers and `ResilientPool` with no changes above.
+//!   over `TcpStream`, drop-in under `ResilientTransport` with no changes
+//!   above.
 //!
 //! [`chaos`] adds the adversarial weather: a seeded TCP proxy
 //! ([`ChaosProxy`]) that bit-flips, fragments, cuts, stalls and churns

@@ -90,7 +90,9 @@ pub enum NetResponse {
 // --- error codecs ---------------------------------------------------------
 //
 // Tags are append-only: new variants take the next free tag so old peers
-// reject them as BadTag instead of misparsing.
+// reject them as BadTag instead of misparsing. A retired tag is never
+// reused: `RpcError` tag 3 once carried a breaker-open refusal and now
+// decodes as BadTag.
 
 fn put_wire_error(w: &mut Writer, e: &WireError) {
     match e {
@@ -195,7 +197,6 @@ fn put_rpc_error(w: &mut Writer, e: &RpcError) {
             w.put_u8(2);
             w.put_u64(*elapsed_ms);
         }
-        RpcError::ChannelUnavailable => w.put_u8(3),
     }
 }
 
@@ -206,7 +207,6 @@ fn take_rpc_error(r: &mut Reader<'_>) -> Result<RpcError, WireError> {
         2 => RpcError::Timeout {
             elapsed_ms: r.take_u64()?,
         },
-        3 => RpcError::ChannelUnavailable,
         t => return Err(WireError::BadTag(t)),
     })
 }
@@ -367,7 +367,6 @@ mod tests {
         out.extend(wire.into_iter().map(RpcError::Malformed));
         out.extend(server.into_iter().map(RpcError::Server));
         out.push(RpcError::Timeout { elapsed_ms: 1234 });
-        out.push(RpcError::ChannelUnavailable);
         out
     }
 
@@ -417,6 +416,17 @@ mod tests {
         for resp in cases {
             assert_eq!(NetResponse::from_wire(&resp.to_wire()).unwrap(), resp);
         }
+    }
+
+    #[test]
+    fn retired_rpc_error_tag_is_rejected() {
+        let mut w = Writer::new();
+        w.put_u8(4); // NetResponse::Failed
+        w.put_u8(3); // the retired RpcError tag
+        assert_eq!(
+            NetResponse::from_wire(&w.finish()),
+            Err(WireError::BadTag(3))
+        );
     }
 
     #[test]

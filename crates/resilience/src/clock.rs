@@ -1,10 +1,8 @@
 //! Deterministic virtual time.
 //!
-//! The resilience layer never reads a wall clock: deadlines, backoff waits
-//! and latency charges all advance a [`VirtualClock`], so a recovery
+//! The resilience layer never reads a wall clock: backoff waits advance a
+//! [`VirtualClock`] and the audit budget is measured on it, so a recovery
 //! schedule is a pure function of its seeds and replays bit-for-bit.
-
-use seccloud_hash::HmacDrbg;
 
 /// A monotonically advancing logical clock, in milliseconds.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -29,30 +27,6 @@ impl VirtualClock {
     }
 }
 
-/// A per-call latency model: every RPC attempt charges
-/// `base_ms + uniform[0, jitter_ms]` of virtual time. Attempts whose charge
-/// exceeds the policy's per-call deadline surface as timeouts, which the
-/// transport classifies as transient.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LatencyModel {
-    /// Fixed latency charged to every attempt.
-    pub base_ms: u64,
-    /// Upper bound of the DRBG-drawn additive jitter.
-    pub jitter_ms: u64,
-}
-
-impl LatencyModel {
-    /// Draws one attempt's latency from `drbg`.
-    pub fn sample(&self, drbg: &mut HmacDrbg) -> u64 {
-        let jitter = if self.jitter_ms == 0 {
-            0
-        } else {
-            drbg.next_below(self.jitter_ms + 1)
-        };
-        self.base_ms.saturating_add(jitter)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,31 +40,5 @@ mod tests {
         assert_eq!(c.now_ms(), 15);
         c.advance(u64::MAX);
         assert_eq!(c.now_ms(), u64::MAX, "saturates instead of wrapping");
-    }
-
-    #[test]
-    fn latency_sample_is_bounded_and_deterministic() {
-        let model = LatencyModel {
-            base_ms: 20,
-            jitter_ms: 7,
-        };
-        let draw = |seed: &[u8]| {
-            let mut drbg = HmacDrbg::new(seed);
-            (0..50).map(|_| model.sample(&mut drbg)).collect::<Vec<_>>()
-        };
-        let a = draw(b"lat");
-        assert!(a.iter().all(|&l| (20..=27).contains(&l)));
-        assert_eq!(a, draw(b"lat"), "same seed, same latency stream");
-        assert_ne!(a, draw(b"other"), "different seeds diverge");
-    }
-
-    #[test]
-    fn zero_jitter_is_constant() {
-        let model = LatencyModel {
-            base_ms: 3,
-            jitter_ms: 0,
-        };
-        let mut drbg = HmacDrbg::new(b"zj");
-        assert!((0..10).all(|_| model.sample(&mut drbg) == 3));
     }
 }

@@ -32,6 +32,7 @@ use seccloud_hash::ct_eq;
 use seccloud_merkle::MerkleTree;
 
 use crate::escalation::escalate_sample_size;
+use crate::policy::TOTAL_BUDGET_MS;
 use crate::transport::{Op, ResilientTransport};
 
 /// What one resilient audit cost and discovered along the way.
@@ -50,7 +51,7 @@ pub struct RecoveryStats {
     pub escalations: u64,
     /// The sample size of the last round that ran.
     pub final_sample_size: usize,
-    /// Virtual time consumed, including backoffs and latency.
+    /// Virtual time consumed by backoffs.
     pub virtual_elapsed_ms: u64,
 }
 
@@ -177,7 +178,7 @@ fn rejects_job_handle(e: &RpcError) -> bool {
 /// Runs one computation job to a terminal verdict through a resilient
 /// transport: dispatches the request, audits it, and on anything short of
 /// a pinned conviction escalates the challenge and retries against a fresh
-/// commitment — up to the policy's round and budget limits.
+/// commitment — up to the policy's round limit and the fixed time budget.
 ///
 /// Pre-existing suspicion ([`ResilientTransport::suspicion`]) from earlier
 /// jobs on the same endpoint starts the challenge already escalated.
@@ -191,7 +192,6 @@ pub fn run_job_resilient<T: WireTransport>(
 ) -> AuditResolution {
     let mut stats = RecoveryStats::default();
     let start_ms = transport.clock().now_ms();
-    let budget_ms = transport.policy().total_budget_ms;
     let max_rounds = transport.policy().max_rounds.max(1);
     // Carry suspicion earned on this endpoint into the opening challenge.
     let mut steps = u32::try_from(transport.suspicion()).unwrap_or(u32::MAX);
@@ -204,7 +204,7 @@ pub fn run_job_resilient<T: WireTransport>(
     };
 
     for _round in 0..max_rounds {
-        if transport.clock().now_ms().saturating_sub(start_ms) > budget_ms {
+        if transport.clock().now_ms().saturating_sub(start_ms) > TOTAL_BUDGET_MS {
             let now_ms = transport.clock().now_ms();
             return AuditResolution::Unresolved {
                 reason: "virtual-time budget exhausted".into(),
@@ -500,7 +500,9 @@ mod tests {
         assert_eq!(stats.byzantine_evidence, 1);
         assert_eq!(w.transport.suspicion(), 1, "conviction raises suspicion");
         assert!(
-            !w.transport.breaker_is_open(),
+            w.transport
+                .rpc_compute(w.user.identity(), w.da.identity(), &request().to_wire())
+                .is_ok(),
             "convicted servers stay reachable"
         );
     }

@@ -1,4 +1,4 @@
-//! The resilient audit runtime: retries, deadlines, failover and adaptive
+//! The resilient audit runtime: retries, a time budget and adaptive
 //! challenge escalation for the SecCloud wire protocol.
 //!
 //! The paper's DA "is expected to have enough computational and storage
@@ -10,8 +10,8 @@
 //!
 //! * decode failures, truncation and timeouts are *transient*: the channel
 //!   damaged an unauthenticated byte stream, so the call is retried under a
-//!   [`RetryPolicy`] (exponential backoff with DRBG jitter, per-call
-//!   deadlines, a total audit budget on a deterministic [`VirtualClock`]);
+//!   [`RetryPolicy`] (exponential backoff with DRBG jitter and a total
+//!   audit budget on a deterministic [`VirtualClock`]);
 //! * a response that *authenticates* — `Sig(R)` verifies, the nonce echoes,
 //!   the claimed results are bound into the signed root — and is still
 //!   wrong is *byzantine* evidence. It is never retried; it feeds a
@@ -22,34 +22,30 @@
 //! a verdict — `t' = min(2ˢ·t, n)` squares the paper's `Pr[FCS] = base^t`
 //! escape bound per step (Section VII), capped at a full audit.
 //!
-//! Layered on top, [`ResilientPool`] runs `audit_many` over a pool of
-//! [`ResilientTransport`] endpoints with a per-server [`CircuitBreaker`]:
-//! when a breaker opens the job fails over to replica servers and the batch
-//! reports per-job `Degraded` / `Unreachable` verdicts instead of
-//! poisoning every other job.
+//! That is the DA's one recovery path, as in the paper's Algorithm 1,
+//! where the DA audits one server per job: [`ResilientTransport`] retries
+//! each RPC (tier 1) and [`run_job_resilient`] / [`storage_audit_resilient`]
+//! escalate whole rounds (tier 2). There is no circuit breaker and no
+//! replica failover. A call that exhausts its retries refuses nothing
+//! later, and a job that cannot be decided ends `Unresolved` on its own,
+//! never `Detected`.
 //!
-//! Everything is deterministic: backoff jitter, latency models and
-//! challenge sampling all draw from seeded [`seccloud_hash::HmacDrbg`]
-//! streams, so a failing recovery schedule replays exactly from its seed.
+//! Everything is deterministic: backoff jitter and challenge sampling both
+//! draw from seeded [`seccloud_hash::HmacDrbg`] streams, so a failing
+//! recovery schedule replays exactly from its seed.
 #![forbid(unsafe_code)]
 
-pub mod breaker;
 pub mod clock;
 pub mod driver;
 pub mod escalation;
 pub mod policy;
-pub mod pool;
-pub mod sharded;
 pub mod transport;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use clock::{LatencyModel, VirtualClock};
+pub use clock::VirtualClock;
 pub use driver::{
     commitment_binds_results, run_job_resilient, storage_audit_resilient, AuditResolution,
     RecoveryStats, StorageResolution,
 };
 pub use escalation::escalate_sample_size;
 pub use policy::RetryPolicy;
-pub use pool::{PoolJob, PoolVerdict, ResilientPool};
-pub use sharded::{audit_shards, fold_status, ShardLane, ShardOutcome, ShardStatus};
 pub use transport::{Op, OpStats, ResilientTransport};

@@ -2,31 +2,30 @@
 
 use seccloud_hash::HmacDrbg;
 
+/// Backoff before retry `k` starts at `BASE_BACKOFF_MS · 2^(k-1)`.
+const BASE_BACKOFF_MS: u64 = 10;
+/// Ceiling on the exponential backoff.
+const MAX_BACKOFF_MS: u64 = 2_000;
+/// Upper bound of the DRBG jitter added to every backoff (decorrelates
+/// retry storms across endpoints while staying replayable).
+const JITTER_MS: u64 = 5;
+/// Total virtual-time budget for one audit, backoffs included.
+pub(crate) const TOTAL_BUDGET_MS: u64 = 60_000;
+
 /// Governs how hard the resilience layer fights for one audit.
 ///
 /// Two nested loops consume it: the transport retries *one RPC* up to
 /// [`max_attempts`](RetryPolicy::max_attempts) times (tier 1, structural
 /// damage), and the audit driver re-runs *whole challenge rounds* up to
 /// [`max_rounds`](RetryPolicy::max_rounds) times (tier 2, semantic damage),
-/// all under one `total_budget_ms` of virtual time.
+/// all under one fixed budget of virtual time. Backoff, jitter and the
+/// budget are fixed; only the two loop bounds are settings.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Attempts per RPC call (including the first).
     pub max_attempts: u32,
     /// Challenge rounds per audit (including the first).
     pub max_rounds: u32,
-    /// Backoff before retry `k` starts at `base_backoff_ms · 2^(k-1)`.
-    pub base_backoff_ms: u64,
-    /// Ceiling on the exponential backoff.
-    pub max_backoff_ms: u64,
-    /// Upper bound of the DRBG jitter added to every backoff (decorrelates
-    /// retry storms across endpoints while staying replayable).
-    pub jitter_ms: u64,
-    /// Per-attempt deadline: an attempt whose modeled latency exceeds this
-    /// is a timeout (transient).
-    pub call_timeout_ms: u64,
-    /// Total virtual-time budget for one audit, backoffs included.
-    pub total_budget_ms: u64,
 }
 
 impl Default for RetryPolicy {
@@ -34,76 +33,53 @@ impl Default for RetryPolicy {
         Self {
             max_attempts: 4,
             max_rounds: 4,
-            base_backoff_ms: 10,
-            max_backoff_ms: 2_000,
-            jitter_ms: 5,
-            call_timeout_ms: 1_000,
-            total_budget_ms: 60_000,
         }
     }
 }
 
-impl RetryPolicy {
-    /// The backoff charged before retry attempt `attempt` (1-based: the
-    /// wait after the first failure is `backoff_ms(1, …)`), exponential
-    /// with a cap plus DRBG jitter.
-    pub fn backoff_ms(&self, attempt: u32, drbg: &mut HmacDrbg) -> u64 {
-        let exp = attempt.saturating_sub(1).min(32);
-        let raw = self
-            .base_backoff_ms
-            .saturating_mul(1u64.checked_shl(exp).unwrap_or(u64::MAX))
-            .min(self.max_backoff_ms);
-        let jitter = if self.jitter_ms == 0 {
-            0
-        } else {
-            drbg.next_below(self.jitter_ms + 1)
-        };
-        raw.saturating_add(jitter)
-    }
+/// The backoff charged before retry attempt `attempt` (1-based: the wait
+/// after the first failure is `backoff_ms(1, …)`), exponential with a cap
+/// plus DRBG jitter.
+pub(crate) fn backoff_ms(attempt: u32, drbg: &mut HmacDrbg) -> u64 {
+    let exp = attempt.saturating_sub(1).min(32);
+    let raw = BASE_BACKOFF_MS
+        .saturating_mul(1u64.checked_shl(exp).unwrap_or(u64::MAX))
+        .min(MAX_BACKOFF_MS);
+    raw.saturating_add(drbg.next_below(JITTER_MS.saturating_add(1)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn no_jitter() -> RetryPolicy {
-        RetryPolicy {
-            jitter_ms: 0,
-            ..RetryPolicy::default()
-        }
-    }
-
     #[test]
     fn backoff_grows_exponentially_until_the_cap() {
-        let p = no_jitter();
         let mut drbg = HmacDrbg::new(b"bk");
-        assert_eq!(p.backoff_ms(1, &mut drbg), 10);
-        assert_eq!(p.backoff_ms(2, &mut drbg), 20);
-        assert_eq!(p.backoff_ms(3, &mut drbg), 40);
-        assert_eq!(p.backoff_ms(9, &mut drbg), 2_000, "capped at max_backoff");
-        assert_eq!(p.backoff_ms(64, &mut drbg), 2_000, "shift exponent capped");
+        for (attempt, raw) in [(1, 10), (2, 20), (3, 40), (9, 2_000), (64, 2_000)] {
+            let wait = backoff_ms(attempt, &mut drbg);
+            assert!(
+                (raw..=raw + JITTER_MS).contains(&wait),
+                "attempt {attempt}: {wait}"
+            );
+        }
     }
 
     #[test]
     fn jitter_is_bounded_and_seed_deterministic() {
-        let p = RetryPolicy {
-            jitter_ms: 9,
-            ..RetryPolicy::default()
-        };
         let draw = |seed: &[u8]| {
             let mut drbg = HmacDrbg::new(seed);
             (1..30)
-                .map(|a| p.backoff_ms(a, &mut drbg))
+                .map(|a| backoff_ms(a, &mut drbg))
                 .collect::<Vec<_>>()
         };
         let a = draw(b"j1");
         for (i, &b) in a.iter().enumerate() {
-            let base = p
-                .base_backoff_ms
+            let base = BASE_BACKOFF_MS
                 .saturating_mul(1 << (i as u32).min(32))
-                .min(p.max_backoff_ms);
-            assert!((base..=base + 9).contains(&b), "attempt {i}: {b}");
+                .min(MAX_BACKOFF_MS);
+            assert!((base..=base + JITTER_MS).contains(&b), "attempt {i}: {b}");
         }
         assert_eq!(a, draw(b"j1"));
+        assert_ne!(a, draw(b"j2"), "different seeds draw different jitter");
     }
 }

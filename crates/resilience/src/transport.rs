@@ -1,4 +1,4 @@
-//! Tier-1 resilience: a retrying, breaker-gated [`WireTransport`] wrapper.
+//! Tier-1 resilience: a retrying [`WireTransport`] wrapper.
 //!
 //! [`ResilientTransport`] sits between the protocol logic and a raw
 //! channel. Each RPC is retried under the [`RetryPolicy`] whenever the
@@ -14,11 +14,11 @@
 //! * responses that decode but fail *verification* — those reach the audit
 //!   driver (tier 2), which decides between escalation and conviction.
 //!
-//! A per-endpoint [`CircuitBreaker`] watches final call outcomes (not
-//! individual attempts) and fails fast while open, so a dead server cannot
-//! stall a whole audit batch. Byzantine evidence is tracked separately via
-//! [`ResilientTransport::note_byzantine`] and never trips the breaker: a
-//! lying server must stay reachable to be convicted.
+//! Every call reaches the wire: a call that exhausted its retries leaves
+//! no state behind that refuses the next one, so an endpoint whose channel
+//! heals is served again at once, and a lying server stays reachable to be
+//! convicted. Byzantine evidence is tracked separately via
+//! [`ResilientTransport::note_byzantine`].
 
 use seccloud_cloudsim::rpc::{RpcError, WireTransport};
 use seccloud_cloudsim::server::ServerError;
@@ -28,9 +28,8 @@ use seccloud_core::wire::{Reader, WireMessage};
 use seccloud_hash::HmacDrbg;
 use seccloud_ibs::{UserPublic, VerifierPublic};
 
-use crate::breaker::{BreakerConfig, CircuitBreaker};
-use crate::clock::{LatencyModel, VirtualClock};
-use crate::policy::RetryPolicy;
+use crate::clock::VirtualClock;
+use crate::policy::{backoff_ms, RetryPolicy};
 
 /// The four wire endpoints, as stat buckets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,19 +78,17 @@ enum Attempt<T> {
     Fatal(RpcError),
 }
 
-/// A [`WireTransport`] that retries structural damage, charges virtual
-/// latency, and fails fast behind a circuit breaker.
+/// A [`WireTransport`] that retries structural damage with backoff on a
+/// virtual clock.
 ///
-/// All nondeterminism (backoff jitter, latency draws) comes from a seeded
-/// [`HmacDrbg`] over a [`VirtualClock`], so a recovery schedule replays
-/// bit-for-bit from its seed.
+/// All nondeterminism (backoff jitter) comes from a seeded [`HmacDrbg`]
+/// over a [`VirtualClock`], so a recovery schedule replays bit-for-bit
+/// from its seed.
 pub struct ResilientTransport<T> {
     inner: T,
     policy: RetryPolicy,
     clock: VirtualClock,
     drbg: HmacDrbg,
-    latency: Option<LatencyModel>,
-    breaker: CircuitBreaker,
     stats: [OpStats; 4],
 }
 
@@ -99,37 +96,22 @@ impl<T> std::fmt::Debug for ResilientTransport<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResilientTransport")
             .field("clock", &self.clock)
-            .field("breaker", &self.breaker)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }
 
 impl<T: WireTransport> ResilientTransport<T> {
-    /// Wraps `inner` with `policy`, seeding the jitter/latency DRBG from
-    /// `seed`. The virtual clock starts at zero and no latency is modeled
-    /// until [`set_latency`](Self::set_latency).
+    /// Wraps `inner` with `policy`, seeding the jitter DRBG from `seed`.
+    /// The virtual clock starts at zero.
     pub fn new(inner: T, policy: RetryPolicy, seed: &[u8]) -> Self {
         Self {
             inner,
             policy,
             clock: VirtualClock::new(0),
             drbg: HmacDrbg::new(seed),
-            latency: None,
-            breaker: CircuitBreaker::new(BreakerConfig::default()),
             stats: [OpStats::default(); 4],
         }
-    }
-
-    /// Replaces the breaker configuration (resets the breaker to Closed).
-    pub fn set_breaker(&mut self, config: BreakerConfig) {
-        self.breaker = CircuitBreaker::new(config);
-    }
-
-    /// Installs a per-attempt latency model; attempts whose drawn latency
-    /// exceeds the policy's `call_timeout_ms` become transient timeouts.
-    pub fn set_latency(&mut self, latency: Option<LatencyModel>) {
-        self.latency = latency;
     }
 
     /// The retry policy in force.
@@ -140,16 +122,6 @@ impl<T: WireTransport> ResilientTransport<T> {
     /// The transport's virtual clock.
     pub fn clock(&self) -> &VirtualClock {
         &self.clock
-    }
-
-    /// The per-server circuit breaker.
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
-
-    /// Whether the breaker is refusing traffic right now.
-    pub fn breaker_is_open(&self) -> bool {
-        self.breaker.is_open(self.clock.now_ms())
     }
 
     /// Counters for one endpoint.
@@ -164,8 +136,7 @@ impl<T: WireTransport> ResilientTransport<T> {
         self.stats.iter().map(|s| s.byzantine_marks).sum()
     }
 
-    /// Records authenticated misbehaviour against `op`. Deliberately does
-    /// **not** touch the breaker — see the module docs.
+    /// Records authenticated misbehaviour against `op`.
     pub fn note_byzantine(&mut self, op: Op) {
         if let Some(s) = self.stats.get_mut(op.idx()) {
             s.byzantine_marks += 1;
@@ -187,72 +158,41 @@ impl<T: WireTransport> ResilientTransport<T> {
         self.inner
     }
 
-    /// Charges one attempt's latency; returns `Err(Timeout)` when the draw
-    /// exceeds the per-call deadline (the full latency is still charged —
-    /// the caller waited that long to find out).
-    fn charge_latency(&mut self) -> Result<(), RpcError> {
-        let Some(model) = self.latency else {
-            return Ok(());
-        };
-        let elapsed_ms = model.sample(&mut self.drbg);
-        self.clock.advance(elapsed_ms);
-        if elapsed_ms > self.policy.call_timeout_ms {
-            Err(RpcError::Timeout { elapsed_ms })
-        } else {
-            Ok(())
-        }
-    }
-
     /// The shared retry loop: run `attempt` up to `max_attempts` times with
-    /// exponential backoff between transient failures, then report the
-    /// final outcome to the breaker.
+    /// exponential backoff between transient failures.
     fn call<R>(
         &mut self,
         op: Op,
         mut attempt: impl FnMut(&mut T) -> Attempt<R>,
     ) -> Result<R, RpcError> {
-        if !self.breaker.allow(self.clock.now_ms()) {
-            if let Some(s) = self.stats.get_mut(op.idx()) {
-                s.transient_faults += 1;
-            }
-            return Err(RpcError::ChannelUnavailable);
-        }
-        let mut last = RpcError::ChannelUnavailable;
-        for attempt_no in 1..=self.policy.max_attempts.max(1) {
-            if attempt_no > 1 {
-                let wait = self.policy.backoff_ms(attempt_no - 1, &mut self.drbg);
-                self.clock.advance(wait);
-            }
+        let max_attempts = self.policy.max_attempts.max(1);
+        let mut attempt_no = 1;
+        loop {
             if let Some(s) = self.stats.get_mut(op.idx()) {
                 s.attempts += 1;
             }
-            let outcome = match self.charge_latency() {
-                Err(timeout) => Attempt::Transient(timeout),
-                Ok(()) => attempt(&mut self.inner),
-            };
-            match outcome {
+            match attempt(&mut self.inner) {
                 Attempt::Ok(value) => {
                     if let Some(s) = self.stats.get_mut(op.idx()) {
                         s.successes += 1;
                     }
-                    self.breaker.on_success();
                     return Ok(value);
                 }
                 Attempt::Transient(e) => {
                     if let Some(s) = self.stats.get_mut(op.idx()) {
                         s.transient_faults += 1;
                     }
-                    last = e;
+                    if attempt_no >= max_attempts {
+                        return Err(e);
+                    }
                 }
-                Attempt::Fatal(e) => {
-                    // An authenticated server decision: not the channel's
-                    // fault, so the breaker stays untouched.
-                    return Err(e);
-                }
+                // An authenticated server decision: retrying cannot change it.
+                Attempt::Fatal(e) => return Err(e),
             }
+            let wait = backoff_ms(attempt_no, &mut self.drbg);
+            self.clock.advance(wait);
+            attempt_no += 1;
         }
-        self.breaker.on_failure(self.clock.now_ms());
-        Err(last)
     }
 }
 
@@ -562,31 +502,34 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_retries_trip_the_breaker_and_fail_fast() {
+    fn exhausted_retries_leave_the_transport_serving() {
+        let burst = 3 * RetryPolicy::default().max_attempts;
         let mut flaky = canned();
-        flaky.fail_next = u32::MAX; // never heals
+        flaky.fail_next = burst;
         let mut rt = wrap(flaky);
-        rt.set_breaker(BreakerConfig {
-            failure_threshold: 2,
-            cooloff_ms: 1_000_000,
-            max_cooloff_ms: 1_000_000,
-        });
-        let per_call = rt.policy().max_attempts;
-        assert!(rt.rpc_compute("a", "d", b"").is_err());
-        assert!(rt.rpc_compute("a", "d", b"").is_err());
-        assert!(rt.breaker_is_open());
-        let attempts_before = rt.stats(Op::Compute).attempts;
-        assert_eq!(attempts_before, u64::from(per_call) * 2);
-        assert_eq!(
-            rt.rpc_compute("a", "d", b"").unwrap_err(),
-            RpcError::ChannelUnavailable,
-            "open breaker fails fast"
-        );
-        assert_eq!(
-            rt.stats(Op::Compute).attempts,
-            attempts_before,
-            "no wire traffic while open"
-        );
+        for _ in 0..3 {
+            assert!(rt.rpc_compute("a", "d", b"").is_err());
+        }
+        assert_eq!(rt.inner().calls, burst);
+        let (job_id, _) = rt
+            .rpc_compute("a", "d", b"")
+            .expect("the healed channel is served again");
+        assert_eq!(job_id, 7);
+        assert_eq!(rt.inner().calls, burst + 1, "the call reached the wire");
+
+        // `None` from retrieve is the server's own "no such block": it is
+        // returned for a missing block and for nothing else, not even
+        // after a burst that exhausted every retry.
+        rt.inner_mut().fail_next = burst;
+        for _ in 0..3 {
+            let damaged = rt.rpc_retrieve("alice", 0).expect("damage is not absence");
+            assert!(SignedBlock::from_wire(&damaged).is_err());
+        }
+        let block = rt
+            .rpc_retrieve("alice", 0)
+            .expect("the healed channel serves");
+        assert!(SignedBlock::from_wire(&block).is_ok());
+        assert!(rt.rpc_retrieve("alice", 99).is_none());
     }
 
     #[test]
@@ -611,33 +554,13 @@ mod tests {
     }
 
     #[test]
-    fn byzantine_marks_raise_suspicion_without_touching_the_breaker() {
+    fn byzantine_marks_raise_suspicion() {
         let mut rt = wrap(canned());
         assert_eq!(rt.suspicion(), 0);
         rt.note_byzantine(Op::Audit);
         rt.note_byzantine(Op::Audit);
         assert_eq!(rt.suspicion(), 2);
         assert_eq!(rt.stats(Op::Audit).byzantine_marks, 2);
-        assert!(!rt.breaker_is_open(), "liars stay reachable");
-    }
-
-    #[test]
-    fn latency_over_deadline_becomes_a_transient_timeout() {
-        let mut rt = wrap(canned());
-        rt.policy.call_timeout_ms = 10;
-        rt.set_latency(Some(LatencyModel {
-            base_ms: 50,
-            jitter_ms: 0,
-        }));
-        let err = rt.rpc_compute("a", "d", b"").unwrap_err();
-        assert!(matches!(err, RpcError::Timeout { elapsed_ms: 50 }));
-        assert!(err.is_transient());
-        assert_eq!(
-            rt.inner().calls,
-            0,
-            "timed-out attempts never reach the server"
-        );
-        assert!(rt.clock().now_ms() >= 200, "latency was still charged");
     }
 
     #[test]
@@ -646,10 +569,6 @@ mod tests {
             let mut flaky = canned();
             flaky.fail_next = 3;
             let mut rt = ResilientTransport::new(flaky, RetryPolicy::default(), b"det");
-            rt.set_latency(Some(LatencyModel {
-                base_ms: 5,
-                jitter_ms: 4,
-            }));
             rt.rpc_compute("a", "d", b"").unwrap();
             (rt.clock().now_ms(), rt.stats(Op::Compute))
         };

@@ -159,7 +159,7 @@ impl<T: WireTransport> FaultyChannel<T> {
     /// after which the channel turns clean. This is the recovery-mode
     /// schedule: a finite burst that a correct retry layer must mask
     /// completely, where [`set_forced`](Self::set_forced) models a
-    /// permanently dead path that must trip the breaker instead.
+    /// permanently dead path that must end the audit `Unresolved` instead.
     pub fn set_forced_burst(&mut self, endpoint: Endpoint, kind: FaultKind, count: u32) {
         self.forced = Some((endpoint, kind));
         self.forced_burst = Some(count);

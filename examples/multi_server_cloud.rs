@@ -200,7 +200,6 @@ mod net {
             let policy = RetryPolicy {
                 max_attempts: 6,
                 max_rounds: 6,
-                ..RetryPolicy::default()
             };
             let transport = ResilientTransport::new(client, policy, &(i as u64).to_be_bytes());
             stacks.push((net, proxy, transport));

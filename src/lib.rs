@@ -22,8 +22,7 @@
 //! * [`testkit`] — deterministic fault injection over the wire endpoints
 //!   plus a seed-replayable property-test runner with shrinking.
 //! * [`resilience`] — the resilient audit runtime: retries with backoff
-//!   over a deterministic virtual clock, per-server circuit breakers,
-//!   pool-level failover, and adaptive challenge escalation.
+//!   over a deterministic virtual clock and adaptive challenge escalation.
 //! * [`registry`] — the epoch-sharded multi-tenant user registry with
 //!   per-shard Merkle set commitments and cross-user batch verification
 //!   fused into a single Miller loop (paper eqs. 8–9 at fleet scale).

@@ -561,6 +561,97 @@ fn verify_response_matches_the_per_item_path_under_algebraic_faults() {
     );
 }
 
+/// A Merkle path that decodes and type-checks but does not authenticate
+/// its leaf: the wrong depth, a sibling on the wrong side, or a path that
+/// is genuine for another leaf.
+#[derive(Clone, Copy, Debug)]
+enum PathFault {
+    /// The last sibling dropped.
+    OneShort,
+    /// One sibling too many.
+    OneLong,
+    /// The side flag of sibling `level` flipped.
+    FlippedSide { level: usize },
+    /// The path of challenged index `other`.
+    OtherIndex { other: usize },
+}
+
+/// Zero or more faulted indices out of `0..n`, each with one fault
+/// (`n ≥ 2`, so another challenged index always exists).
+fn path_faults(t: &mut Tape, n: usize, depth: usize) -> Vec<(usize, PathFault)> {
+    (0..n)
+        .filter_map(|index| {
+            let fault = match t.next_below(8) {
+                0 => PathFault::OneShort,
+                1 => PathFault::OneLong,
+                2 => PathFault::FlippedSide {
+                    level: t.next_below(depth as u64) as usize,
+                },
+                3 => PathFault::OtherIndex {
+                    other: (index + 1 + t.next_below(n as u64 - 1) as usize) % n,
+                },
+                _ => return None,
+            };
+            Some((index, fault))
+        })
+        .collect()
+}
+
+/// Path faults surface exactly where they were planted: each faulted index
+/// fails as `BadPath`, and every other item, the root signature and the
+/// nonce pass as on the untouched response.
+#[test]
+fn verify_response_reports_exactly_the_faulted_merkle_paths() {
+    let w = world();
+    let (commitment, session) = commit(&w);
+    let n = w.request.len();
+    let challenge = AuditChallenge::from_indices((0..n).collect());
+    let good = session.respond(&challenge).unwrap();
+    let depth = good.items[0].path.len();
+    assert!(n >= 2 && depth >= 1 && good.items.iter().all(|i| i.path.len() == depth));
+    forall_with(
+        "verify-response-under-merkle-path-faults",
+        &algebraic_config(),
+        |t: &mut Tape| path_faults(t, n, depth),
+        |plan| {
+            let mut response = good.clone();
+            for &(index, fault) in plan {
+                let path = &mut response.items[index].path;
+                match fault {
+                    PathFault::OneShort => {
+                        path.siblings_mut().pop();
+                    }
+                    PathFault::OneLong => path.siblings_mut().push(([0x5a; 32], false)),
+                    PathFault::FlippedSide { level } => {
+                        let side = &mut path.siblings_mut()[level].1;
+                        *side = !*side;
+                    }
+                    PathFault::OtherIndex { other } => *path = good.items[other].path.clone(),
+                }
+            }
+            let outcome = verify_response(
+                w.da.key(),
+                w.user.public(),
+                w.cs.signer_public(),
+                &w.request,
+                &challenge,
+                &commitment,
+                &response,
+            );
+            let expected: Vec<(usize, AuditFailure)> = plan
+                .iter()
+                .map(|&(index, _)| (index, AuditFailure::BadPath))
+                .collect();
+            (outcome.root_sig_ok
+                && outcome.nonce_ok
+                && outcome.checked == n
+                && outcome.failures == expected)
+                .then_some(())
+                .ok_or(format!("plan {plan:?}: {outcome:?}"))
+        },
+    );
+}
+
 #[test]
 fn audit_blocks_matches_per_block_verification() {
     let w = world();

@@ -16,7 +16,8 @@
 //! * the recovery sweep: the same fault kinds as finite bursts against the
 //!   `seccloud::resilience` runtime — honest servers recover with zero
 //!   spurious failures, cheaters stay detected, schedules replay from
-//!   `SECCLOUD_TESTKIT_SEED`, and pool failover degrades per job.
+//!   `SECCLOUD_TESTKIT_SEED`, and a burst that exhausts every retry of
+//!   several calls costs only the job it lands on.
 //!
 //! Run with `--nocapture` to see the sweep matrix (reproduced in
 //! EXPERIMENTS.md).
@@ -35,10 +36,8 @@ use seccloud::core::warrant::Warrant;
 use seccloud::core::wire::WireMessage;
 use seccloud::core::{CloudUser, Sio};
 use seccloud::ibs::VerifierPublic;
-use seccloud::registry::{CommitmentCheck, UserRegistry};
 use seccloud::resilience::{
-    audit_shards, run_job_resilient, storage_audit_resilient, AuditResolution, PoolJob,
-    PoolVerdict, ResilientPool, ResilientTransport, RetryPolicy, ShardLane, ShardStatus,
+    run_job_resilient, storage_audit_resilient, AuditResolution, ResilientTransport, RetryPolicy,
 };
 use seccloud::testkit::{cases_from_env, seed_from_env, Endpoint, FaultKind, FaultyChannel};
 
@@ -513,8 +512,8 @@ fn replayed_audit_response_fails_fresh_challenge() {
 // recovery: typed errors and spurious detections. This section asserts the
 // recovery contract of `seccloud::resilience`: a finite fault burst against
 // an honest server is fully masked (zero spurious failures), the same burst
-// never launders a cheater, the whole schedule replays from its seed, and a
-// dead pool member degrades only its own jobs.
+// never launders a cheater, the whole schedule replays from its seed, and
+// calls that exhausted their retries leave the transport serving.
 
 /// A world whose fault channel is wrapped in the tier-1/2 resilient
 /// transport (per-RPC retries + round-level escalation).
@@ -867,308 +866,33 @@ fn channel_fault_rates_lose_raw_audits_but_no_resilient_ones() {
     }
 }
 
-/// The batch-level guarantee: a dead pool member produces per-job
-/// `Degraded` verdicts via failover — never a batch-wide error, and never
-/// an abort of jobs routed to healthy servers. Once the dead server's
-/// breaker opens, later batches skip it without sending it any traffic.
+/// A burst long enough to exhaust the retries of three whole calls
+/// (3 × `max_attempts` truncated compute replies) costs the first job only
+/// rounds, not its verdict: the driver re-dispatches once the channel
+/// heals, and every later job on the same transport reaches the server
+/// and ends `Clean`.
 #[test]
-fn pool_failover_degrades_per_job_never_batchwide() {
-    let seed = seed_from_env().wrapping_add(700);
-    let mut sio_seed = b"recovery-pool".to_vec();
-    sio_seed.extend_from_slice(&seed.to_be_bytes());
-    let sio = Sio::new(&sio_seed);
-    let user = sio.register("alice");
-    let mut da = DesignatedAgency::new(&sio, "da", b"agency");
-    let servers: Vec<CloudServer> = (0..2)
-        .map(|i| CloudServer::new(&sio, &format!("cs-{i}"), Behavior::Honest, b"srv"))
-        .collect();
-    let blocks: Vec<DataBlock> = (0..N_BLOCKS).map(block).collect();
-    let verifier_list: Vec<VerifierPublic> = servers.iter().map(|s| s.public().clone()).collect();
-    let mut refs: Vec<&VerifierPublic> = verifier_list.iter().collect();
-    refs.push(da.public());
-    let signed = user.sign_blocks(&blocks, &refs);
-    let body = encode_store_body(&signed);
-    let endpoints: Vec<_> = servers
-        .into_iter()
-        .enumerate()
-        .map(|(i, server)| {
-            // lint: allow(transport, reason=the harness composes the resilient stack by hand)
-            let channel = FaultyChannel::new(WireServer::new(server), seed + i as u64, 0.0);
-            let mut t = ResilientTransport::new(
-                channel,
-                RetryPolicy::default(),
-                &[&seed.to_be_bytes()[..], &[i as u8]].concat(),
-            );
-            assert_eq!(
-                t.rpc_store(user.identity(), &body).expect("replica seeded"),
-                N_BLOCKS
-            );
-            t
-        })
-        .collect();
-    let mut pool = ResilientPool::new(endpoints);
-    // Server 0 goes permanently dead on its compute endpoint.
-    pool.endpoint_mut(0)
-        .expect("in range")
-        .inner_mut()
-        .set_forced(Some((Endpoint::Compute, FaultKind::Truncate)));
-
-    let jobs = [
-        PoolJob {
-            request: request(3, 4),
-            route: vec![0, 1],
-            sample_size: 4,
-        },
-        PoolJob {
-            request: request(4, 4),
-            route: vec![1],
-            sample_size: 4,
-        },
-    ];
-    let verdicts = pool.audit_many(&mut da, &user, &jobs, 0);
-    assert_eq!(
-        verdicts.len(),
-        2,
-        "one verdict per job, never a batch error"
-    );
-    let PoolVerdict::Degraded {
-        server,
-        failed_over,
-        ..
-    } = &verdicts[0]
-    else {
-        panic!(
-            "expected Degraded for the dead primary, got {:?}",
-            verdicts[0]
-        );
-    };
-    assert_eq!(*server, 1);
-    assert_eq!(failed_over, &[0]);
-    assert!(
-        matches!(&verdicts[1], PoolVerdict::Clean { server: 1, .. }),
-        "healthy job unaffected: {:?}",
-        verdicts[1]
-    );
-
-    // The grind tripped server 0's breaker; the next batch must fail over
-    // without burning any traffic on the dead endpoint.
-    assert_eq!(pool.open_breakers(), vec![0]);
-    let attempts_before = pool
-        .endpoint(0)
-        .expect("in range")
-        .stats(seccloud::resilience::Op::Compute)
-        .attempts;
-    let second = pool.audit_many(&mut da, &user, &jobs, 0);
-    assert!(
-        second[0].answered() && second[1].answered(),
-        "second batch still answers every job: {second:?}"
-    );
-    assert_eq!(
-        pool.endpoint(0)
-            .expect("in range")
-            .stats(seccloud::resilience::Op::Compute)
-            .attempts,
-        attempts_before,
-        "open breaker means zero traffic to the dead endpoint"
-    );
-}
-
-// --- sharded-registry sweep -------------------------------------------------
-//
-// The fleet-level guarantee: auditing the whole deployment shard by shard,
-// a forged or stale set commitment — and a cheating server — convicts only
-// *its* shard, while healthy shards keep their Clean/Degraded verdicts.
-
-/// One shard's lane as the sweep builds it: a raw wire server wrapped in a
-/// seeded fault channel, driven by the resilient pool inside the lane.
-// lint: allow(transport, reason=the harness composes the sharded lanes by hand)
-type SweepLane = ShardLane<FaultyChannel<WireServer>>;
-
-/// Builds one shard's audit lane: a two-server pool (behavior per server)
-/// behind fault channels, seeded with the owner's blocks, plus two jobs
-/// routed `[0, 1]` and `[1]`.
-fn shard_lane(shard: u32, behaviors: [Behavior; 2], seed: u64) -> SweepLane {
-    let mut sio_seed = b"sharded-sweep".to_vec();
-    sio_seed.extend_from_slice(&seed.to_be_bytes());
-    sio_seed.push(shard as u8);
-    let sio = Sio::new(&sio_seed);
-    let owner = sio.register(&format!("owner-{shard}"));
-    let da = DesignatedAgency::new(&sio, &format!("da-{shard}"), b"agency");
-    let servers: Vec<CloudServer> = behaviors
-        .into_iter()
-        .enumerate()
-        .map(|(i, b)| CloudServer::new(&sio, &format!("cs-{shard}-{i}"), b, b"srv"))
-        .collect();
-    let blocks: Vec<DataBlock> = (0..N_BLOCKS).map(block).collect();
-    let verifier_list: Vec<VerifierPublic> = servers.iter().map(|s| s.public().clone()).collect();
-    let mut refs: Vec<&VerifierPublic> = verifier_list.iter().collect();
-    refs.push(da.public());
-    let signed = owner.sign_blocks(&blocks, &refs);
-    let body = encode_store_body(&signed);
-    let endpoints: Vec<_> = servers
-        .into_iter()
-        .enumerate()
-        .map(|(i, server)| {
-            // lint: allow(transport, reason=the harness composes the resilient stack by hand)
-            let channel = FaultyChannel::new(WireServer::new(server), seed + i as u64, 0.0);
-            let mut t = ResilientTransport::new(
-                channel,
-                RetryPolicy::default(),
-                &[&seed.to_be_bytes()[..], &[shard as u8, i as u8]].concat(),
-            );
-            assert_eq!(
-                t.rpc_store(owner.identity(), &body).expect("lane seeded"),
-                N_BLOCKS
-            );
-            t
-        })
-        .collect();
-    let jobs = vec![
-        PoolJob {
-            request: request(3 + u64::from(shard), 4),
-            route: vec![0, 1],
-            sample_size: 4,
-        },
-        PoolJob {
-            request: request(7 + u64::from(shard), 4),
-            route: vec![1],
-            sample_size: 4,
-        },
-    ];
-    ShardLane {
-        shard,
-        pool: ResilientPool::new(endpoints),
-        da,
-        owner,
-        jobs,
-        presented_commitment: Vec::new(),
-    }
-}
-
-/// The sharded sweep: five lanes over a five-shard registry —
-///
-/// * shard 0 presents shard 1's commitment (cross-swap),
-/// * shard 1 presents last epoch's commitment (stale replay),
-/// * shard 2 is fully healthy,
-/// * shard 3 has a dead primary (service degradation, valid commitment),
-/// * shard 4 runs a CSC = 0 computation cheater (byzantine evidence).
-///
-/// The compromised shards are convicted per shard with the exact
-/// commitment fault classified; the healthy shards end Clean/Degraded.
-#[test]
-fn sharded_sweep_convicts_per_shard_without_failing_healthy_shards() {
-    const SHARDS: u32 = 5;
+fn exhausted_retries_leave_later_jobs_clean() {
     let seed = seed_from_env().wrapping_add(800);
-
-    // The registry: tenants enrolled in epoch 1, then rotated to epoch 2
-    // so a genuine earlier-epoch commitment exists to replay.
-    let mut registry = UserRegistry::new(SHARDS, 1);
-    for i in 0..40 {
-        registry.enroll(seccloud::ibs::UserPublic::from_identity(&format!(
-            "tenant-{i}"
-        )));
-    }
-    let stale = registry.commitments();
-    registry.rotate_epoch();
-    let current = registry.commitments();
-
-    let cheater = Behavior::ComputationCheater {
-        csc: 0.0,
-        guess_range: None,
-    };
-    let mut lanes: Vec<SweepLane> = (0..SHARDS)
-        .map(|s| {
-            let behaviors = if s == 4 {
-                [cheater.clone(), cheater.clone()]
-            } else {
-                [Behavior::Honest, Behavior::Honest]
-            };
-            shard_lane(s, behaviors, seed + 10 * u64::from(s))
-        })
-        .collect();
-    lanes[0].presented_commitment = current[1].to_bytes(); // cross-swap
-    lanes[1].presented_commitment = stale[1].to_bytes(); // stale epoch
-    lanes[2].presented_commitment = current[2].to_bytes(); // honest
-    lanes[3].presented_commitment = current[3].to_bytes(); // honest, dead primary
-    lanes[4].presented_commitment = current[4].to_bytes(); // honest commitment, cheater pool
-    lanes[3]
-        .pool
-        .endpoint_mut(0)
-        .expect("in range")
+    let mut w = world(b"recovery-exhausted", Behavior::Honest, seed);
+    computation_warmup(&mut w);
+    let mut rw = wrap_resilient(w, seed);
+    let burst = 3 * rw.transport.policy().max_attempts;
+    rw.transport
         .inner_mut()
-        .set_forced(Some((Endpoint::Compute, FaultKind::Truncate)));
-
-    let outcomes = audit_shards(&registry, &mut lanes, 0);
-    assert_eq!(outcomes.len(), SHARDS as usize);
-
-    assert_eq!(
-        outcomes[0].commitment,
-        CommitmentCheck::WrongShard { presented: 1 },
-        "cross-swap classified"
-    );
-    assert_eq!(outcomes[0].status, ShardStatus::Compromised);
-
-    assert_eq!(
-        outcomes[1].commitment,
-        CommitmentCheck::WrongEpoch { presented: 1 },
-        "stale replay classified"
-    );
-    assert_eq!(outcomes[1].status, ShardStatus::Compromised);
-
-    assert!(outcomes[2].commitment.is_valid());
-    assert_eq!(
-        outcomes[2].status,
-        ShardStatus::Clean,
-        "healthy shard stays clean next to compromised neighbours: {:?}",
-        outcomes[2].verdicts
-    );
-
-    assert!(outcomes[3].commitment.is_valid());
-    assert_eq!(
-        outcomes[3].status,
-        ShardStatus::Degraded,
-        "dead primary degrades, never convicts: {:?}",
-        outcomes[3].verdicts
-    );
-    assert!(
-        outcomes[3].verdicts.iter().all(|v| v.answered()),
-        "failover still answers every job in the degraded shard"
-    );
-
-    assert!(outcomes[4].commitment.is_valid());
-    assert_eq!(
-        outcomes[4].status,
-        ShardStatus::Compromised,
-        "cheating servers convict their shard: {:?}",
-        outcomes[4].verdicts
-    );
-    assert!(outcomes[4].verdicts.iter().any(|v| v.is_detected()));
-}
-
-/// Determinism: the sharded sweep replays identically from its seed —
-/// same statuses, same commitment classifications — under any
-/// `SECCLOUD_THREADS` (the lanes are independent).
-#[test]
-fn sharded_sweep_replays_identically() {
-    let seed = seed_from_env().wrapping_add(900);
-    let run = || {
-        let mut registry = UserRegistry::new(3, 1);
-        for i in 0..12 {
-            registry.enroll(seccloud::ibs::UserPublic::from_identity(&format!(
-                "tenant-{i}"
-            )));
-        }
-        let commitments = registry.commitments();
-        let mut lanes: Vec<SweepLane> = (0..3)
-            .map(|s| shard_lane(s, [Behavior::Honest, Behavior::Honest], seed + u64::from(s)))
-            .collect();
-        for (lane, c) in lanes.iter_mut().zip(&commitments) {
-            lane.presented_commitment = c.to_bytes();
-        }
-        audit_shards(&registry, &mut lanes, 0)
-            .into_iter()
-            .map(|o| format!("{}:{:?}:{:?}", o.shard, o.commitment, o.status))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(run(), run());
+        .set_forced_burst(Endpoint::Compute, FaultKind::Truncate, burst);
+    for job in 0..6u64 {
+        let res = run_job_resilient(
+            &mut rw.da,
+            &mut rw.transport,
+            &rw.user,
+            &request(3 + job, 4),
+            4,
+            0,
+        );
+        assert!(
+            res.is_clean(),
+            "job {job}: honest server not served: {res:?}"
+        );
+    }
 }

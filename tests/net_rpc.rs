@@ -108,7 +108,6 @@ fn patient_policy() -> RetryPolicy {
     RetryPolicy {
         max_attempts: 6,
         max_rounds: 6,
-        ..RetryPolicy::default()
     }
 }
 
