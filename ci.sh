@@ -97,6 +97,11 @@ echo "== scale smoke bench: enrollment, per-shard commitments, epoch rotation, b
 echo "== pairing smoke bench: every BENCH_pairing.json field, unit prices included, one call each =="
 ./target/release/bench_pairing --smoke --out target/BENCH_pairing_smoke.json
 
+echo "== paper tables: table1, fig5 and table2 run once on the shared timers (output in target/, not diffed: timings vary) =="
+for b in table1 fig5 table2; do
+    ./target/release/${b} > "target/${b}.txt"
+done
+
 echo "== experiments drift: deterministic paper-figure outputs match experiments/*.txt =="
 # detection_sim is deterministic too, but takes ~50 s; it is left to manual reruns.
 for b in fig4 optimal_t pool_detection; do

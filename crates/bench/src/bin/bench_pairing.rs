@@ -2,23 +2,31 @@
 //! trajectory. Future PRs rerun this bin and diff the numbers to track
 //! regressions/improvements of the hot path:
 //!
-//! * single pairing (unprepared ate) vs prepared pairing against a fixed
-//!   G2 argument (ops/sec + speedup);
+//! * single pairing (unprepared ate, `table1`'s `T_pair`) vs prepared
+//!   pairing against a fixed G2 argument (ops/sec + speedup);
 //! * G1 scalar multiplication: GLV endomorphism split vs plain wNAF;
 //! * the unit prices the paper's cost formulas multiply (Table I,
 //!   eq. 8–9): final exponentiation, the constant-time `G1`/`G2` ladders,
-//!   `sign`, and designated verification of a 40-byte and a 16 KiB
-//!   message, each the fastest of 25 short timed rounds;
+//!   `sign`, designated verification of a 40-byte and a 16 KiB message,
+//!   an `Fp12` product and a cyclotomic squaring, each from the shared
+//!   unit timer (`Effort::unit_us`: the fastest of 25 short timed rounds);
 //! * the `GT` subgroup test batch verification runs on every pushed `Σ`;
 //! * designated batch verification at ℓ ∈ {9, 16, 64, 256} vs ℓ individual
 //!   verifications (ℓ = 9 is an Algorithm-1 audit at t = 4: eight input
-//!   blocks and `Sig(R)`).
+//!   blocks and `Sig(R)`), from the shared batch timer.
 //!
 //! Schema v5 added the unit prices (`final_exponentiation_us`,
 //! `g1_mul_ct_us`, `g2_mul_ct_us`, `sign_us`, `designated_verify_us`).
-//! Schema v6 adds `gt_subgroup_check_us` and the ℓ = 9 batch row; every
-//! v5 field keeps its name and meaning, but each batch now pays one
-//! subgroup test per signature, which the v5 batch skipped.
+//! Schema v6 added `gt_subgroup_check_us` and the ℓ = 9 batch row; each
+//! batch pays one subgroup test per signature, which the v5 batch skipped.
+//! Schema v7 adds `fp12_mul_us` and `cyclotomic_square_us`, the two
+//! `Gt`-arithmetic prices the final exponentiation and a fixed-base `Gt`
+//! exponentiation are counted in. Every v6 field keeps its name and
+//! meaning, but every figure now comes from the shared timers: the
+//! pairing, preparation and `G1` rates from the unit timer (v6: the mean
+//! of one loop), `pairing_ops_per_sec` and `g1_mul_glv_ops_per_sec` being
+//! exactly `table1`'s `T_pair` and `T_pmul`, and each batch row from the
+//! batch timer.
 //!
 //! Run with `cargo run --release -p seccloud-bench --bin bench_pairing`.
 //! The file lands in the current working directory; `--out PATH` moves
@@ -27,62 +35,19 @@
 //! meaningful).
 #![forbid(unsafe_code)]
 
-use seccloud_bench::measure_ms;
-use seccloud_ibs::{designate, sign, BatchItem, BatchVerifier, MasterKey};
+use seccloud_bench::Effort;
+use seccloud_ibs::{designate, sign, MasterKey};
 use seccloud_pairing::{
-    final_exponentiation, hash_to_g1, hash_to_g2, pairing, pairing_prepared, Fr, G2Prepared, G1, G2,
+    final_exponentiation, hash_to_g1, hash_to_g2, pairing, pairing_prepared, FieldElement, Fr,
+    G2Prepared, G1, G2,
 };
 
 fn ops_per_sec(ms_per_op: f64) -> f64 {
     1_000.0 / ms_per_op
 }
 
-fn make_items(n: usize) -> (seccloud_ibs::VerifierKey, Vec<BatchItem>) {
-    let sio = MasterKey::from_seed(b"bench-pairing-json");
-    let server = sio.extract_verifier("cs");
-    let items = (0..n)
-        .map(|i| {
-            let user = sio.extract_user(&format!("user-{}", i % 4));
-            let msg = format!("block-{i}").into_bytes();
-            let sig = designate(&sign(&user, &msg, b"n"), server.public());
-            BatchItem {
-                signer: user.public().clone(),
-                message: msg,
-                signature: sig,
-            }
-        })
-        .collect();
-    (server, items)
-}
-
-/// How long each measurement runs: the full run, or one call per timing
-/// under `--smoke`.
-struct Effort {
-    smoke: bool,
-}
-
-impl Effort {
-    /// `full` calls, or 1 under `--smoke`.
-    fn n(&self, full: usize) -> usize {
-        if self.smoke {
-            1
-        } else {
-            full
-        }
-    }
-
-    /// Microseconds per call of `f`: the fastest of 25 timed rounds of 4
-    /// calls each. Many short rounds let at least one miss the bursts of
-    /// a shared host.
-    fn unit_us<T>(&self, mut f: impl FnMut() -> T) -> f64 {
-        (0..self.n(25))
-            .map(|_| measure_ms(1, self.n(4), &mut f) * 1_000.0)
-            .fold(f64::INFINITY, f64::min)
-    }
-}
-
 fn main() {
-    let mut effort = Effort { smoke: false };
+    let mut effort = Effort::default();
     let mut out_path = String::from("BENCH_pairing.json");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -97,21 +62,23 @@ fn main() {
     let q = hash_to_g2(b"bench-q").to_affine();
     let prepared = G2Prepared::from(&q);
 
-    // Headline single-pairing rates. The prepared case models the
-    // protocol's real shape: the G2 argument (a verifier key) is fixed, so
-    // preparation is amortized across many calls and excluded from the
-    // per-op time.
-    let plain_ms = measure_ms(3, effort.n(30), || pairing(&p, &q));
-    let prepared_ms = measure_ms(3, effort.n(30), || pairing_prepared(&p, &prepared));
-    let prep_cost_ms = measure_ms(1, effort.n(10), || G2Prepared::from(&q));
+    // Headline single-pairing rates. The unprepared pairing and the GLV
+    // multiplication are table1's `T_pair` and `T_pmul`. The prepared case
+    // models the protocol's real shape: the G2 argument (a verifier key)
+    // is fixed, so preparation is amortized across many calls and excluded
+    // from the per-op time.
+    let costs = effort.scheme_costs();
+    let plain_ms = costs.t_pair_ms;
+    let prepared_ms = effort.unit_us(|| pairing_prepared(&p, &prepared)) / 1_000.0;
+    let prep_cost_ms = effort.unit_us(|| G2Prepared::from(&q)) / 1_000.0;
 
     // G1 scalar multiplication: the GLV endomorphism split (mul_fr) vs the
     // plain full-width wNAF walk it replaced on the audit path.
     let g = G1::generator();
     let k = Fr::hash(b"bench-scalar");
     let limbs = *k.to_u256().limbs();
-    let glv_ms = measure_ms(10, effort.n(200), || g.mul_fr(&k));
-    let wnaf_ms = measure_ms(10, effort.n(200), || g.mul_limbs_wnaf(&limbs));
+    let glv_ms = costs.t_pmul_ms;
+    let wnaf_ms = effort.unit_us(|| g.mul_limbs_wnaf(&limbs)) / 1_000.0;
     println!(
         "g1 scalar mul: glv {:.1} µs, wnaf {:.1} µs → {:.2}x",
         glv_ms * 1_000.0,
@@ -126,6 +93,9 @@ fn main() {
     let g2_ct_us = effort.unit_us(|| G2::generator().mul_fr_ct(&k));
     let sigma = pairing(&p, &q);
     let subgroup_us = effort.unit_us(|| assert!(sigma.is_in_subgroup()));
+    let sigma_sq = sigma.as_fp12().square();
+    let fp12_mul_us = effort.unit_us(|| sigma.as_fp12().mul(&sigma_sq));
+    let cyclotomic_square_us = effort.unit_us(|| sigma.as_fp12().cyclotomic_square());
     let sio = MasterKey::from_seed(b"bench-pairing-units");
     let user = sio.extract_user("alice");
     let server = sio.extract_verifier("cs");
@@ -144,7 +114,8 @@ fn main() {
     println!(
         "final exp {final_exp_us:.1} µs, G1 ct mul {g1_ct_us:.1} µs, \
          G2 ct mul {g2_ct_us:.1} µs, sign {sign_us:.1} µs, \
-         GT subgroup test {subgroup_us:.1} µs"
+         GT subgroup test {subgroup_us:.1} µs, Fp12 product {fp12_mul_us:.2} µs, \
+         cyclotomic squaring {cyclotomic_square_us:.2} µs"
     );
 
     let mut batch_rows = Vec::new();
@@ -154,34 +125,24 @@ fn main() {
         &[9, 16, 64, 256]
     };
     for &ell in batch_sizes {
-        let (server, items) = make_items(ell);
-        let iters = effort.n((512 / ell).max(2));
-        let batch_ms = measure_ms(1, iters, || {
-            let mut batch = BatchVerifier::new();
-            for item in &items {
-                batch.push_item(item);
-            }
-            assert!(batch.verify(&server));
-        });
-        let singles_ms = measure_ms(1, iters, || {
-            assert!(seccloud_ibs::verify_individually(&items, &server).is_none());
-        });
+        let timing = effort.time_batch(b"bench-pairing-json", ell, 4);
         batch_rows.push(format!(
             "    {{ \"ell\": {ell}, \"batch_ops_per_sec\": {:.3}, \
              \"singles_ops_per_sec\": {:.3}, \"batch_speedup_vs_singles\": {:.2} }}",
-            ops_per_sec(batch_ms),
-            ops_per_sec(singles_ms),
-            singles_ms / batch_ms,
+            ops_per_sec(timing.batch_ms),
+            ops_per_sec(timing.singles_ms),
+            timing.speedup(),
         ));
         println!(
-            "batch ℓ={ell:>3}: batch {batch_ms:.2} ms, singles {singles_ms:.2} ms \
-             — batch speedup {:.2}x",
-            singles_ms / batch_ms
+            "batch ℓ={ell:>3}: batch {:.2} ms, singles {:.2} ms — batch speedup {:.2}x",
+            timing.batch_ms,
+            timing.singles_ms,
+            timing.speedup()
         );
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"seccloud-bench-pairing/v6\",\n  \"threads\": {},\n  \
+        "{{\n  \"schema\": \"seccloud-bench-pairing/v7\",\n  \"threads\": {},\n  \
          \"host_cores\": {},\n  \"host_arch\": \"{}\",\n  \
          \"pairing_ops_per_sec\": {:.3},\n  \"prepared_pairing_ops_per_sec\": {:.3},\n  \
          \"prepared_speedup\": {:.3},\n  \"g2_preparation_ms\": {:.4},\n  \
@@ -189,7 +150,8 @@ fn main() {
          \"glv_speedup_vs_wnaf\": {:.3},\n  \
          \"final_exponentiation_us\": {:.1},\n  \"g1_mul_ct_us\": {:.1},\n  \
          \"g2_mul_ct_us\": {:.1},\n  \"sign_us\": {:.1},\n  \
-         \"gt_subgroup_check_us\": {:.1},\n  \
+         \"gt_subgroup_check_us\": {:.1},\n  \"fp12_mul_us\": {:.2},\n  \
+         \"cyclotomic_square_us\": {:.2},\n  \
          \"designated_verify_us\": [\n{}\n  ],\n  \
          \"batch_verify\": [\n{}\n  ]\n}}\n",
         seccloud_parallel::num_threads(),
@@ -207,6 +169,8 @@ fn main() {
         g2_ct_us,
         sign_us,
         subgroup_us,
+        fp12_mul_us,
+        cyclotomic_square_us,
         verify_rows.join(",\n"),
         batch_rows.join(",\n"),
     );

@@ -4,34 +4,23 @@
 //! *constant* number of pairings (batch verification, Section VI) while the
 //! Wang et al. [4], [5]-style auditors pay pairings *linear* in the user
 //! count. We (a) rebuild the analytic curves from our measured Table-I
-//! costs and (b) *actually run* batch vs individual verification at several
-//! user counts to confirm the model.
+//! costs (the shared unit timer's `T_pmul` and `T_pair`, as `table1`
+//! prints them) and (b) *actually run* batch vs individual verification at
+//! several user counts, with the shared batch timer, to confirm the model.
 //!
 //! ```text
 //! cargo run -p seccloud-bench --release --bin fig5
 //! ```
 #![forbid(unsafe_code)]
 
-use seccloud_bench::{fmt_ms, measure_ms};
-use seccloud_core::analysis::costmodel::{SchemeCosts, VerificationCostModel};
-use seccloud_ibs::{designate, sign, BatchItem, BatchVerifier, MasterKey};
-use seccloud_pairing::{hash_to_g1, hash_to_g2, pairing, Fr, G1};
-
-fn measured_costs() -> SchemeCosts {
-    let g1 = G1::generator();
-    let k = Fr::hash(b"fig5-scalar");
-    let p = hash_to_g1(b"fig5-p").to_affine();
-    let q = hash_to_g2(b"fig5-q").to_affine();
-    SchemeCosts {
-        t_pmul_ms: measure_ms(3, 50, || g1.mul_fr(&k)),
-        t_pair_ms: measure_ms(2, 10, || pairing(&p, &q)),
-    }
-}
+use seccloud_bench::{fmt_ms, Effort};
+use seccloud_core::analysis::costmodel::VerificationCostModel;
 
 fn main() {
     println!("# Figure 5 — verification cost vs number of cloud users\n");
 
-    let costs = measured_costs();
+    let effort = Effort::default();
+    let costs = effort.scheme_costs();
     println!(
         "Measured primitives: T_pmul = {}, T_pair = {}\n",
         fmt_ms(costs.t_pmul_ms),
@@ -56,38 +45,17 @@ fn main() {
 
     // (b) Ground truth: run the real batch verifier at several sizes.
     println!("\n## Measured end-to-end verification (one signature per user)\n");
-    let sio = MasterKey::from_seed(b"fig5");
-    let server = sio.extract_verifier("cs");
     println!(
         "{:>6} {:>14} {:>14} {:>8}",
         "users", "individual", "batch", "speedup"
     );
     for &k in &[1usize, 5, 10, 20, 50] {
-        let items: Vec<BatchItem> = (0..k)
-            .map(|i| {
-                let user = sio.extract_user(&format!("user-{i}"));
-                let msg = format!("block-{i}").into_bytes();
-                let s = designate(&sign(&user, &msg, b"n"), server.public());
-                BatchItem {
-                    signer: user.public().clone(),
-                    message: msg,
-                    signature: s,
-                }
-            })
-            .collect();
-        let individual = measure_ms(1, 3, || seccloud_ibs::verify_individually(&items, &server));
-        let batch = measure_ms(1, 3, || {
-            let mut b = BatchVerifier::new();
-            for item in &items {
-                b.push_item(item);
-            }
-            assert!(b.verify(&server));
-        });
+        let timing = effort.time_batch(b"fig5", k, k);
         println!(
             "{k:>6} {:>14} {:>14} {:>7.1}x",
-            fmt_ms(individual),
-            fmt_ms(batch),
-            individual / batch
+            fmt_ms(timing.singles_ms),
+            fmt_ms(timing.batch_ms),
+            timing.speedup()
         );
     }
 

@@ -3,31 +3,35 @@
 //! Paper reference (MIRACL, Intel Core 2 Duo E6550, 2 GB RAM):
 //! `T_pmul = 0.86 ms`, `T_pair = 4.14 ms`.
 //!
+//! Every price is the shared unit timer's (`Effort::unit_us`: the fastest
+//! of 25 rounds of 4 calls), the estimator `fig5` and `bench_pairing` use
+//! for the same quantities.
+//!
 //! ```text
 //! cargo run -p seccloud-bench --release --bin table1
 //! ```
 #![forbid(unsafe_code)]
 
-use seccloud_bench::{fmt_ms, measure_ms, row};
-use seccloud_pairing::{hash_to_g1, hash_to_g2, pairing, Fr, G1, G2};
+use seccloud_bench::{fmt_ms, row, Effort};
+use seccloud_pairing::{hash_to_g1, hash_to_g2, pairing, Fr, G2};
 
 fn main() {
     println!("# Table I — cryptographic operation execution time\n");
     println!("Paper (MIRACL, Core 2 Duo E6550): T_pmul = 0.86 ms, T_pair = 4.14 ms\n");
 
-    let g1 = G1::generator();
+    let effort = Effort::default();
+    let costs = effort.scheme_costs();
+    let (t_pmul_g1, t_pair) = (costs.t_pmul_ms, costs.t_pair_ms);
     let g2 = G2::generator();
     let k = Fr::hash(b"bench-scalar");
-    let p_aff = hash_to_g1(b"bench-p").to_affine();
-    let q_aff = hash_to_g2(b"bench-q").to_affine();
-    let gt = pairing(&p_aff, &q_aff);
-
-    let t_pmul_g1 = measure_ms(3, 50, || g1.mul_fr(&k));
-    let t_pmul_g2 = measure_ms(3, 30, || g2.mul_fr(&k));
-    let t_pair = measure_ms(2, 10, || pairing(&p_aff, &q_aff));
-    let t_hash_g1 = measure_ms(3, 50, || hash_to_g1(b"hash-bench-input"));
-    let t_hash_g2 = measure_ms(1, 3, || hash_to_g2(b"hash-bench-input"));
-    let t_gt_exp = measure_ms(2, 10, || gt.pow(&k));
+    let gt = pairing(
+        &hash_to_g1(b"bench-p").to_affine(),
+        &hash_to_g2(b"bench-q").to_affine(),
+    );
+    let t_pmul_g2 = effort.unit_us(|| g2.mul_fr(&k)) / 1_000.0;
+    let t_hash_g1 = effort.unit_us(|| hash_to_g1(b"hash-bench-input")) / 1_000.0;
+    let t_hash_g2 = effort.unit_us(|| hash_to_g2(b"hash-bench-input")) / 1_000.0;
+    let t_gt_exp = effort.unit_us(|| gt.pow(&k)) / 1_000.0;
 
     println!(
         "{}",

@@ -11,7 +11,8 @@
 //! | ours   | `2n·T_pair` | `2·T_pair` |
 //!
 //! All four schemes are implemented in this workspace, so every cell is
-//! measured, not quoted.
+//! measured, not quoted, each with the shared timer: the fastest of 5
+//! rounds.
 //!
 //! ```text
 //! cargo run -p seccloud-bench --release --bin table2
@@ -21,19 +22,19 @@
 use seccloud_baselines::bgls::{aggregate, verify_aggregate, BlsKeyPair, BlsPublicKey};
 use seccloud_baselines::ecdsa::EcdsaKeyPair;
 use seccloud_baselines::rsa::RsaKeyPair;
-use seccloud_bench::{fmt_ms, measure_ms, row};
-use seccloud_ibs::{designate, sign, BatchItem, BatchVerifier, MasterKey};
+use seccloud_bench::{fmt_ms, row, Effort};
 
 const N: usize = 20;
 
 fn main() {
     println!("# Table II — signature scheme verification costs (batch size n = {N})\n");
+    let effort = Effort::default();
 
     // RSA (1024-bit modulus).
     let rsa = RsaKeyPair::generate(512, b"table2-rsa");
     let rsa_msgs: Vec<Vec<u8>> = (0..N).map(|i| format!("m{i}").into_bytes()).collect();
     let rsa_sigs: Vec<_> = rsa_msgs.iter().map(|m| rsa.sign(m)).collect();
-    let rsa_ms = measure_ms(1, 3, || {
+    let rsa_ms = effort.slow_ms(|| {
         rsa_msgs
             .iter()
             .zip(&rsa_sigs)
@@ -43,7 +44,7 @@ fn main() {
     // ECDSA over BN254-G1.
     let ecdsa = EcdsaKeyPair::generate(b"table2-ecdsa");
     let ec_sigs: Vec<_> = rsa_msgs.iter().map(|m| ecdsa.sign(m)).collect();
-    let ecdsa_ms = measure_ms(1, 3, || {
+    let ecdsa_ms = effort.slow_ms(|| {
         rsa_msgs
             .iter()
             .zip(&ec_sigs)
@@ -59,7 +60,7 @@ fn main() {
         .zip(&rsa_msgs)
         .map(|(k, m)| k.sign(m))
         .collect();
-    let bgls_individual_ms = measure_ms(1, 3, || {
+    let bgls_individual_ms = effort.slow_ms(|| {
         bls_keys
             .iter()
             .zip(&rsa_msgs)
@@ -72,33 +73,11 @@ fn main() {
         .zip(&rsa_msgs)
         .map(|(k, m)| (k.public(), m.as_slice()))
         .collect();
-    let bgls_batch_ms = measure_ms(1, 3, || verify_aggregate(&pairs, &agg));
+    let bgls_batch_ms = effort.slow_ms(|| verify_aggregate(&pairs, &agg));
 
-    // Ours (designated-verifier batch).
-    let sio = MasterKey::from_seed(b"table2-ours");
-    let server = sio.extract_verifier("cs");
-    let items: Vec<BatchItem> = (0..N)
-        .map(|i| {
-            let user = sio.extract_user(&format!("user-{}", i % 4));
-            let msg = rsa_msgs[i].clone();
-            let s = designate(&sign(&user, &msg, b"n"), server.public());
-            BatchItem {
-                signer: user.public().clone(),
-                message: msg,
-                signature: s,
-            }
-        })
-        .collect();
-    let ours_individual_ms = measure_ms(1, 3, || {
-        assert!(seccloud_ibs::verify_individually(&items, &server).is_none());
-    });
-    let ours_batch_ms = measure_ms(1, 3, || {
-        let mut b = BatchVerifier::new();
-        for item in &items {
-            b.push_item(item);
-        }
-        assert!(b.verify(&server));
-    });
+    // Ours (designated-verifier batch), from the shared batch timer.
+    let ours = effort.time_batch(b"table2-ours", N, 4);
+    let (ours_individual_ms, ours_batch_ms) = (ours.singles_ms, ours.batch_ms);
 
     println!(
         "{}",

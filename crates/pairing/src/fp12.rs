@@ -21,32 +21,33 @@ pub struct Fp12 {
     pub c1: Fp6,
 }
 
-/// `γ = ξ^((p²−1)/6)`, the Frobenius-squared twist coefficient (derived once
-/// at runtime — no transcribed table).
-fn gamma_p2() -> &'static Fp2 {
-    static GAMMA: OnceLock<Fp2> = OnceLock::new();
-    GAMMA.get_or_init(|| {
-        let p = ApInt::from_uint(&Fp::modulus());
-        let e = (&(&p * &p) - &ApInt::one())
-            .divrem(&ApInt::from_u64(6))
-            .expect("6 is nonzero")
-            .0;
-        Fp2::xi().pow_limbs(&e.to_le_limbs())
-    })
+/// `[γ¹, …, γ⁵]` for `γ = ξ^((p^k−1)/6)`, the twist coefficients of the
+/// `p^k`-power Frobenius map (derived at runtime — no transcribed table).
+fn gamma_powers(k: u32) -> [Fp2; 5] {
+    let p = ApInt::from_uint(&Fp::modulus());
+    let pk = (1..k).fold(p.clone(), |acc, _| &acc * &p);
+    let e = (&pk - &ApInt::one())
+        .divrem(&ApInt::from_u64(6))
+        .expect("6 is nonzero")
+        .0;
+    let g1 = Fp2::xi().pow_limbs(&e.to_le_limbs());
+    let g2 = g1.square();
+    let g3 = g2.mul(&g1);
+    let g4 = g2.square();
+    let g5 = g4.mul(&g1);
+    [g1, g2, g3, g4, g5]
 }
 
-/// `γ = ξ^((p−1)/6) = w^(p−1)`, the first-power Frobenius twist coefficient
-/// (derived once at runtime — no transcribed table).
-fn gamma_p() -> &'static Fp2 {
-    static GAMMA: OnceLock<Fp2> = OnceLock::new();
-    GAMMA.get_or_init(|| {
-        let p = ApInt::from_uint(&Fp::modulus());
-        let e = (&p - &ApInt::one())
-            .divrem(&ApInt::from_u64(6))
-            .expect("6 is nonzero")
-            .0;
-        Fp2::xi().pow_limbs(&e.to_le_limbs())
-    })
+/// The twist coefficients of [`Fp12::frobenius_p`]: `γ = ξ^((p−1)/6) = w^(p−1)`.
+fn gamma_p() -> &'static [Fp2; 5] {
+    static GAMMA: OnceLock<[Fp2; 5]> = OnceLock::new();
+    GAMMA.get_or_init(|| gamma_powers(1))
+}
+
+/// The twist coefficients of [`Fp12::frobenius_p2`]: `γ = ξ^((p²−1)/6)`.
+fn gamma_p2() -> &'static [Fp2; 5] {
+    static GAMMA: OnceLock<[Fp2; 5]> = OnceLock::new();
+    GAMMA.get_or_init(|| gamma_powers(2))
 }
 
 impl Fp12 {
@@ -69,18 +70,10 @@ impl Fp12 {
     /// The Frobenius power `x ↦ x^(p²)`, computed coefficient-wise with the
     /// derived twist constant `γ = ξ^((p²−1)/6)`.
     pub fn frobenius_p2(&self) -> Self {
-        let g1 = *gamma_p2(); // γ¹
-        let g2 = g1.square(); // γ²
-        let g3 = g2.mul(&g1); // γ³
-        let g4 = g2.square(); // γ⁴
-        let g5 = g4.mul(&g1); // γ⁵
+        let [g1, g2, g3, g4, g5] = gamma_p2();
         Self::new(
-            Fp6::new(self.c0.c0, self.c0.c1.mul(&g2), self.c0.c2.mul(&g4)),
-            Fp6::new(
-                self.c1.c0.mul(&g1),
-                self.c1.c1.mul(&g3),
-                self.c1.c2.mul(&g5),
-            ),
+            Fp6::new(self.c0.c0, self.c0.c1.mul(g2), self.c0.c2.mul(g4)),
+            Fp6::new(self.c1.c0.mul(g1), self.c1.c1.mul(g3), self.c1.c2.mul(g5)),
         )
     }
 
@@ -89,17 +82,13 @@ impl Fp12 {
     /// a₅ = c1.c2`), each slot maps to `conj(aⱼ)·γʲ` with the derived
     /// `γ = w^(p−1) = ξ^((p−1)/6)`.
     pub fn frobenius_p(&self) -> Self {
-        let g1 = *gamma_p(); // γ¹
-        let g2 = g1.square(); // γ²
-        let g3 = g2.mul(&g1); // γ³
-        let g4 = g2.square(); // γ⁴
-        let g5 = g4.mul(&g1); // γ⁵
+        let [g1, g2, g3, g4, g5] = gamma_p();
         let a0 = self.c0.c0.conjugate();
-        let a1 = self.c1.c0.conjugate().mul(&g1);
-        let a2 = self.c0.c1.conjugate().mul(&g2);
-        let a3 = self.c1.c1.conjugate().mul(&g3);
-        let a4 = self.c0.c2.conjugate().mul(&g4);
-        let a5 = self.c1.c2.conjugate().mul(&g5);
+        let a1 = self.c1.c0.conjugate().mul(g1);
+        let a2 = self.c0.c1.conjugate().mul(g2);
+        let a3 = self.c1.c1.conjugate().mul(g3);
+        let a4 = self.c0.c2.conjugate().mul(g4);
+        let a5 = self.c1.c2.conjugate().mul(g5);
         Self::new(Fp6::new(a0, a2, a4), Fp6::new(a1, a3, a5))
     }
 

@@ -417,7 +417,8 @@ pub fn multi_pairing(pairs: &[(G1Affine, G2Affine)]) -> Gt {
 
 /// Computes the reduced **Tate** pairing `ê(P, Q)` — the slower, textbook
 /// backend kept as an independent implementation for cross-checking the
-/// default ate pairing (see `benches/crypto_ops.rs` for the ablation).
+/// default ate pairing (EXPERIMENTS.md, "Retired microbenchmarks", records
+/// its cost against ate).
 pub fn pairing_tate(p: &G1Affine, q: &G2Affine) -> Gt {
     if p.is_identity() || q.is_identity() {
         return Gt::one();
