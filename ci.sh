@@ -38,15 +38,7 @@ echo "== seccloud-lint (token rules + interprocedural taint / panic_path / arith
 lint_start=$(date +%s%N)
 ./target/release/seccloud-lint
 lint_end=$(date +%s%N)
-echo "lint wall-clock: $(( (lint_end - lint_start) / 1000000 )) ms (SECCLOUD_THREADS=${SECCLOUD_THREADS:-auto})"
-
-echo "== seccloud-lint determinism: serial and 4-thread runs must emit identical reports =="
-SECCLOUD_THREADS=1 ./target/release/seccloud-lint --baseline > target/seccloud-lint-t1.json
-SECCLOUD_THREADS=4 ./target/release/seccloud-lint --baseline > target/seccloud-lint-t4.json
-if ! diff -u target/seccloud-lint-t1.json target/seccloud-lint-t4.json; then
-    echo "lint output depends on worker scheduling — findings/allowances must be deterministic"
-    exit 1
-fi
+echo "lint wall-clock: $(( (lint_end - lint_start) / 1000000 )) ms (single-threaded)"
 
 echo "== seccloud-lint fixture suites (each rule catches its seeded violation, passes its clean twin) =="
 for bad in panic index secret ct unsafe transport taint_bad panic_path_bad \
@@ -111,18 +103,9 @@ for b in fig4 optimal_t pool_detection; do
     fi
 done
 
-echo "== fault/property/recovery suites: serial and 4-thread (${SECCLOUD_TESTKIT_CASES} cases) =="
-SECCLOUD_THREADS=1 cargo test -q --test fault_injection --test wire_roundtrip --test batch_users
-SECCLOUD_THREADS=4 cargo test -q --test fault_injection --test wire_roundtrip --test batch_users
-
-echo "== internal fan-outs (parallel_map / parallel_map_mut callers): serial and 4-worker =="
-fanout_suites=(-p seccloud-parallel -p seccloud-core -p seccloud-merkle -p seccloud-ibs
-               -p seccloud-cloudsim -p seccloud-registry -p seccloud --lib --test extensions)
-SECCLOUD_THREADS=1 cargo test -q "${fanout_suites[@]}"
-SECCLOUD_THREADS=4 cargo test -q "${fanout_suites[@]}"
-
-echo "== socket runtime suite: real TCP + chaos proxy, serial and 4-worker server =="
-SECCLOUD_THREADS=1 cargo test -q --test net_rpc
-SECCLOUD_THREADS=4 cargo test -q --test net_rpc
+echo "== fault-injection suite under three more seeds (seed 0 ran above) =="
+for seed in 1 2 3; do
+    SECCLOUD_TESTKIT_SEED=$seed cargo test -q --test fault_injection
+done
 
 echo "CI OK"

@@ -10,7 +10,7 @@
 //! cannot see a panic laundered through a helper, which is exactly how
 //! reproductions drift from their panic-freedom claims.
 //!
-//! Crates `pairing`, `bigint`, `hash` and `parallel` are *trusted
+//! Crates `pairing`, `bigint` and `hash` are *trusted
 //! leaves*: constant-size field/curve arithmetic indexes fixed-length
 //! arrays pervasively, is covered by its own property tests, and takes
 //! no attacker-controlled lengths, so their bodies are neither scanned
@@ -36,11 +36,10 @@ const PANIC_PATH_ROOTS: [&str; 6] = [
 /// Crates treated as non-panicking leaves (see module docs). `testkit` is
 /// here because its fault injector *deliberately* mangles payloads with
 /// bounded random indexing — it is test harness, not protocol path.
-const TRUSTED_CRATES: [&str; 5] = [
+const TRUSTED_CRATES: [&str; 4] = [
     "crates/pairing/",
     "crates/bigint/",
     "crates/hash/",
-    "crates/parallel/",
     "crates/testkit/",
 ];
 

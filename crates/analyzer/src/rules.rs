@@ -10,9 +10,10 @@
 //!   never appear inside a `format!`-family macro invocation.
 //! * [`RULE_CT`] — no `==` / `!=` on digest/tag/MAC/root operands in
 //!   verification code; use `seccloud_hash::ct_eq`.
-//! * [`RULE_UNSAFE`] — every crate root carries `#![forbid(unsafe_code)]`
-//!   (except `crates/parallel`), `unsafe` appears nowhere else, and every
-//!   `unsafe` keyword is preceded by a `// SAFETY:` comment.
+//! * [`RULE_UNSAFE`] — every crate root carries `#![forbid(unsafe_code)]`,
+//!   `unsafe` appears nowhere in the workspace (a `// SAFETY:` comment does
+//!   not excuse it), and in single-file mode every `unsafe` keyword is
+//!   preceded by a `// SAFETY:` comment.
 //! * [`RULE_TRANSPORT`] — raw wire channels (`WireTransport` /
 //!   `WireServer`) must not be named outside the crates that define and
 //!   wrap them (`cloudsim`, `resilience`, `testkit`, `net`): audits everywhere
@@ -261,69 +262,51 @@ pub fn lint_files(inputs: &[(String, String)], all_rules: bool) -> Report {
         }
         *mark = std::time::Instant::now();
     };
-    // Per-file lexing, annotation parsing, and test-line detection are
-    // independent — fan them out over SECCLOUD_THREADS workers.
-    // `parallel_map` preserves input order, and the final sort below makes
-    // finding order deterministic regardless of scheduling.
-    let built = seccloud_parallel::parallel_map(inputs, |_, (path, src)| {
+    let mut ctxs = Vec::with_capacity(inputs.len());
+    for (path, src) in inputs {
         let (toks, comments) = lex(src);
         let test_lines = test_item_lines(&toks);
         let ann = parse_annotations(path, &comments);
-        (
-            FileCtx {
-                path: path.replace('\\', "/"),
-                toks,
-                comments,
-                test_lines,
-                allows: ann.allows,
-                safety_lines: ann.safety,
-                ordering_lines: ann.ordering,
-                vartime_lines: ann.vartime,
-                lock_lines: ann.lock,
-            },
-            ann.findings,
-            ann.allowances,
-        )
-    });
-    phase("lex+ann", &mut mark);
-    let mut ctxs = Vec::with_capacity(built.len());
-    for (ctx, findings, allowances) in built {
-        report.findings.extend(findings);
-        report.allowances.extend(allowances);
-        ctxs.push(ctx);
+        report.findings.extend(ann.findings);
+        report.allowances.extend(ann.allowances);
+        ctxs.push(FileCtx {
+            path: path.replace('\\', "/"),
+            toks,
+            comments,
+            test_lines,
+            allows: ann.allows,
+            safety_lines: ann.safety,
+            ordering_lines: ann.ordering,
+            vartime_lines: ann.vartime,
+            lock_lines: ann.lock,
+        });
     }
+    phase("lex+ann", &mut mark);
 
     // Secret types are collected across every file first: the marker, the
     // `impl Drop`, and a leaking `format!` may live in different files.
     let secrets: Vec<SecretType> = ctxs.iter().flat_map(collect_secret_types).collect();
 
-    // Token-level rules only read their own file's ctx — run them in
-    // parallel, one scratch report per file, merged in input order.
-    let token_reports = seccloud_parallel::parallel_map(&ctxs, |_, ctx| {
-        let mut r = Report::default();
-        check_panic(ctx, all_rules, &mut r);
-        check_index(ctx, all_rules, &mut r);
-        check_ct(ctx, all_rules, &mut r);
-        check_unsafe(ctx, all_rules, &mut r);
-        check_transport(ctx, all_rules, &mut r);
-        crate::atomics::check_atomics(ctx, all_rules, &mut r);
-        r
-    });
-    for r in token_reports {
-        report.findings.extend(r.findings);
-        report.allowances.extend(r.allowances);
+    // Token-level rules only read their own file's ctx.
+    for ctx in &ctxs {
+        check_panic(ctx, all_rules, &mut report);
+        check_index(ctx, all_rules, &mut report);
+        check_ct(ctx, all_rules, &mut report);
+        check_unsafe(ctx, all_rules, &mut report);
+        check_transport(ctx, all_rules, &mut report);
+        crate::atomics::check_atomics(ctx, all_rules, &mut report);
     }
     phase("token-rules", &mut mark);
     check_secret_types(&ctxs, &secrets, &mut report);
     phase("secret-types", &mut mark);
 
-    // AST-backed interprocedural rules: parse every file (in parallel —
-    // parsing is per-file), build the workspace call graph, then run panic
-    // reachability, taint flow, constant-time dataflow, arithmetic, and
-    // dispatch analyses over it. The fixpoint passes themselves stay
-    // sequential: they iterate shared whole-program summaries.
-    let parsed: Vec<(String, crate::ast::Ast)> =
-        seccloud_parallel::parallel_map(&ctxs, |_, c| (c.path.clone(), crate::ast::parse(&c.toks)));
+    // AST-backed interprocedural rules: parse every file, build the
+    // workspace call graph, then run panic reachability, taint flow,
+    // constant-time dataflow, arithmetic, and dispatch analyses over it.
+    let parsed: Vec<(String, crate::ast::Ast)> = ctxs
+        .iter()
+        .map(|c| (c.path.clone(), crate::ast::parse(&c.toks)))
+        .collect();
     phase("parse", &mut mark);
     let ws = crate::callgraph::Workspace::build(parsed);
     // One shared type environment per fn: the taint and ctflow passes
@@ -838,19 +821,8 @@ fn check_ct(ctx: &FileCtx, all_rules: bool, report: &mut Report) {
 
 // --- rule: unsafe audit ---------------------------------------------------
 
-/// Files permitted to *contain* `unsafe` at all: only the parallelism
-/// crate. Every occurrence still needs a `SAFETY:` comment.
-fn unsafe_allowed_file(path: &str) -> bool {
-    path.starts_with("crates/parallel/")
-}
-
 /// Is this path a crate root that must carry `#![forbid(unsafe_code)]`?
 fn is_guarded_crate_root(path: &str) -> bool {
-    if path.starts_with("crates/parallel/") {
-        // The one crate permitted to contain `unsafe` throughout (each
-        // block still needs a `SAFETY:` comment, checked below).
-        return false;
-    }
     path.ends_with("src/lib.rs")
         || path.ends_with("src/main.rs")
         || (path.contains("src/bin/") && path.ends_with(".rs"))
@@ -887,14 +859,14 @@ fn check_unsafe(ctx: &FileCtx, all_rules: bool, report: &mut Report) {
         if t.kind != TokKind::Ident || t.text != "unsafe" {
             continue;
         }
-        // Scope check: `unsafe` may only appear in the sanctioned modules
-        // (skipped in single-file fixture mode, where paths are synthetic).
-        if !all_rules && !unsafe_allowed_file(&ctx.path) {
+        // Scope check: no workspace file may contain `unsafe` (skipped in
+        // single-file fixture mode, where paths are synthetic).
+        if !all_rules {
             report.findings.push(Finding {
                 rule: RULE_UNSAFE,
                 file: ctx.path.clone(),
                 line: t.line,
-                message: "`unsafe` outside the sanctioned crate (crates/parallel)".to_string(),
+                message: "`unsafe` in workspace code (no crate may contain it)".to_string(),
             });
         }
         if !ctx.safety_lines.contains(&t.line) {
@@ -1166,9 +1138,9 @@ mod tests {
             "#![forbid(unsafe_code)]\npub fn f() {}",
         );
         assert!(ok.findings.is_empty());
-        // parallel is exempt from the forbid requirement…
-        let par = lint_one("crates/parallel/src/lib.rs", "pub fn f() {}");
-        assert!(par.findings.is_empty());
+        // No crate is exempt, binaries included.
+        let bin = lint_one("crates/analyzer/src/bin/seccloud_lint.rs", "fn main() {}");
+        assert_eq!(rules_of(&bin), vec![RULE_UNSAFE]);
     }
 
     #[test]
@@ -1184,31 +1156,28 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_outside_sanctioned_modules_fires_even_with_safety_comment() {
+    fn unsafe_fires_in_every_crate_even_with_safety_comment() {
         let src = "fn f(p: *const u8) -> u8 {\n    // SAFETY: p is valid for reads.\n    unsafe { *p }\n}";
         let r = lint_one("crates/core/src/foo.rs", src);
         assert_eq!(rules_of(&r), vec![RULE_UNSAFE], "{:?}", r.findings);
-        // The pairing arch kernels are not sanctioned; only parallel is.
         for path in [
             "crates/pairing/src/arch/mod.rs",
             "crates/pairing/src/arch/generic.rs",
+            "crates/net/src/server.rs",
         ] {
             let r = lint_one(path, src);
             assert_eq!(rules_of(&r), vec![RULE_UNSAFE], "{path}: {:?}", r.findings);
         }
-        let ok = lint_one("crates/parallel/src/scope.rs", src);
-        assert!(ok.findings.is_empty(), "{:?}", ok.findings);
     }
 
     #[test]
     fn unsafe_blocks_need_safety_comments() {
+        // Single-file mode, where the workspace-wide ban stands down.
+        let fixture = |src: &str| lint_files(&[("scope.rs".to_string(), src.to_string())], true);
         let bad = "fn f(p: *const u8) -> u8 { unsafe { *p } }";
-        let r = lint_one("crates/parallel/src/scope.rs", bad);
-        assert_eq!(rules_of(&r), vec![RULE_UNSAFE]);
+        assert_eq!(rules_of(&fixture(bad)), vec![RULE_UNSAFE]);
         let good = "fn f(p: *const u8) -> u8 {\n    // SAFETY: p is valid for reads.\n    unsafe { *p }\n}";
-        assert!(lint_one("crates/parallel/src/scope.rs", good)
-            .findings
-            .is_empty());
+        assert!(fixture(good).findings.is_empty());
     }
 
     #[test]

@@ -142,7 +142,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"seccloud-bench-pairing/v7\",\n  \"threads\": {},\n  \
+        "{{\n  \"schema\": \"seccloud-bench-pairing/v7\",\n  \"threads\": 1,\n  \
          \"host_cores\": {},\n  \"host_arch\": \"{}\",\n  \
          \"pairing_ops_per_sec\": {:.3},\n  \"prepared_pairing_ops_per_sec\": {:.3},\n  \
          \"prepared_speedup\": {:.3},\n  \"g2_preparation_ms\": {:.4},\n  \
@@ -154,7 +154,6 @@ fn main() {
          \"cyclotomic_square_us\": {:.2},\n  \
          \"designated_verify_us\": [\n{}\n  ],\n  \
          \"batch_verify\": [\n{}\n  ]\n}}\n",
-        seccloud_parallel::num_threads(),
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         std::env::consts::ARCH,
         ops_per_sec(plain_ms),

@@ -357,7 +357,7 @@ fn main() {
     let json = format!(
         "{{\n  \"schema\": \"seccloud-bench-scale/v1\",\n  \"mode\": \"{}\",\n  \
          \"users\": {},\n  \"shards\": {},\n  \"audits_per_epoch\": {},\n  \
-         \"active_users\": {},\n  \"sigs_per_audit\": {},\n  \"threads\": {},\n  \
+         \"active_users\": {},\n  \"sigs_per_audit\": {},\n  \"threads\": 1,\n  \
          \"enrollment_curve\": [\n{curve_rows}\n  ],\n  \
          \"commit_ms\": {:.1},\n  \"rotate_ms\": {:.1},\n  \
          \"audit_arms\": [\n{arm_rows}\n  ],\n  \
@@ -368,7 +368,6 @@ fn main() {
         p.audits_per_epoch,
         p.active_users,
         p.sigs_per_audit,
-        seccloud_parallel::num_threads(),
         commit_ms,
         rotate_ms,
         speedup,

@@ -46,17 +46,6 @@ impl StorageAuditVerdict {
     }
 }
 
-/// One [`DesignatedAgency::audit_many`] work item: which server, which
-/// job, which owner.
-pub struct AuditJob<'a> {
-    /// The server to challenge.
-    pub server: &'a CloudServer,
-    /// The job (request + commitment) under audit.
-    pub handle: &'a JobHandle,
-    /// The data owner delegating the audit.
-    pub owner: &'a CloudUser,
-}
-
 /// The designated agency: holds its verifier credential and a DRBG for
 /// challenge sampling, and drives the full audit protocol against servers.
 ///
@@ -197,7 +186,13 @@ impl DesignatedAgency {
         sample_size: usize,
         now: u64,
     ) -> Result<AuditVerdict, ServerError> {
-        let warrant = self.warrant_for(server, handle, owner, now);
+        let warrant = Warrant::issue(
+            owner,
+            self.identity(),
+            now + 1_000,
+            handle.request.digest(),
+            &[server.public(), self.cred.public()],
+        );
         self.audit_with_warrant(server, handle, owner, &warrant, sample_size, now)
     }
 
@@ -212,88 +207,8 @@ impl DesignatedAgency {
         sample_size: usize,
         now: u64,
     ) -> Result<AuditVerdict, ServerError> {
-        let challenge = self.challenge_for(handle, sample_size);
-        self.answer_and_verify(server, handle, owner, warrant, challenge, now)
-    }
-
-    /// Audits every job, returning verdicts in input order (paper Section
-    /// VI: the DA "can concurrently handle multiple sessions").
-    ///
-    /// Challenges and warrants are drawn serially, in job order, so the
-    /// DRBG stream matches calling [`DesignatedAgency::audit`] once per
-    /// job. The pairing-heavy answer-and-verify steps then fan out over
-    /// [`seccloud_parallel::num_threads`] workers.
-    ///
-    /// This is the *direct* (in-process) batch entry point; over a real wire,
-    /// run each job through `seccloud-resilience`'s `run_job_resilient`,
-    /// which retries channel damage and escalates the challenge before it
-    /// issues a verdict.
-    ///
-    /// # Errors
-    ///
-    /// Per-job server errors are returned in the corresponding slot.
-    #[must_use = "unexamined verdicts silently drop detected cheating"]
-    pub fn audit_many(
-        &mut self,
-        jobs: &[AuditJob<'_>],
-        sample_size: usize,
-        now: u64,
-    ) -> Vec<Result<AuditVerdict, ServerError>> {
-        let prepared: Vec<_> = jobs
-            .iter()
-            .map(|job| {
-                let warrant = self.warrant_for(job.server, job.handle, job.owner, now);
-                let challenge = self.challenge_for(job.handle, sample_size);
-                (job, warrant, challenge)
-            })
-            .collect();
-        seccloud_parallel::parallel_map(&prepared, |_, (job, warrant, challenge)| {
-            self.answer_and_verify(
-                job.server,
-                job.handle,
-                job.owner,
-                warrant,
-                challenge.clone(),
-                now,
-            )
-        })
-    }
-
-    /// The owner's warrant delegating `handle`'s audit to this agency,
-    /// designated to both the server and the agency.
-    fn warrant_for(
-        &self,
-        server: &CloudServer,
-        handle: &JobHandle,
-        owner: &CloudUser,
-        now: u64,
-    ) -> Warrant {
-        Warrant::issue(
-            owner,
-            self.identity(),
-            now + 1_000,
-            handle.request.digest(),
-            &[server.public(), self.cred.public()],
-        )
-    }
-
-    /// Draws the next sampling challenge for `handle`'s request.
-    fn challenge_for(&mut self, handle: &JobHandle, sample_size: usize) -> AuditChallenge {
         let n = handle.request.len();
-        self.sample_challenge(n, sample_size.min(n))
-    }
-
-    /// Steps 3–4 of an audit round: the server answers `challenge` and the
-    /// agency runs Algorithm 1 on the response.
-    fn answer_and_verify(
-        &self,
-        server: &CloudServer,
-        handle: &JobHandle,
-        owner: &CloudUser,
-        warrant: &Warrant,
-        challenge: AuditChallenge,
-        now: u64,
-    ) -> Result<AuditVerdict, ServerError> {
+        let challenge = self.sample_challenge(n, sample_size.min(n));
         let response = server.handle_audit(
             handle.job_id,
             &challenge,
@@ -598,74 +513,6 @@ mod tests {
         }
         let rate = f64::from(escapes) / f64::from(trials);
         assert!(rate < 0.35, "escape rate {rate} should be near 0.5⁴ ≈ 0.06");
-    }
-
-    #[test]
-    fn audit_many_matches_serial_audits() {
-        // Two identically seeded agencies over the same three jobs (server
-        // 1 always lies): `audit_many` must replay `audit` job by job —
-        // same challenge stream, same Algorithm-1 outcome, same verdict.
-        let sio = Sio::new(b"audit-many");
-        let mut batched_da = DesignatedAgency::new(&sio, "da", b"agency");
-        let mut serial_da = DesignatedAgency::new(&sio, "da", b"agency");
-        let users: Vec<_> = (0..3).map(|i| sio.register(&format!("user-{i}"))).collect();
-        let mut servers: Vec<_> = (0..3)
-            .map(|i| {
-                let behavior = if i == 1 {
-                    Behavior::ComputationCheater {
-                        csc: 0.0,
-                        guess_range: None,
-                    }
-                } else {
-                    Behavior::Honest
-                };
-                CloudServer::new(&sio, &format!("cs-{i}"), behavior, b"s")
-            })
-            .collect();
-        let request = ComputationRequest::new(
-            (0..6u64)
-                .map(|i| RequestItem {
-                    function: ComputeFunction::Sum,
-                    positions: vec![i],
-                })
-                .collect(),
-        );
-        let mut handles = Vec::new();
-        for (user, server) in users.iter().zip(servers.iter_mut()) {
-            let blocks: Vec<DataBlock> = (0..6u64)
-                .map(|i| DataBlock::from_values(i, &[i, i * 2]))
-                .collect();
-            let signed = user.sign_blocks(&blocks, &[server.public(), batched_da.public()]);
-            server.store(user, signed);
-            handles.push(
-                server
-                    .handle_computation(&user.identity().to_string(), &request, batched_da.public())
-                    .unwrap(),
-            );
-        }
-        let jobs: Vec<AuditJob<'_>> = users
-            .iter()
-            .zip(&servers)
-            .zip(&handles)
-            .map(|((owner, server), handle)| AuditJob {
-                server,
-                handle,
-                owner,
-            })
-            .collect();
-
-        let batched = batched_da.audit_many(&jobs, 3, 0);
-        assert_eq!(batched.len(), 3);
-        for (i, (job, verdict)) in jobs.iter().zip(&batched).enumerate() {
-            let verdict = verdict.as_ref().unwrap();
-            let serial = serial_da
-                .audit(job.server, job.handle, job.owner, 3, 0)
-                .unwrap();
-            assert_eq!(verdict.challenge, serial.challenge, "job {i}");
-            assert_eq!(verdict.outcome, serial.outcome, "job {i}");
-            assert_eq!(verdict.detected, serial.detected, "job {i}");
-            assert_eq!(verdict.detected, i == 1, "only server 1 cheats");
-        }
     }
 
     #[test]

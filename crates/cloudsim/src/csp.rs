@@ -184,10 +184,10 @@ impl Csp {
     /// commitments. A slice whose data no server holds is still dispatched
     /// to the default server, which reports the missing block.
     ///
-    /// Execution is genuinely parallel — "parallelly executed across
-    /// hundreds of Cloud Computing servers" — with each server owned by one
-    /// worker, so per-server state (job ids, behaviour dice) evolves
-    /// exactly as under serial dispatch and the result keeps plan order.
+    /// The paper's servers run their sub-tasks "parallelly"; the simulation
+    /// runs them server by server on the calling thread, so per-server state
+    /// (job ids, behaviour dice) evolves in a fixed order and the result
+    /// keeps plan order.
     pub fn execute(
         &mut self,
         owner: &CloudUser,
@@ -231,10 +231,10 @@ impl Csp {
                 bucket.push((slot, slice, item_indices));
             }
         }
-        // Dispatch pass: one worker per server, each executing its slices
-        // in plan order against its exclusively-borrowed server.
+        // Dispatch pass: server by server, each executing its slices in
+        // plan order.
         let owner_id = owner_identity.to_string();
-        let grouped = seccloud_parallel::parallel_map_mut(&mut self.servers, |i, server| {
+        let grouped = self.servers.iter_mut().enumerate().map(|(i, server)| {
             per_server
                 .get(i)
                 .map_or(&[][..], Vec::as_slice)
@@ -255,7 +255,7 @@ impl Csp {
         // Restore plan order. Every slice was routed to exactly one server,
         // so sorting the tagged results by slot reproduces the plan order
         // without any placeholder slots.
-        let mut tagged: Vec<(usize, SubTaskExecution)> = grouped.into_iter().flatten().collect();
+        let mut tagged: Vec<(usize, SubTaskExecution)> = grouped.flatten().collect();
         tagged.sort_by_key(|(slot, _)| *slot);
         tagged.into_iter().map(|(_, exec)| exec).collect()
     }

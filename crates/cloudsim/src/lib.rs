@@ -56,6 +56,6 @@ pub mod privacy;
 pub mod rpc;
 pub mod server;
 
-pub use agency::{AuditJob, AuditVerdict, DesignatedAgency};
+pub use agency::{AuditVerdict, DesignatedAgency};
 pub use csp::{Csp, Sla, SubTaskExecution};
 pub use server::{CloudServer, JobHandle, ServerError};

@@ -162,15 +162,7 @@ impl WireServer {
     ///
     /// [`RpcError::Malformed`] on any decode failure.
     pub fn rpc_store(&mut self, owner_identity: &str, body: &[u8]) -> Result<u64, RpcError> {
-        let mut r = Reader::new(body)?;
-        // Minimal signed block: index (8) + data len (8) + empty
-        // designation list (8) — caps the declared count before allocating.
-        let n = r.take_len_elems(8 + 8 + 8)?;
-        let mut blocks = Vec::with_capacity(n);
-        for _ in 0..n {
-            blocks.push(SignedBlock::decode_body(&mut r)?);
-        }
-        r.finish()?;
+        let blocks = decode_store_body(body)?;
         let owner = UserPublic::from_identity(owner_identity);
         Ok(self.inner.store_public(&owner, blocks) as u64)
     }
@@ -282,6 +274,25 @@ pub fn encode_store_body(blocks: &[SignedBlock]) -> Vec<u8> {
         b.encode_body(&mut w);
     }
     w.finish()
+}
+
+/// Parses an `rpc_store` body back into its blocks.
+///
+/// # Errors
+///
+/// Any [`WireError`]: truncation, trailing bytes, or a declared block
+/// count the body cannot hold.
+pub fn decode_store_body(body: &[u8]) -> Result<Vec<SignedBlock>, WireError> {
+    let mut r = Reader::new(body)?;
+    // Minimal signed block: index (8) + data len (8) + empty
+    // designation list (8) — caps the declared count before allocating.
+    let n = r.take_len_elems(8 + 8 + 8)?;
+    let mut blocks = Vec::with_capacity(n);
+    for _ in 0..n {
+        blocks.push(SignedBlock::decode_body(&mut r)?);
+    }
+    r.finish()?;
+    Ok(blocks)
 }
 
 #[cfg(test)]

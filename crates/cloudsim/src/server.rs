@@ -431,10 +431,22 @@ mod tests {
             (spent.final_exponentiations, spent.gt_subgroup_tests),
             (1, 15)
         );
-        // A bad block is located and refused; the rest are stored.
+        // A bad block is located and refused; the rest are stored. The
+        // rejected batch is followed by one pairing per uploaded block.
         let (_, user, mut server, _) = setup(Behavior::Honest);
         signed[3].tamper_data(b"evil".to_vec());
+        let before = seccloud_pairing::counters::snapshot();
         assert_eq!(server.store(&user, signed), 15);
+        let spent = seccloud_pairing::counters::snapshot().since(&before);
+        assert_eq!(
+            (
+                spent.miller_loops,
+                spent.miller_lanes,
+                spent.final_exponentiations,
+                spent.gt_subgroup_tests
+            ),
+            (1 + 16, 1 + 16, 1 + 16, 15)
+        );
         assert!(server.retrieve("alice", 3).is_none());
         assert!(server.retrieve("alice", 4).is_some());
     }

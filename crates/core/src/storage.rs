@@ -158,25 +158,20 @@ impl CloudUser {
     /// the data and corresponding signature pairs {D, Φ} to the cloud
     /// server and deletes them from local storage").
     ///
-    /// The per-block sign-then-designate work (one pairing per verifier per
-    /// block) fans out over [`seccloud_parallel::num_threads`] workers.
+    /// Each block costs one pairing per verifier (sign-then-designate).
     /// Each block's nonce comes from [`sign`], keyed by the user's secret
     /// key and the position-bound block bytes, so the output is identical
-    /// for any worker count and distinct blocks draw independent nonces,
-    /// across batches too.
+    /// however the blocks are batched and distinct blocks draw independent
+    /// nonces, across batches too.
     pub fn sign_blocks(
         &self,
         blocks: &[DataBlock],
         verifiers: &[&VerifierPublic],
     ) -> Vec<SignedBlock> {
-        // Materialize each verifier's prepared pairing key before the
-        // fan-out so workers share the caches.
-        for v in verifiers {
-            let _ = v.q_prepared();
-        }
-        seccloud_parallel::parallel_map(blocks, |_, b| {
-            self.sign_block(b, verifiers, b"seccloud/storage-block")
-        })
+        blocks
+            .iter()
+            .map(|b| self.sign_block(b, verifiers, b"seccloud/storage-block"))
+            .collect()
     }
 
     /// Signs a single block; `nonce` is extra domain-separation input to
@@ -218,9 +213,8 @@ impl StorageAuditReport {
 /// Audits a set of retrieved blocks: every block's designation to
 /// `verifier` folds into one [`BatchVerifier`] (Section VI, one pairing),
 /// and only when that batch rejects are the blocks checked one pairing
-/// each — fanned out over [`seccloud_parallel::num_threads`] workers — to
-/// name the offenders. The failure set is the per-block one either way,
-/// for any worker count.
+/// each to name the offenders. The failure set is the per-block one
+/// either way.
 pub fn audit_blocks(
     verifier: &VerifierKey,
     owner: &UserPublic,
@@ -235,11 +229,10 @@ pub fn audit_blocks(
         }
     }
     if !batch.verify(verifier) {
-        let outcomes = seccloud_parallel::parallel_map(blocks, |_, b| b.verify(verifier, owner));
-        failed = outcomes
+        failed = blocks
             .iter()
             .enumerate()
-            .filter(|(_, ok)| !**ok)
+            .filter(|(_, b)| !b.verify(verifier, owner))
             .map(|(i, _)| i)
             .collect();
     }
@@ -349,7 +342,33 @@ mod tests {
     }
 
     #[test]
-    fn signing_is_independent_of_batching_and_worker_count() {
+    fn a_rejected_audit_pays_one_pairing_per_block() {
+        // The whole audit runs on the calling thread, so the snapshot
+        // sees every check: the rejected batch (one single-lane pairing,
+        // a subgroup test per signature after the first), then each of
+        // the ten blocks alone at one pairing each.
+        let (_, user, cs, _) = setup();
+        let mut signed = user.sign_blocks(&blocks(10), &[cs.public()]);
+        signed[6].tamper_data(b"x".to_vec());
+        let before = seccloud_pairing::counters::snapshot();
+        assert_eq!(
+            audit_blocks(cs.key(), user.public(), &signed).failed,
+            vec![6]
+        );
+        let spent = seccloud_pairing::counters::snapshot().since(&before);
+        assert_eq!(
+            (
+                spent.miller_loops,
+                spent.miller_lanes,
+                spent.final_exponentiations,
+                spent.gt_subgroup_tests
+            ),
+            (1 + 10, 1 + 10, 1 + 10, 9)
+        );
+    }
+
+    #[test]
+    fn signing_is_independent_of_batching() {
         let (_, user, cs, da) = setup();
         let bs = blocks(6);
         let signed = user.sign_blocks(&bs, &[cs.public(), da.public()]);
@@ -358,8 +377,7 @@ mod tests {
             assert!(b.verify(cs.key(), user.public()));
             assert!(b.verify(da.key(), user.public()));
         }
-        // One block at a time always runs on the calling thread; the batch
-        // must reproduce it bit for bit, whatever `SECCLOUD_THREADS` says.
+        // Signing one block at a time must reproduce the batch bit for bit.
         let one_by_one: Vec<SignedBlock> = bs
             .iter()
             .flat_map(|b| user.sign_blocks(std::slice::from_ref(b), &[cs.public(), da.public()]))

@@ -20,7 +20,7 @@
 //!   `RpcError::is_transient` classifies exactly what the server decided;
 //! * [`server`] — [`NetServer`], serving any `WireTransport` behind an
 //!   accept loop with per-connection deadlines, bounded admission,
-//!   `SECCLOUD_THREADS`-sized workers, request caps and graceful shutdown;
+//!   a configurable socket worker pool, request caps and graceful shutdown;
 //! * [`client`] — [`NetTransport`], a reconnect-on-drop `WireTransport`
 //!   over `TcpStream`, drop-in under `ResilientTransport` with no changes
 //!   above.

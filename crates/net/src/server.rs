@@ -1,8 +1,8 @@
 //! [`NetServer`]: a `WireTransport` served over real TCP.
 //!
 //! The server owns a listener bound to loopback, an accept thread, and a
-//! worker pool sized by `seccloud_parallel::num_threads()` (the
-//! `SECCLOUD_THREADS` knob). Each accepted connection gets per-connection
+//! pool of [`NetServerConfig::workers`] socket workers (default: the
+//! host's available parallelism). Each accepted connection gets per-connection
 //! read/write deadlines (`set_read_timeout`/`set_write_timeout`), is
 //! served at most [`NetServerConfig::max_requests_per_conn`] requests, and
 //! is then closed — a deliberate churn source that forces clients to
@@ -45,7 +45,8 @@ pub struct NetServerConfig {
     pub max_requests_per_conn: u64,
     /// Accepted-connection queue depth; connections beyond it are shed.
     pub backlog: usize,
-    /// Worker count override; `None` defers to `SECCLOUD_THREADS`.
+    /// Socket worker count; `None` means
+    /// [`std::thread::available_parallelism`].
     pub workers: Option<usize>,
 }
 
@@ -117,7 +118,7 @@ impl NetServer {
         let transport = Arc::new(Mutex::new(transport));
         let workers = config
             .workers
-            .unwrap_or_else(seccloud_parallel::num_threads)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
             .max(1);
         let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
             std::sync::mpsc::sync_channel(config.backlog.max(1));

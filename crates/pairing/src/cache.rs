@@ -462,14 +462,7 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_stay_consistent() {
-        // Honors the CI knob: `SECCLOUD_THREADS=4` runs this with 4
-        // workers; unset it still exercises at least 4.
-        let threads = std::env::var("SECCLOUD_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(4)
-            .max(4);
+        const THREADS: usize = 4;
         const POINTS: u32 = 6;
         const OPS: usize = 24;
         // Capacity below the working set forces live eviction under
@@ -477,7 +470,7 @@ mod tests {
         let cache = PreparedCache::new(POINTS as usize / 2);
         let fresh: Vec<G2Prepared> = (0..POINTS).map(|i| G2Prepared::from(&point(i))).collect();
         std::thread::scope(|scope| {
-            for t in 0..threads {
+            for t in 0..THREADS {
                 let cache = &cache;
                 let fresh = &fresh;
                 scope.spawn(move || {
@@ -494,7 +487,7 @@ mod tests {
         assert!(cache.len() <= POINTS as usize / 2, "bound must hold");
         assert_eq!(
             cache.hits() + cache.misses(),
-            (threads * OPS) as u64,
+            (THREADS * OPS) as u64,
             "every lookup is counted exactly once"
         );
         assert!(

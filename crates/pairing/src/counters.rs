@@ -17,8 +17,8 @@
 //! ```
 //!
 //! Each thread keeps its own counts (a `Cell` read and write per counted
-//! operation, no atomics), so work fanned out to other threads is not seen
-//! by the caller's snapshot.
+//! operation, no atomics). Every protocol path runs on its caller's
+//! thread, so a snapshot taken around a call sees the whole operation.
 
 use std::cell::Cell;
 

@@ -239,16 +239,18 @@ impl UserRegistry {
         Some(ShardCommitment { shard, epoch, root })
     }
 
-    /// All shard commitments, recomputing dirty roots in parallel over
-    /// [`seccloud_parallel::num_threads`] workers (each shard's tree build
-    /// is independent).
+    /// All shard commitments, recomputing dirty roots shard by shard.
     pub fn commitments(&mut self) -> Vec<ShardCommitment> {
         let epoch = self.epoch;
-        seccloud_parallel::parallel_map_mut(&mut self.shards, |i, s| {
-            let shard = i as u32;
-            let root = s.root(shard, epoch);
-            ShardCommitment { shard, epoch, root }
-        })
+        self.shards
+            .iter_mut()
+            .enumerate()
+            .map(|(i, s)| {
+                let shard = i as u32;
+                let root = s.root(shard, epoch);
+                ShardCommitment { shard, epoch, root }
+            })
+            .collect()
     }
 
     /// Checks a presented commitment (as wire bytes) against the

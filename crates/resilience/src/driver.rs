@@ -408,7 +408,20 @@ mod tests {
         })
     }
 
-    /// One server, wrapped by `channel`, holding `N_BLOCKS` uploaded blocks.
+    fn signed_blocks(
+        user: &CloudUser,
+        server: &CloudServer,
+        da: &DesignatedAgency,
+    ) -> Vec<SignedBlock> {
+        let blocks: Vec<DataBlock> = (0..N_BLOCKS)
+            .map(|i| DataBlock::from_values(i, &[i * 7, i + 1]))
+            .collect();
+        user.sign_blocks(&blocks, &[server.public(), da.public()])
+    }
+
+    /// One server holding `N_BLOCKS` blocks, uploaded to it directly (a
+    /// storage cheater's altered copies would fail the resilient upload's
+    /// read-back), then wrapped by `channel`.
     fn world_over<T: WireTransport>(
         behavior: Behavior,
         seed: u64,
@@ -416,21 +429,14 @@ mod tests {
     ) -> World<T> {
         let sio = Sio::new(b"driver-tests");
         let user = sio.register("alice");
-        let server = CloudServer::new(&sio, "cs", behavior, b"srv");
+        let mut server = CloudServer::new(&sio, "cs", behavior, b"srv");
         let da = DesignatedAgency::new(&sio, "da", b"agency");
-        let blocks: Vec<DataBlock> = (0..N_BLOCKS)
-            .map(|i| DataBlock::from_values(i, &[i * 7, i + 1]))
-            .collect();
-        let signed = user.sign_blocks(&blocks, &[server.public(), da.public()]);
-        let mut transport = ResilientTransport::new(
+        let signed = signed_blocks(&user, &server, &da);
+        assert_eq!(server.store(&user, signed), N_BLOCKS as usize);
+        let transport = ResilientTransport::new(
             channel(WireServer::new(server)),
             RetryPolicy::default(),
             &seed.to_be_bytes(),
-        );
-        let body = encode_store_body(&signed);
-        assert_eq!(
-            transport.rpc_store(user.identity(), &body).unwrap(),
-            N_BLOCKS
         );
         World {
             user,
@@ -671,6 +677,36 @@ mod tests {
         let res = storage_audit_resilient(&mut w.da, &mut w.transport, &w.user, N_BLOCKS, 8);
         assert!(!res.verdict.is_healthy());
         assert_eq!(res.verdict.invalid.len(), 8, "every sampled block corrupt");
+    }
+
+    #[test]
+    fn upload_to_a_corrupter_never_reads_back_clean() {
+        // The server accepts every block, then alters what it keeps: each
+        // attempt's read-back differs from the upload, so no attempt
+        // counts as stored.
+        use seccloud_cloudsim::behavior::StorageAttack;
+        let sio = Sio::new(b"driver-tests");
+        let user = sio.register("alice");
+        let server = CloudServer::new(
+            &sio,
+            "cs",
+            Behavior::StorageCheater {
+                ssc: 0.0,
+                attack: StorageAttack::Corrupt,
+            },
+            b"srv",
+        );
+        let da = DesignatedAgency::new(&sio, "da", b"agency");
+        let body = encode_store_body(&signed_blocks(&user, &server, &da));
+        let policy = RetryPolicy::default();
+        let mut transport = ResilientTransport::new(WireServer::new(server), policy.clone(), b"t");
+        assert!(matches!(
+            transport.rpc_store(user.identity(), &body),
+            Err(RpcError::Server(ServerError::MissingBlock { position: 0 }))
+        ));
+        let stats = transport.stats(Op::Store);
+        assert_eq!(stats.attempts, u64::from(policy.max_attempts));
+        assert_eq!(stats.successes, 0);
     }
 
     #[test]

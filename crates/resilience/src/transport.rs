@@ -20,11 +20,11 @@
 //! convicted. Byzantine evidence is tracked separately via
 //! [`ResilientTransport::note_byzantine`].
 
-use seccloud_cloudsim::rpc::{RpcError, WireTransport};
+use seccloud_cloudsim::rpc::{decode_store_body, encode_store_body, RpcError, WireTransport};
 use seccloud_cloudsim::server::ServerError;
 use seccloud_core::computation::Commitment;
 use seccloud_core::storage::SignedBlock;
-use seccloud_core::wire::{Reader, WireMessage};
+use seccloud_core::wire::WireMessage;
 use seccloud_hash::HmacDrbg;
 use seccloud_ibs::{UserPublic, VerifierPublic};
 
@@ -205,54 +205,61 @@ fn classify<R>(e: RpcError) -> Attempt<R> {
     }
 }
 
-/// The block indices declared by an (honest, caller-built) store body.
-/// Returns `None` when the body itself does not parse — a caller bug, not
-/// channel damage, so no read-back is possible.
-fn store_body_indices(body: &[u8]) -> Option<Vec<u64>> {
-    let mut r = Reader::new(body).ok()?;
-    let n = r.take_len_elems(8 + 8 + 8).ok()?;
-    let mut indices = Vec::with_capacity(n);
-    for _ in 0..n {
-        indices.push(SignedBlock::decode_body(&mut r).ok()?.block().index());
-    }
-    r.finish().ok()?;
-    Some(indices)
-}
-
 impl<T: WireTransport> WireTransport for ResilientTransport<T> {
-    /// Store with read-your-writes verification: an attempt only counts as
-    /// successful when the server accepted *every* block and each uploaded
-    /// index reads back as a block at that index. A channel that mangles
-    /// part of an upload (the server auth-rejects damaged blocks at ingest)
-    /// therefore triggers a clean retry instead of a silent partial store.
+    /// Store with read-your-writes verification: the call only succeeds
+    /// once every block reads back exactly as sent — index, data and every
+    /// designation. A channel that mangles part of an upload therefore
+    /// triggers a retry instead of a silent partial store: the server
+    /// auth-rejects damage to its own designation at ingest, and the
+    /// read-back catches damage to the designations it cannot check. A
+    /// block that read back intact stays stored, so each retry re-uploads
+    /// only the blocks that did not (ingest overwrites by index).
     fn rpc_store(&mut self, owner_identity: &str, body: &[u8]) -> Result<u64, RpcError> {
-        let expected = store_body_indices(body);
+        let Ok(sent) = decode_store_body(body) else {
+            // The caller's own body does not parse — a caller bug, not
+            // channel damage: pass the server's answer through.
+            return self.call(Op::Store, |inner| {
+                inner
+                    .rpc_store(owner_identity, body)
+                    .map_or_else(classify, Attempt::Ok)
+            });
+        };
+        let mut pending = sent.clone();
         self.call(Op::Store, |inner| {
-            let accepted = match inner.rpc_store(owner_identity, body) {
+            let retry_body;
+            let upload = if pending.len() == sent.len() {
+                body
+            } else {
+                retry_body = encode_store_body(&pending);
+                &retry_body
+            };
+            let accepted = match inner.rpc_store(owner_identity, upload) {
                 Ok(n) => n,
                 Err(e) => return classify(e),
             };
-            let Some(indices) = &expected else {
-                // Unparseable caller body: pass the server's answer through.
-                return Attempt::Ok(accepted);
-            };
-            if accepted != indices.len() as u64 {
+            if accepted != pending.len() as u64 {
                 return Attempt::Transient(RpcError::Server(ServerError::RejectedUpload {
                     slot: accepted as usize,
                 }));
             }
-            for &index in indices {
-                let ok = inner
+            let mut first_bad = None;
+            pending.retain(|block| {
+                let index = block.block().index();
+                let intact = inner
                     .rpc_retrieve(owner_identity, index)
                     .and_then(|bytes| SignedBlock::from_wire(&bytes).ok())
-                    .is_some_and(|b| b.block().index() == index);
-                if !ok {
-                    return Attempt::Transient(RpcError::Server(ServerError::MissingBlock {
-                        position: index,
-                    }));
+                    .is_some_and(|b| b == *block);
+                if !intact {
+                    first_bad.get_or_insert(index);
                 }
+                !intact
+            });
+            match first_bad {
+                Some(position) => {
+                    Attempt::Transient(RpcError::Server(ServerError::MissingBlock { position }))
+                }
+                None => Attempt::Ok(sent.len() as u64),
             }
-            Attempt::Ok(accepted)
         })
     }
 

@@ -4,14 +4,13 @@
 #
 # Usage: ./flake_hunt.sh N        (N ≥ 2; each run takes a few minutes)
 #
-# Run i (0-based) sets SECCLOUD_TESTKIT_SEED=i and alternates
-# SECCLOUD_THREADS between 1 (even i) and 4 (odd i), so seeded property
-# cases and the fan-out paths both vary. Each run is
+# Run i (0-based) sets SECCLOUD_TESTKIT_SEED=i, so seeded property
+# cases vary between runs. Each run is
 # `cargo test --workspace --no-fail-fast` with the harness's per-test
 # listing (the listing `-q` hides), kept under target/flake-hunt/.
 # A test is listed as CHANGED when it passed in some runs and failed in
-# others: a flake, or a failure that depends on the seed or thread count
-# (rerun it under the listed run's settings to tell which). One that fails
+# others: a flake, or a failure that depends on the seed (rerun it under
+# the listed run's seed to tell which). One that fails
 # in every run is listed as FAILED. Exits 1 if any test is listed.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -27,10 +26,8 @@ mkdir -p "$out"
 
 cargo build --workspace --tests -q
 for (( i = 0; i < runs; i++ )); do
-    threads=$(( i % 2 == 0 ? 1 : 4 ))
-    echo "== run $i of $runs: SECCLOUD_THREADS=$threads SECCLOUD_TESTKIT_SEED=$i =="
-    SECCLOUD_THREADS=$threads SECCLOUD_TESTKIT_SEED=$i \
-        cargo test --workspace --no-fail-fast > "$out/run-$i.log" 2>&1 || true
+    echo "== run $i of $runs: SECCLOUD_TESTKIT_SEED=$i =="
+    SECCLOUD_TESTKIT_SEED=$i cargo test --workspace --no-fail-fast > "$out/run-$i.log" 2>&1 || true
 done
 
 python3 - "$out" "$runs" <<'EOF'

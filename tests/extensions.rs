@@ -1,12 +1,12 @@
 //! Integration tests for the extension layers: dynamic storage, the wire
-//! format, byte-level RPC and concurrent auditing — composed through the
+//! format, byte-level RPC and per-job auditing — composed through the
 //! facade crate the way a downstream user would.
 
 use seccloud::cloudsim::behavior::Behavior;
 use seccloud::cloudsim::rpc::encode_store_body;
 // lint: allow(transport, reason=byte-level baseline path exercised raw on purpose)
 use seccloud::cloudsim::rpc::WireServer;
-use seccloud::cloudsim::{AuditJob, CloudServer, DesignatedAgency};
+use seccloud::cloudsim::{CloudServer, DesignatedAgency};
 use seccloud::core::computation::{ComputationRequest, ComputeFunction, RequestItem};
 use seccloud::core::dynstore::{audit_dynamic, DynamicStore, OwnerLedger};
 use seccloud::core::storage::DataBlock;
@@ -88,7 +88,7 @@ fn rpc_and_concurrent_audits_compose() {
         .unwrap();
     assert!(!verdict.detected);
 
-    // …and the in-memory concurrent path against a cheater + an honest one.
+    // …and in memory, one audit per job, against a cheater + an honest one.
     let mut honest = CloudServer::new(&sio, "cs-honest", Behavior::Honest, b"h");
     let mut cheat = CloudServer::new(
         &sio,
@@ -109,19 +109,10 @@ fn rpc_and_concurrent_audits_compose() {
     let h2 = cheat
         .handle_computation(&user.identity().to_string(), &req, da.public())
         .unwrap();
-    let jobs = [
-        AuditJob {
-            server: &honest,
-            handle: &h1,
-            owner: &user,
-        },
-        AuditJob {
-            server: &cheat,
-            handle: &h2,
-            owner: &user,
-        },
+    let verdicts = [
+        da.audit(&honest, &h1, &user, 6, 0),
+        da.audit(&cheat, &h2, &user, 6, 0),
     ];
-    let verdicts = da.audit_many(&jobs, 6, 0);
     assert!(!verdicts[0].as_ref().unwrap().detected);
     assert!(verdicts[1].as_ref().unwrap().detected);
 }

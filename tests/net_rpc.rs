@@ -16,14 +16,16 @@
 //! * the chaos schedule is deterministic: a same-seed replay produces
 //!   byte-identical deliveries;
 //! * the client transport reconnects transparently across the server's
-//!   per-connection request cap.
+//!   per-connection request cap;
+//! * concurrent clients read back exactly what was stored from a server
+//!   with one socket worker and from one with four.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 use seccloud::cloudsim::behavior::Behavior;
-use seccloud::cloudsim::rpc::{encode_store_body, RpcError};
+use seccloud::cloudsim::rpc::{decode_store_body, encode_store_body, RpcError};
 // lint: allow(transport, reason=the net runtime serves the raw trait; this suite wraps it in NetServer and dials it)
 use seccloud::cloudsim::rpc::{WireServer, WireTransport};
 use seccloud::cloudsim::{CloudServer, DesignatedAgency};
@@ -53,6 +55,10 @@ struct NetWorld {
 }
 
 fn net_world(label: &[u8], behavior: Behavior) -> NetWorld {
+    net_world_with(label, behavior, NetServerConfig::default())
+}
+
+fn net_world_with(label: &[u8], behavior: Behavior, config: NetServerConfig) -> NetWorld {
     let sio = Sio::new(label);
     let user = sio.register("alice");
     let server = CloudServer::new(&sio, "cs", behavior, b"srv");
@@ -61,8 +67,7 @@ fn net_world(label: &[u8], behavior: Behavior) -> NetWorld {
     let signer = server.signer_public().clone();
     let da_public = da.public().clone();
     // lint: allow(transport, reason=constructing the NetServer around the raw byte endpoints under test)
-    let net = NetServer::spawn(WireServer::new(server), NetServerConfig::default())
-        .expect("loopback bind");
+    let net = NetServer::spawn(WireServer::new(server), config).expect("loopback bind");
     NetWorld {
         user,
         da,
@@ -423,4 +428,49 @@ fn client_reconnects_across_server_request_cap() {
         client.reconnects()
     );
     net.shutdown();
+}
+
+#[test]
+fn concurrent_clients_are_served_at_one_and_four_workers() {
+    for workers in [1, 4] {
+        // A request cap of 2 churns connections, so one worker must
+        // interleave the clients rather than serve them one after another.
+        let config = NetServerConfig {
+            workers: Some(workers),
+            max_requests_per_conn: 2,
+            ..NetServerConfig::default()
+        };
+        let world = net_world_with(b"net-concurrent", Behavior::Honest, config);
+        let body = signed_upload_body(&world);
+        let sent = decode_store_body(&body).expect("own upload parses");
+        let stored = client_for(world.server.addr(), &world)
+            .rpc_store(world.user.identity(), &body)
+            .expect("store");
+        assert_eq!(stored, N_BLOCKS);
+        // All four clients start together, so their requests overlap.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for c in 0..4u64 {
+                let mut client = client_for(world.server.addr(), &world);
+                let (world, sent, start) = (&world, &sent, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for k in 0..N_BLOCKS {
+                        let position = (k + 3 * c) % N_BLOCKS;
+                        let bytes = client
+                            .rpc_retrieve(world.user.identity(), position)
+                            .expect("retrieve");
+                        let block = seccloud::core::storage::SignedBlock::from_wire(&bytes)
+                            .expect("decode");
+                        assert_eq!(
+                            Some(&block),
+                            sent.get(position as usize),
+                            "{workers} workers, client {c}, position {position}"
+                        );
+                    }
+                });
+            }
+        });
+        world.server.shutdown();
+    }
 }
