@@ -94,6 +94,14 @@ for b in table1 fig5 table2; do
     ./target/release/${b} > "target/${b}.txt"
 done
 
+echo "== examples: every examples/*.rs runs to a zero exit, and multi_server_cloud again over loopback TCP (--net) =="
+cargo build --release --examples
+for src in examples/*.rs; do
+    ex=$(basename "$src" .rs)
+    ./target/release/examples/${ex} > "target/example-${ex}.txt"
+done
+./target/release/examples/multi_server_cloud --net > target/example-multi_server_cloud-net.txt
+
 echo "== experiments drift: deterministic paper-figure outputs match experiments/*.txt =="
 # detection_sim is deterministic too, but takes ~50 s; it is left to manual reruns.
 for b in fig4 optimal_t pool_detection; do

@@ -118,8 +118,8 @@ impl Effort {
     }
 
     /// The paper's two Table I prices, `T_pmul` (a `G1` multiplication by
-    /// a full scalar) and `T_pair` (an unprepared pairing), from the unit
-    /// timer.
+    /// a full scalar) and `T_pair` (a cold pairing: preparing its `G2`
+    /// argument, then one replay), from the unit timer.
     pub fn scheme_costs(&self) -> SchemeCosts {
         let g1 = G1::generator();
         let k = Fr::hash(b"bench-scalar");

@@ -1,19 +1,27 @@
 //! Per-thread operation counters for the pairing's priced operations.
 //!
 //! The paper prices verification in pairings (Table I, eq. 8–9), so the
-//! crate counts the parts a pairing is made of — Miller loops and the
-//! pairs they absorb, final exponentiations — plus the `GT` subgroup
-//! tests batch verification pays per term. Counts are exact and
+//! crate counts the parts a pairing is made of — `G2` preparations, Miller
+//! loops and the pairs they absorb, final exponentiations — plus the `GT`
+//! subgroup tests batch verification pays per term. Counts are exact and
 //! deterministic, so a test can pin a protocol path's cost without a
-//! clock:
+//! clock. A cold pairing prepares its `G2` argument and replays it; a
+//! pairing against a kept preparation pays only the replay:
 //!
 //! ```
-//! use seccloud_pairing::{counters, hash_to_g1, hash_to_g2, pairing};
+//! use seccloud_pairing::{counters, hash_to_g1, hash_to_g2, pairing, pairing_prepared, G2Prepared};
 //!
+//! let (p, q) = (hash_to_g1(b"p").to_affine(), hash_to_g2(b"q").to_affine());
 //! let before = counters::snapshot();
-//! let _ = pairing(&hash_to_g1(b"p").to_affine(), &hash_to_g2(b"q").to_affine());
+//! let _ = pairing(&p, &q);
 //! let spent = counters::snapshot().since(&before);
-//! assert_eq!((spent.miller_loops, spent.final_exponentiations), (1, 1));
+//! assert_eq!((spent.g2_preparations, spent.miller_loops, spent.final_exponentiations), (1, 1, 1));
+//!
+//! let prepared = G2Prepared::from(&q);
+//! let before = counters::snapshot();
+//! let _ = pairing_prepared(&p, &prepared);
+//! let spent = counters::snapshot().since(&before);
+//! assert_eq!((spent.g2_preparations, spent.miller_loops, spent.final_exponentiations), (0, 1, 1));
 //! ```
 //!
 //! Each thread keeps its own counts (a `Cell` read and write per counted
@@ -25,6 +33,8 @@ use std::cell::Cell;
 /// A snapshot of this thread's operation counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpCounts {
+    /// [`crate::G2Prepared`]s built, by `From` or by `from_ct`.
+    pub g2_preparations: u64,
     /// Miller-loop evaluations; a fused loop over several pairs counts once.
     pub miller_loops: u64,
     /// Pairs absorbed by those loops (`k` for a fused loop over `k` pairs).
@@ -37,6 +47,7 @@ pub struct OpCounts {
 
 impl OpCounts {
     const ZERO: Self = Self {
+        g2_preparations: 0,
         miller_loops: 0,
         miller_lanes: 0,
         final_exponentiations: 0,
@@ -47,6 +58,7 @@ impl OpCounts {
     #[must_use]
     pub fn since(&self, earlier: &Self) -> Self {
         Self {
+            g2_preparations: self.g2_preparations - earlier.g2_preparations,
             miller_loops: self.miller_loops - earlier.miller_loops,
             miller_lanes: self.miller_lanes - earlier.miller_lanes,
             final_exponentiations: self.final_exponentiations - earlier.final_exponentiations,
@@ -70,6 +82,11 @@ fn bump(f: impl FnOnce(&mut OpCounts)) {
         f(&mut counts);
         c.set(counts);
     });
+}
+
+/// Counts one `G2` preparation.
+pub(crate) fn g2_preparation() {
+    bump(|c| c.g2_preparations += 1);
 }
 
 /// Counts one Miller loop over `lanes` pairs.

@@ -3,7 +3,8 @@
 //! This crate supplies the algebra the SecCloud protocol runs on: the prime
 //! fields [`Fp`]/[`Fr`], the tower [`Fp2`]→[`Fp6`]→[`Fp12`], the groups
 //! [`G1`] (on `E/Fp : y² = x³ + 3`) and [`G2`] (on the sextic twist), hash-
-//! to-curve for both groups, and the reduced Tate [`pairing`].
+//! to-curve for both groups, and the reduced optimal ate [`pairing`]
+//! (with the Tate pairing, [`pairing_tate`], as an independent reference).
 //!
 //! ## Why Type-3 instead of the paper's symmetric pairing
 //!
@@ -38,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod arch;
-mod ate;
 pub mod cache;
 pub mod counters;
 pub mod ec;
@@ -58,7 +58,6 @@ pub mod params;
 mod prepared;
 pub mod traits;
 
-pub use ate::{multi_pairing_ate, pairing_ate};
 pub use cache::PreparedCache;
 pub use ec::{Affine, CurveParams, Point};
 pub use fixed_base::{g1_generator_mul, g2_generator_mul, FixedBaseTable};

@@ -1,10 +1,14 @@
-//! The Tate pairing `ê : G1 × G2 → GT` with denominator elimination.
+//! The target group `GT`, the final exponentiation, the workspace's
+//! [`pairing`]/[`multi_pairing`] entry points (the optimal ate pairing of
+//! `prepared.rs`), and the Tate pairing `ê : G1 × G2 → GT` kept as
+//! an independent reference.
 //!
-//! The implementation favours transparency over peak speed: a textbook
-//! Miller loop over the (affine) first argument with line evaluations in
-//! `Fp12`, followed by a Frobenius-assisted final exponentiation. Verticals
-//! are dropped — valid because the untwisted `Q` has its `x`-coordinate in
-//! `Fp6`, which the final exponentiation annihilates.
+//! The Tate implementation favours transparency over peak speed: a
+//! textbook Miller loop over the (affine) first argument with line
+//! evaluations in `Fp12`, followed by the shared Frobenius-assisted final
+//! exponentiation. Verticals are dropped — valid because the untwisted `Q`
+//! has its `x`-coordinate in `Fp6`, which the final exponentiation
+//! annihilates.
 
 use std::sync::OnceLock;
 
@@ -18,6 +22,7 @@ use crate::fr::Fr;
 use crate::g1::G1Affine;
 use crate::g2::G2Affine;
 use crate::params;
+use crate::prepared::{multi_miller_loop, pairing_prepared, G2Prepared};
 use crate::traits::FieldElement;
 
 /// An element of the pairing target group `GT ⊂ Fp12*` (the `μ_r` subgroup
@@ -89,7 +94,7 @@ impl Gt {
     }
 
     /// Wraps a final-exponentiated value (crate-internal constructor for
-    /// the alternative Miller-loop backends).
+    /// the ate Miller loop in `prepared.rs`).
     pub(crate) fn from_unchecked_fp12(v: Fp12) -> Self {
         Gt(v)
     }
@@ -389,8 +394,10 @@ pub fn final_exponentiation(f: &Fp12) -> Fp12 {
     final_exp_hard_part_chain(&f)
 }
 
-/// Computes the workspace's default reduced pairing `ê(P, Q)` — the optimal
-/// ate pairing (shortest Miller loop); see [`crate::pairing_ate`].
+/// Computes the workspace's reduced pairing `ê(P, Q)`: the optimal ate
+/// pairing, as a fresh [`G2Prepared`] of `Q` replayed by
+/// [`multi_miller_loop`]. Callers that pair against one `Q` many times
+/// keep the preparation ([`crate::PreparedCache`]) instead.
 ///
 /// Returns the identity when either input is the point at infinity, matching
 /// the bilinear extension `ê(O, ·) = ê(·, O) = 1`.
@@ -406,18 +413,28 @@ pub fn final_exponentiation(f: &Fp12) -> Fp12 {
 /// assert!(!e.is_one(), "pairing of generators is non-degenerate");
 /// ```
 pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
-    crate::ate::pairing_ate(p, q)
+    if p.is_identity() || q.is_identity() {
+        return Gt::one();
+    }
+    pairing_prepared(p, &G2Prepared::from(q))
 }
 
-/// Computes `∏ᵢ ê(Pᵢ, Qᵢ)` with the default (optimal ate) pairing, sharing
-/// one final exponentiation across all Miller loops.
+/// Computes `∏ᵢ ê(Pᵢ, Qᵢ)` with the optimal ate pairing: one preparation
+/// per pair without an identity, then one fused Miller loop and one final
+/// exponentiation over them all.
 pub fn multi_pairing(pairs: &[(G1Affine, G2Affine)]) -> Gt {
-    crate::ate::multi_pairing_ate(pairs)
+    let live: Vec<(&G1Affine, G2Prepared)> = pairs
+        .iter()
+        .filter(|(p, q)| !p.is_identity() && !q.is_identity())
+        .map(|(p, q)| (p, G2Prepared::from(q)))
+        .collect();
+    let refs: Vec<(&G1Affine, &G2Prepared)> = live.iter().map(|(p, q)| (*p, q)).collect();
+    multi_miller_loop(&refs)
 }
 
 /// Computes the reduced **Tate** pairing `ê(P, Q)` — the slower, textbook
 /// backend kept as an independent implementation for cross-checking the
-/// default ate pairing (EXPERIMENTS.md, "Retired microbenchmarks", records
+/// ate pairing (EXPERIMENTS.md, "Retired microbenchmarks", records
 /// its cost against ate).
 pub fn pairing_tate(p: &G1Affine, q: &G2Affine) -> Gt {
     if p.is_identity() || q.is_identity() {
@@ -626,6 +643,45 @@ mod tests {
         assert_eq!(spent.final_exponentiations, 0);
     }
 
+    /// `(preparations, Miller loops, lanes, final exponentiations)` spent
+    /// by `f` on this thread.
+    fn pairing_cost(f: impl FnOnce() -> Gt) -> (u64, u64, u64, u64) {
+        let before = crate::counters::snapshot();
+        f();
+        let c = crate::counters::snapshot().since(&before);
+        (
+            c.g2_preparations,
+            c.miller_loops,
+            c.miller_lanes,
+            c.final_exponentiations,
+        )
+    }
+
+    #[test]
+    fn a_cold_pairing_prepares_once_and_replays_once() {
+        let p = hash_to_g1(b"cost-p").to_affine();
+        let q = hash_to_g2(b"cost-q").to_affine();
+        assert_eq!(pairing_cost(|| pairing(&p, &q)), (1, 1, 1, 1));
+        // An identity on either side pairs to one for free.
+        let inf = G2Affine::identity();
+        assert_eq!(pairing_cost(|| pairing(&p, &inf)), (0, 0, 0, 0));
+    }
+
+    #[test]
+    fn multi_pairing_prepares_each_live_pair_and_fuses_one_loop() {
+        let mut pairs: Vec<(G1Affine, G2Affine)> = (0..4u32)
+            .map(|i| {
+                (
+                    hash_to_g1(format!("cost-mp-{i}").as_bytes()).to_affine(),
+                    hash_to_g2(format!("cost-mq-{i}").as_bytes()).to_affine(),
+                )
+            })
+            .collect();
+        pairs.push((G1Affine::identity(), pairs[0].1));
+        pairs.push((pairs[1].0, G2Affine::identity()));
+        assert_eq!(pairing_cost(|| multi_pairing(&pairs)), (4, 1, 4, 1));
+    }
+
     #[test]
     fn non_degenerate_on_generators() {
         let e = pairing(&G1::generator().to_affine(), &G2::generator().to_affine());
@@ -708,6 +764,13 @@ mod tests {
         let lhs = pairing(&p1.add(&p2).to_affine(), &q);
         let rhs = pairing(&p1.to_affine(), &q).mul(&pairing(&p2.to_affine(), &q));
         assert_eq!(lhs, rhs);
+        // e(P1, Q + Q2) = e(P1, Q) · e(P1, Q2)
+        let q2 = hash_to_g2(b"add-q2");
+        let q_sum = hash_to_g2(b"add-q").add(&q2).to_affine();
+        assert_eq!(
+            pairing(&p1.to_affine(), &q_sum),
+            pairing(&p1.to_affine(), &q).mul(&pairing(&p1.to_affine(), &q2.to_affine()))
+        );
     }
 
     #[test]

@@ -1,11 +1,19 @@
-//! Fixed-argument pairing precomputation.
+//! The optimal ate pairing, by prepared line coefficients.
 //!
-//! Every Miller-loop step of the optimal ate pairing ([`crate::ate`])
-//! computes a line through twist points derived *only from Q* — slope and
-//! intercept do not depend on the `G1` argument. When the same `Q` is
-//! paired against many `P` (SecCloud's designated-verifier transforms and
-//! batch checks all pair against a verifier key fixed for its lifetime),
-//! those coefficients can be computed once and replayed.
+//! The Miller loop has length `s = 6x + 2` (≈ 65 bits) and runs on the
+//! *twist*, with point arithmetic in `Fp2`, plus two Frobenius-twisted
+//! correction steps:
+//!
+//! ```text
+//! a_opt(P, Q) = ( f_{6x+2,Q}(P) · l_{[6x+2]Q, πQ}(P) · l_{[6x+2]Q+πQ, −π²Q}(P) )^((p¹²−1)/r)
+//! ```
+//!
+//! Every step computes a line through twist points derived *only from Q*:
+//! slope and intercept do not depend on the `G1` argument. So the walk is
+//! done once per `Q` and its lines are stored. SecCloud's
+//! designated-verifier transforms and batch checks all pair against a
+//! verifier key fixed for its lifetime, and replay the stored lines many
+//! times; a cold [`crate::pairing()`] prepares and replays once.
 //!
 //! [`G2Prepared`] caches one `(−λ, λ·x_T − y_T)` coefficient pair per
 //! doubling/addition step (the sparse line is
@@ -14,19 +22,74 @@
 //! inversion). [`multi_miller_loop`] shares both the accumulator squarings
 //! and the single final exponentiation across many `(P, Q)` pairs.
 //!
-//! Because every field operation returns the canonical (fully reduced)
-//! representative, the prepared evaluation is **bit-identical** to the
-//! from-scratch [`crate::pairing()`] — asserted by tests here and in
-//! `tests/prepared.rs`.
+//! The twist-Frobenius coefficients `ξ^((p−1)/3)`, `ξ^((p−1)/2)`,
+//! `ξ^((p²−1)/3)` are derived at runtime like every other constant in
+//! this crate. The output bits are pinned by known-answer tests here and
+//! in `tests/arch_equivalence.rs`; the Tate pairing
+//! ([`crate::pairing_tate`]) is the independent reference for the bilinear
+//! relations.
 
-use crate::ate::{loop_count, twist_frobenius, twist_frobenius_sq};
+use std::sync::OnceLock;
+
+use seccloud_bigint::ApInt;
+
 use crate::fp::Fp;
 use crate::fp12::Fp12;
 use crate::fp2::Fp2;
 use crate::g1::G1Affine;
 use crate::g2::G2Affine;
 use crate::pairing::{final_exponentiation, Gt};
+use crate::params;
 use crate::traits::FieldElement;
+
+/// The Miller loop length `s = 6x + 2`.
+fn loop_count() -> &'static ApInt {
+    static S: OnceLock<ApInt> = OnceLock::new();
+    S.get_or_init(|| &(&ApInt::from_u64(params::BN_X) * &ApInt::from_u64(6)) + &ApInt::from_u64(2))
+}
+
+/// `γ₂ = ξ^((p−1)/3)` and `γ₃ = ξ^((p−1)/2)` — the twist-Frobenius
+/// coefficients for `x` and `y` respectively.
+fn twist_frobenius_coeffs() -> &'static (Fp2, Fp2) {
+    static G: OnceLock<(Fp2, Fp2)> = OnceLock::new();
+    G.get_or_init(|| {
+        let p_minus_1 = p_minus_one();
+        let third = p_minus_1.divrem(&ApInt::from_u64(3)).expect("3 ≠ 0").0;
+        let half = p_minus_1.divrem(&ApInt::from_u64(2)).expect("2 ≠ 0").0;
+        (
+            Fp2::xi().pow_limbs(&third.to_le_limbs()),
+            Fp2::xi().pow_limbs(&half.to_le_limbs()),
+        )
+    })
+}
+
+/// `ω = ξ^((p²−1)/3)` — the `x`-coefficient of the squared twist
+/// Frobenius (`ξ^((p²−1)/2) = −1` because ξ is a non-square in `Fp2`).
+fn twist_frobenius_sq_coeff() -> &'static Fp2 {
+    static W: OnceLock<Fp2> = OnceLock::new();
+    W.get_or_init(|| {
+        let p = params::p_apint();
+        let p2_minus_1 = (p * p).checked_sub(&ApInt::one()).expect("p² > 1");
+        let third = p2_minus_1.divrem(&ApInt::from_u64(3)).expect("3 ≠ 0").0;
+        Fp2::xi().pow_limbs(&third.to_le_limbs())
+    })
+}
+
+fn p_minus_one() -> ApInt {
+    params::p_apint().checked_sub(&ApInt::one()).expect("p > 1")
+}
+
+/// The twist Frobenius `π(x, y) = (x̄·γ₂, ȳ·γ₃)` (conjugate = `Fp2`
+/// Frobenius), satisfying `ψ(π_tw(Q)) = π(ψ(Q))` for the untwist `ψ`.
+fn twist_frobenius(q: (Fp2, Fp2)) -> (Fp2, Fp2) {
+    let (g2, g3) = twist_frobenius_coeffs();
+    (q.0.conjugate().mul(g2), q.1.conjugate().mul(g3))
+}
+
+/// The squared twist Frobenius `π²(x, y) = (x·ω, −y)`.
+fn twist_frobenius_sq(q: (Fp2, Fp2)) -> (Fp2, Fp2) {
+    (q.0.mul(twist_frobenius_sq_coeff()), q.1.neg())
+}
 
 /// One cached Miller-loop step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,14 +113,37 @@ impl LineStep {
     }
 }
 
-/// Records the same affine twist-point walk as `ate::TwistMiller`, but
-/// stores the `P`-independent line coefficients instead of evaluating.
+/// The affine twist-point walk of the Miller loop, storing the
+/// `P`-independent line coefficients of each step.
 struct Recorder {
     t: Option<(Fp2, Fp2)>,
     steps: Vec<LineStep>,
 }
 
 impl Recorder {
+    /// A walk starting at `T = Q`, with room for every step: one doubling
+    /// per bit below the top, one addition per set bit below the top, and
+    /// the two correction steps.
+    fn new(q: (Fp2, Fp2)) -> Self {
+        let s = loop_count();
+        let set_bits: usize = s
+            .to_le_limbs()
+            .iter()
+            .map(|l| l.count_ones() as usize)
+            .sum();
+        Self {
+            t: Some(q),
+            steps: Vec::with_capacity(s.bits() + set_bits),
+        }
+    }
+
+    fn finish(self) -> G2Prepared {
+        G2Prepared {
+            steps: self.steps,
+            infinity: false,
+        }
+    }
+
     fn double_step(&mut self) {
         let Some((x, y)) = self.t else {
             self.steps.push(LineStep::One);
@@ -168,9 +254,10 @@ impl Recorder {
 
 /// A `G2` point with its Miller-loop line coefficients precomputed.
 ///
-/// Preparing costs roughly one unprepared Miller loop; every subsequent
-/// [`pairing_prepared`]/[`multi_miller_loop`] against it skips the twist
-/// arithmetic (including ~65 `Fp2` inversions) entirely.
+/// Preparing walks the twist once (about 65 `Fp2` inversions); every
+/// [`pairing_prepared`]/[`multi_miller_loop`] against it then skips the
+/// twist arithmetic entirely. Each preparation is counted in
+/// [`crate::counters::OpCounts::g2_preparations`].
 ///
 /// # Examples
 ///
@@ -202,27 +289,14 @@ impl G2Prepared {
     /// the coordinate values. Costs ~65 Fermat ladders more than `from`;
     /// preparation of a long-lived key is a one-time cost.
     pub fn from_ct(q: &G2Affine) -> Self {
+        crate::counters::g2_preparation();
         if q.is_identity() {
-            return Self {
-                steps: Vec::new(),
-                infinity: true,
-            };
+            return Self::identity();
         }
         let q_aff = (q.x(), q.y());
         let s = loop_count();
-        let bits = s.bits();
-        let mut rec = Recorder {
-            t: Some(q_aff),
-            steps: Vec::with_capacity(
-                bits + s
-                    .to_le_limbs()
-                    .iter()
-                    .map(|l| l.count_ones() as usize)
-                    .sum::<usize>()
-                    + 2,
-            ),
-        };
-        for i in (0..bits - 1).rev() {
+        let mut rec = Recorder::new(q_aff);
+        for i in (0..s.bits() - 1).rev() {
             rec.double_step_ct();
             if s.bit(i) {
                 rec.add_step_ct(q_aff);
@@ -232,9 +306,13 @@ impl G2Prepared {
         let q2 = twist_frobenius_sq(q_aff);
         rec.add_step_ct(q1);
         rec.add_step_ct((q2.0, q2.1.neg()));
+        rec.finish()
+    }
+
+    fn identity() -> Self {
         Self {
-            steps: rec.steps,
-            infinity: false,
+            steps: Vec::new(),
+            infinity: true,
         }
     }
 
@@ -263,27 +341,14 @@ impl Drop for G2Prepared {
 
 impl From<&G2Affine> for G2Prepared {
     fn from(q: &G2Affine) -> Self {
+        crate::counters::g2_preparation();
         if q.is_identity() {
-            return Self {
-                steps: Vec::new(),
-                infinity: true,
-            };
+            return Self::identity();
         }
         let q_aff = (q.x(), q.y());
         let s = loop_count();
-        let bits = s.bits();
-        let mut rec = Recorder {
-            t: Some(q_aff),
-            steps: Vec::with_capacity(
-                bits + s
-                    .to_le_limbs()
-                    .iter()
-                    .map(|l| l.count_ones() as usize)
-                    .sum::<usize>()
-                    + 2,
-            ),
-        };
-        for i in (0..bits - 1).rev() {
+        let mut rec = Recorder::new(q_aff);
+        for i in (0..s.bits() - 1).rev() {
             rec.double_step();
             if s.bit(i) {
                 rec.add_step(q_aff);
@@ -294,10 +359,7 @@ impl From<&G2Affine> for G2Prepared {
         let q2 = twist_frobenius_sq(q_aff);
         rec.add_step(q1);
         rec.add_step((q2.0, q2.1.neg()));
-        Self {
-            steps: rec.steps,
-            infinity: false,
-        }
+        rec.finish()
     }
 }
 
@@ -311,8 +373,7 @@ impl From<G2Affine> for G2Prepared {
 /// accumulator squarings of one Miller loop and a single final
 /// exponentiation.
 ///
-/// Pairs with an identity on either side contribute `1` and are skipped —
-/// matching [`crate::multi_pairing`]'s semantics bit for bit.
+/// Pairs with an identity on either side contribute `1` and are skipped.
 pub fn multi_miller_loop(pairs: &[(&G1Affine, &G2Prepared)]) -> Gt {
     let live: Vec<(Fp, Fp, &[LineStep])> = pairs
         .iter()
@@ -348,8 +409,8 @@ pub fn multi_miller_loop(pairs: &[(&G1Affine, &G2Prepared)]) -> Gt {
     Gt::from_unchecked_fp12(final_exponentiation(&f))
 }
 
-/// The reduced optimal ate pairing against a prepared `G2` argument —
-/// bit-identical to [`crate::pairing()`] on the same inputs.
+/// The reduced optimal ate pairing against a prepared `G2` argument;
+/// [`crate::pairing()`] is this against a fresh preparation.
 pub fn pairing_prepared(p: &G1Affine, q: &G2Prepared) -> Gt {
     multi_miller_loop(&[(p, q)])
 }
@@ -369,7 +430,7 @@ mod tests {
     use crate::fr::Fr;
     use crate::g1::{hash_to_g1, G1};
     use crate::g2::{hash_to_g2, G2};
-    use crate::pairing::{multi_pairing, pairing};
+    use crate::pairing::pairing;
 
     /// `Π ê(Pᵢ, Qᵢ)` over the three pairs of the test below, as
     /// `Gt::to_bytes` hex, recorded before the signed-window final
@@ -411,16 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn prepared_equals_unprepared_on_random_points() {
-        for i in 0..6u32 {
-            let p = hash_to_g1(format!("prep-p-{i}").as_bytes()).to_affine();
-            let q = hash_to_g2(format!("prep-q-{i}").as_bytes()).to_affine();
-            let prep = G2Prepared::from(&q);
-            assert_eq!(pairing_prepared(&p, &prep), pairing(&p, &q), "sample {i}");
-        }
-    }
-
-    #[test]
     fn prepared_identity_semantics() {
         let p = hash_to_g1(b"prep-id-p").to_affine();
         let q = hash_to_g2(b"prep-id-q").to_affine();
@@ -429,22 +480,6 @@ mod tests {
         assert!(pairing_prepared(&p, &inf).is_one());
         let prep = G2Prepared::from(&q);
         assert!(pairing_prepared(&G1Affine::identity(), &prep).is_one());
-    }
-
-    #[test]
-    fn multi_miller_loop_matches_multi_pairing() {
-        let pairs: Vec<(G1Affine, G2Affine)> = (0..4u32)
-            .map(|i| {
-                (
-                    hash_to_g1(format!("mml-p-{i}").as_bytes()).to_affine(),
-                    hash_to_g2(format!("mml-q-{i}").as_bytes()).to_affine(),
-                )
-            })
-            .collect();
-        let preps: Vec<G2Prepared> = pairs.iter().map(|(_, q)| G2Prepared::from(q)).collect();
-        let refs: Vec<(&G1Affine, &G2Prepared)> =
-            pairs.iter().zip(&preps).map(|((p, _), q)| (p, q)).collect();
-        assert_eq!(multi_miller_loop(&refs), multi_pairing(&pairs));
     }
 
     #[test]
@@ -513,6 +548,31 @@ mod tests {
             prep.steps.iter().all(|s| matches!(s, LineStep::One)),
             "every cached line must be wiped to the unit contribution"
         );
+    }
+
+    #[test]
+    fn derived_coefficients_have_expected_orders() {
+        // γ₂³ = ξ^(p−1), γ₃² = ξ^(p−1), ω³ = ξ^(p²−1) = 1.
+        let (g2, g3) = twist_frobenius_coeffs();
+        let xi_pm1 = Fp2::xi().pow_limbs(&p_minus_one().to_le_limbs());
+        assert_eq!(g2.mul(g2).mul(g2), xi_pm1);
+        assert_eq!(g3.mul(g3), xi_pm1);
+        let w = twist_frobenius_sq_coeff();
+        assert_eq!(w.mul(w).mul(w), Fp2::one());
+        assert_ne!(*w, Fp2::one(), "ω is a primitive cube root of unity");
+    }
+
+    #[test]
+    fn twist_frobenius_fixes_the_subgroup() {
+        // π(Q) must land back in G2 (on the twist and in the r-torsion),
+        // and π²(Q) must equal applying π twice.
+        let q = hash_to_g2(b"frob-q").to_affine();
+        let pi_q = twist_frobenius((q.x(), q.y()));
+        let as_point = G2Affine::from_xy(pi_q.0, pi_q.1).expect("π(Q) on the twist");
+        assert!(G2::from(as_point).is_torsion_free());
+        let pi2_direct = twist_frobenius_sq((q.x(), q.y()));
+        let pi2_composed = twist_frobenius(twist_frobenius((q.x(), q.y())));
+        assert_eq!(pi2_direct, pi2_composed);
     }
 
     #[test]

@@ -233,18 +233,23 @@ fn scripted_server(
     (addr, handle)
 }
 
-fn fast_client(addr: SocketAddr) -> NetTransport {
+fn scripted_client(addr: SocketAddr, read_timeout_ms: u64) -> NetTransport {
     // lint: allow(transport, reason=error-mapping cases assert on the raw client, below any retry layer)
     NetTransport::new(
         addr,
         VerifierPublic::from_identity("cs"),
         UserPublic::from_identity("srv"),
         NetClientConfig {
-            connect_timeout_ms: 1_000,
-            read_timeout_ms: 200,
-            write_timeout_ms: 1_000,
+            read_timeout_ms,
+            ..NetClientConfig::default()
         },
     )
+}
+
+/// The default read deadline (2 s): for the cases whose expected error
+/// is not a timeout, so a descheduled peer cannot turn it into one.
+fn patient_client(addr: SocketAddr) -> NetTransport {
+    scripted_client(addr, NetClientConfig::default().read_timeout_ms)
 }
 
 #[test]
@@ -255,7 +260,7 @@ fn mid_frame_disconnect_maps_to_truncated_frame() {
         let _ = stream.flush();
         // Dropping the stream closes it mid-frame.
     });
-    let mut client = fast_client(addr);
+    let mut client = patient_client(addr);
     let err = client
         .rpc_store("alice", &encode_store_body(&[]))
         .expect_err("cut frame must not decode");
@@ -272,7 +277,7 @@ fn slow_loris_stall_maps_to_timeout() {
         std::thread::sleep(Duration::from_millis(600));
         drop(stream);
     });
-    let mut client = fast_client(addr);
+    let mut client = scripted_client(addr, 200);
     let err = client
         .rpc_store("alice", &encode_store_body(&[]))
         .expect_err("stalled peer must time out");
@@ -291,7 +296,7 @@ fn oversized_declared_length_maps_to_frame_too_large() {
         let _ = stream.flush();
         std::thread::sleep(Duration::from_millis(100));
     });
-    let mut client = fast_client(addr);
+    let mut client = patient_client(addr);
     let err = client
         .rpc_store("alice", &encode_store_body(&[]))
         .expect_err("length bomb must be rejected");
