@@ -86,8 +86,27 @@ echo "== scale smoke bench: enrollment, per-shard commitments, epoch rotation, b
 # ≤10k simulated users, end to end through the release binary.
 ./target/release/bench_scale --smoke --out target/BENCH_scale_smoke.json
 
-echo "== pairing smoke bench: every BENCH_pairing.json field, unit prices included, one call each =="
+echo "== pairing smoke bench: every BENCH_pairing.json field, unit prices included, one call each; its field set must equal the committed file's =="
 ./target/release/bench_pairing --smoke --out target/BENCH_pairing_smoke.json
+python3 - <<'EOF'
+import json
+def keys(doc):
+    # Top-level fields plus the fields of each array's rows.
+    out = set(doc)
+    for name, value in doc.items():
+        if isinstance(value, list):
+            out |= {f"{name}[].{k}" for row in value for k in row}
+    return out
+with open("BENCH_pairing.json") as f:
+    committed = keys(json.load(f))
+with open("target/BENCH_pairing_smoke.json") as f:
+    emitted = keys(json.load(f))
+assert committed == emitted, (
+    f"BENCH_pairing.json fields drifted from bench_pairing's output: "
+    f"only committed {sorted(committed - emitted)}, only emitted {sorted(emitted - committed)}"
+)
+print(f"BENCH_pairing.json schema ok: {len(committed)} fields")
+EOF
 
 echo "== paper tables: table1, fig5 and table2 run once on the shared timers (output in target/, not diffed: timings vary) =="
 for b in table1 fig5 table2; do

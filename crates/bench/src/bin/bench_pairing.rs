@@ -11,6 +11,8 @@
 //!   `sign`, designated verification of a 40-byte and a 16 KiB message,
 //!   an `Fp12` product and a cyclotomic squaring, each from the shared
 //!   unit timer (`Effort::unit_us`: the fastest of 25 short timed rounds);
+//! * a designation by the signer's fixed-base `GT` table of
+//!   `K_V = ê(sk_ID, Q_V)`, and that table's first-use cost;
 //! * the `GT` subgroup test batch verification runs on every pushed `Σ`;
 //! * designated batch verification at ℓ ∈ {9, 16, 64, 256} vs ℓ individual
 //!   verifications (ℓ = 9 is an Algorithm-1 audit at t = 4: eight input
@@ -29,7 +31,13 @@
 //! exactly `table1`'s `T_pair` and `T_pmul`, and each batch row from the
 //! batch timer. Within v7, `pairing_ops_per_sec` has priced a cold
 //! pairing (a preparation plus one replay) since the on-the-fly ate loop
-//! was deleted; it priced that loop before.
+//! was deleted; it priced that loop before. Schema v8 adds
+//! `designate_us`, one designation on the signer's warm path (a
+//! constant-time power from `K_V`'s fixed-base table, which
+//! `sign_designated` pays per verifier instead of a pairing), and
+//! `designation_table_ms`, the first designation to a verifier: one
+//! prepared pairing for `K_V` plus the table build (slow timer). Every v7
+//! field keeps its name and meaning.
 //!
 //! Run with `cargo run --release -p seccloud-bench --bin bench_pairing`.
 //! The file lands in the current working directory; `--out PATH` moves
@@ -42,7 +50,7 @@ use seccloud_bench::Effort;
 use seccloud_ibs::{designate, sign, MasterKey};
 use seccloud_pairing::{
     final_exponentiation, hash_to_g1, hash_to_g2, pairing, pairing_prepared, FieldElement, Fr,
-    G2Prepared, G1, G2,
+    G2Prepared, GtPowTable, G1, G2,
 };
 
 fn ops_per_sec(ms_per_op: f64) -> f64 {
@@ -101,6 +109,12 @@ fn main() {
     let sigma_sq = sigma.as_fp12().square();
     let fp12_mul_us = effort.unit_us(|| sigma.as_fp12().mul(&sigma_sq));
     let cyclotomic_square_us = effort.unit_us(|| sigma.as_fp12().cyclotomic_square());
+    // A designation without a pairing: `K_V^(r+h)` from `K_V`'s table (any
+    // pairing value stands in for `K_V`); the first use pays the pairing
+    // and the build.
+    let designation_table_ms = effort.slow_ms(|| GtPowTable::new(&pairing_prepared(&p, &prepared)));
+    let table = GtPowTable::new(&sigma);
+    let designate_us = effort.unit_us(|| table.pow_ct(&k));
     let sio = MasterKey::from_seed(b"bench-pairing-units");
     let user = sio.extract_user("alice");
     let server = sio.extract_verifier("cs");
@@ -120,7 +134,8 @@ fn main() {
         "final exp {final_exp_us:.1} µs, G1 ct mul {g1_ct_us:.1} µs, \
          G2 ct mul {g2_ct_us:.1} µs, sign {sign_us:.1} µs, \
          GT subgroup test {subgroup_us:.1} µs, Fp12 product {fp12_mul_us:.2} µs, \
-         cyclotomic squaring {cyclotomic_square_us:.2} µs"
+         cyclotomic squaring {cyclotomic_square_us:.2} µs, \
+         designation by table {designate_us:.1} µs (table built in {designation_table_ms:.2} ms)"
     );
 
     let mut batch_rows = Vec::new();
@@ -147,7 +162,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"seccloud-bench-pairing/v7\",\n  \"threads\": 1,\n  \
+        "{{\n  \"schema\": \"seccloud-bench-pairing/v8\",\n  \"threads\": 1,\n  \
          \"host_cores\": {},\n  \"host_arch\": \"{}\",\n  \
          \"pairing_ops_per_sec\": {:.3},\n  \"prepared_pairing_ops_per_sec\": {:.3},\n  \
          \"prepared_speedup\": {:.3},\n  \"g2_preparation_ms\": {:.4},\n  \
@@ -156,7 +171,8 @@ fn main() {
          \"final_exponentiation_us\": {:.1},\n  \"g1_mul_ct_us\": {:.1},\n  \
          \"g2_mul_ct_us\": {:.1},\n  \"sign_us\": {:.1},\n  \
          \"gt_subgroup_check_us\": {:.1},\n  \"fp12_mul_us\": {:.2},\n  \
-         \"cyclotomic_square_us\": {:.2},\n  \
+         \"cyclotomic_square_us\": {:.2},\n  \"designate_us\": {:.1},\n  \
+         \"designation_table_ms\": {:.3},\n  \
          \"designated_verify_us\": [\n{}\n  ],\n  \
          \"batch_verify\": [\n{}\n  ]\n}}\n",
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
@@ -175,6 +191,8 @@ fn main() {
         subgroup_us,
         fp12_mul_us,
         cyclotomic_square_us,
+        designate_us,
+        designation_table_ms,
         verify_rows.join(",\n"),
         batch_rows.join(",\n"),
     );

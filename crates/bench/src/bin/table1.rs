@@ -7,13 +7,19 @@
 //! of 25 rounds of 4 calls), the estimator `fig5` and `bench_pairing` use
 //! for the same quantities.
 //!
+//! Designation is priced two ways: the paper's transform `Σ = ê(V, Q_V)`,
+//! a pairing against `Q_V`'s kept preparation (Table I prices it at
+//! `T_pair`), and the signer's path `Σ = K_V^(r+h)`, a constant-time
+//! power from the fixed-base table of `K_V = ê(sk_ID, Q_V)`.
+//!
 //! ```text
 //! cargo run -p seccloud-bench --release --bin table1
 //! ```
 #![forbid(unsafe_code)]
 
 use seccloud_bench::{fmt_ms, row, Effort};
-use seccloud_pairing::{hash_to_g1, hash_to_g2, pairing, Fr, G2};
+use seccloud_ibs::{designate, sign, MasterKey};
+use seccloud_pairing::{hash_to_g1, hash_to_g2, pairing, Fr, GtPowTable, G2};
 
 fn main() {
     println!("# Table I — cryptographic operation execution time\n");
@@ -32,6 +38,13 @@ fn main() {
     let t_hash_g1 = effort.unit_us(|| hash_to_g1(b"hash-bench-input")) / 1_000.0;
     let t_hash_g2 = effort.unit_us(|| hash_to_g2(b"hash-bench-input")) / 1_000.0;
     let t_gt_exp = effort.unit_us(|| gt.pow(&k)) / 1_000.0;
+    let sio = MasterKey::from_seed(b"table1-designation");
+    let user = sio.extract_user("alice");
+    let server = sio.extract_verifier("cs");
+    let raw = sign(&user, b"block", b"n");
+    let t_designate = effort.unit_us(|| designate(&raw, server.public())) / 1_000.0;
+    let table = GtPowTable::new(&gt);
+    let t_designate_table = effort.unit_us(|| table.pow_ct(&k)) / 1_000.0;
 
     println!(
         "{}",
@@ -98,6 +111,24 @@ fn main() {
             "—".into(),
             "n/a".into(),
             fmt_ms(t_gt_exp)
+        ])
+    );
+    println!(
+        "{}",
+        row(&[
+            "designation ê(V, Q_V), Q_V prepared".into(),
+            "T_pair".into(),
+            "4.14 ms".into(),
+            fmt_ms(t_designate)
+        ])
+    );
+    println!(
+        "{}",
+        row(&[
+            "designation K_V^(r+h), fixed-base GT table".into(),
+            "—".into(),
+            "n/a".into(),
+            fmt_ms(t_designate_table)
         ])
     );
 

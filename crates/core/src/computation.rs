@@ -14,7 +14,7 @@
 
 use seccloud_hash::{HmacDrbg, Sha256};
 use seccloud_ibs::{
-    designate, sign, BatchVerifier, DesignatedSignature, UserKey, UserPublic, VerifierKey,
+    sign_designated, BatchVerifier, DesignatedSignature, UserKey, UserPublic, VerifierKey,
     VerifierPublic,
 };
 use seccloud_merkle::{MerklePath, MerkleTree, Node};
@@ -305,14 +305,15 @@ impl CommitmentSession {
     }
 
     /// Signs this session's root for `auditor`, producing the public
-    /// [`Commitment`].
+    /// [`Commitment`]. `Sig(R)` comes from [`sign_designated`]: a
+    /// fixed-base `GT` power of the server's `K_DA`, whose table the
+    /// server's first commitment to `auditor` builds with one pairing.
     pub fn sign_root(&self, server_signer: &UserKey, auditor: &VerifierPublic) -> Commitment {
         let msg = root_signature_message(&self.tree.root(), &self.request.digest());
-        let raw = sign(server_signer, &msg, b"root");
         Commitment {
             results: self.results.clone(),
             root: self.tree.root(),
-            root_sig: designate(&raw, auditor),
+            root_sig: sign_designated(server_signer, &msg, b"root", &[auditor]).remove(0),
             server_identity: server_signer.identity().to_owned(),
         }
     }

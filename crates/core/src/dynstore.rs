@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use seccloud_ibs::{designate, sign, DesignatedSignature, UserPublic, VerifierKey, VerifierPublic};
+use seccloud_ibs::{sign_designated, DesignatedSignature, UserPublic, VerifierKey, VerifierPublic};
 
 use crate::sio::CloudUser;
 use crate::storage::DataBlock;
@@ -227,13 +227,14 @@ impl CloudUser {
         let mut nonce = Vec::with_capacity(16);
         nonce.extend_from_slice(&position.to_be_bytes());
         nonce.extend_from_slice(&version.to_be_bytes());
-        let raw = sign(self.key(), &msg, &nonce);
+        let signatures = sign_designated(self.key(), &msg, &nonce, verifiers);
         VersionedBlock {
             block,
             version,
             designations: verifiers
                 .iter()
-                .map(|v| (v.identity().to_owned(), designate(&raw, v)))
+                .map(|v| v.identity().to_owned())
+                .zip(signatures)
                 .collect(),
         }
     }

@@ -9,7 +9,7 @@
 
 use seccloud_hash::Sha256;
 use seccloud_ibs::{
-    designate, sign, BatchVerifier, DesignatedSignature, UserPublic, VerifierKey, VerifierPublic,
+    sign_designated, BatchVerifier, DesignatedSignature, UserPublic, VerifierKey, VerifierPublic,
 };
 
 use crate::sio::CloudUser;
@@ -158,8 +158,11 @@ impl CloudUser {
     /// the data and corresponding signature pairs {D, Φ} to the cloud
     /// server and deletes them from local storage").
     ///
-    /// Each block costs one pairing per verifier (sign-then-designate).
-    /// Each block's nonce comes from [`sign`], keyed by the user's secret
+    /// Each block is one [`sign_designated`] call: per verifier, a
+    /// fixed-base `GT` power of the key's `K_V = ê(sk_ID, Q_V)`, not a
+    /// pairing. The key's first designation to each verifier pays one
+    /// pairing and a table build; every later block, in this batch or the
+    /// next, pays none. Each block's nonce is keyed by the user's secret
     /// key and the position-bound block bytes, so the output is identical
     /// however the blocks are batched and distinct blocks draw independent
     /// nonces, across batches too.
@@ -175,20 +178,21 @@ impl CloudUser {
     }
 
     /// Signs a single block; `nonce` is extra domain-separation input to
-    /// [`sign`]'s key-derived nonce (deterministic per key, block and
-    /// `nonce`).
+    /// [`sign_designated`]'s key-derived nonce (deterministic per key,
+    /// block and `nonce`).
     pub fn sign_block(
         &self,
         block: &DataBlock,
         verifiers: &[&VerifierPublic],
         nonce: &[u8],
     ) -> SignedBlock {
-        let raw = sign(self.key(), &block.signed_message(), nonce);
+        let signatures = sign_designated(self.key(), &block.signed_message(), nonce, verifiers);
         SignedBlock {
             block: block.clone(),
             designations: verifiers
                 .iter()
-                .map(|v| (v.identity().to_owned(), designate(&raw, v)))
+                .map(|v| v.identity().to_owned())
+                .zip(signatures)
                 .collect(),
         }
     }
@@ -275,6 +279,23 @@ mod tests {
             assert!(b.verify(da.key(), user.public()));
             assert_eq!(b.designated_verifiers().count(), 2);
         }
+    }
+
+    #[test]
+    fn designating_reuses_one_pairing_per_verifier_for_the_keys_lifetime() {
+        let (_, user, cs, da) = setup();
+        let cost = |signer: &CloudUser| {
+            let before = seccloud_pairing::counters::snapshot();
+            let signed = signer.sign_blocks(&blocks(10), &[cs.public(), da.public()]);
+            let spent = seccloud_pairing::counters::snapshot().since(&before);
+            assert_eq!(signed.len(), 10);
+            (spent.miller_loops, spent.final_exponentiations)
+        };
+        // One pairing per verifier builds its K_V table; the 20 designations
+        // are table powers (sign-then-designate paid 20 pairings).
+        assert_eq!(cost(&user), (2, 2));
+        assert_eq!(cost(&user), (0, 0), "a second batch rebuilds nothing");
+        assert_eq!(cost(&user.clone()), (0, 0), "clones share the tables");
     }
 
     #[test]

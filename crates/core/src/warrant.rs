@@ -4,7 +4,7 @@
 //! "a warrant include the identity of the delegatee and the expired time".
 //! The cloud server checks the warrant before answering audit challenges.
 
-use seccloud_ibs::{designate, sign, DesignatedSignature, UserPublic, VerifierKey, VerifierPublic};
+use seccloud_ibs::{sign_designated, DesignatedSignature, UserPublic, VerifierKey, VerifierPublic};
 
 use crate::sio::CloudUser;
 
@@ -53,6 +53,11 @@ impl Warrant {
     /// Issues a warrant delegating audits of the request identified by
     /// `request_digest` to `delegatee`, verifiable by each of `verifiers`
     /// (typically the CS that will answer challenges and the DA itself).
+    ///
+    /// One signature, designated to each verifier through
+    /// [`sign_designated`]: a fixed-base `GT` power per verifier the user's
+    /// key has designated to before, one pairing and a table build for a
+    /// new one.
     pub fn issue(
         user: &CloudUser,
         delegatee: &str,
@@ -67,10 +72,11 @@ impl Warrant {
             request_digest,
             designations: Vec::new(),
         };
-        let raw = sign(user.key(), &w.message(), b"warrant");
+        let signatures = sign_designated(user.key(), &w.message(), b"warrant", verifiers);
         w.designations = verifiers
             .iter()
-            .map(|v| (v.identity().to_owned(), designate(&raw, v)))
+            .map(|v| v.identity().to_owned())
+            .zip(signatures)
             .collect();
         w
     }

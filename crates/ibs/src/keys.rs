@@ -1,9 +1,12 @@
 //! System initialization and identity key extraction (paper Section V-A).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use seccloud_hash::HmacDrbg;
-use seccloud_pairing::{hash_to_g1, hash_to_g2, Fr, G1Affine, G2Affine, G2Prepared, G1, G2};
+use seccloud_pairing::{
+    hash_to_g1, hash_to_g2, pairing_prepared, Fr, G1Affine, G2Affine, G2Prepared, Gt, GtPowTable,
+    G1, G2,
+};
 
 /// Public system parameters published by the SIO after setup.
 ///
@@ -102,6 +105,7 @@ impl MasterKey {
                 q,
             },
             sk: q.mul_fr_ct(&self.s).to_affine(),
+            designation_tables: Arc::default(),
         }
     }
 
@@ -148,12 +152,21 @@ impl UserPublic {
     }
 }
 
+/// Each verifier's `Q_V` with the fixed-base table of the Sakai–Ohgishi–
+/// Kasahara key `K_V = ê(sk_ID, Q_V)` the user designates to it with.
+type DesignationTables = Vec<(G2, Arc<GtPowTable>)>;
+
 /// A user's extracted key pair.
+///
+/// Clones share one set of designation tables: the table of each verifier
+/// this key has designated to, built on first use and kept for the key's
+/// lifetime (see [`crate::sign_designated`]).
 // lint: secret
 #[derive(Clone)]
 pub struct UserKey {
     public: UserPublic,
     sk: G1Affine,
+    designation_tables: Arc<Mutex<DesignationTables>>,
 }
 
 impl Drop for UserKey {
@@ -171,9 +184,12 @@ impl std::fmt::Debug for UserKey {
 }
 
 impl UserKey {
-    /// Zeros the identity secret key; called from `Drop`.
+    /// Zeros the identity secret key and drops this key's handle on its
+    /// designation tables (each table zeroizes its entries when the last
+    /// clone holding it lets go); called from `Drop`.
     fn wipe(&mut self) {
         seccloud_hash::wipe_copy(&mut self.sk, G1Affine::identity());
+        self.designation_tables = Arc::default();
     }
 
     /// The public part.
@@ -190,6 +206,45 @@ impl UserKey {
     pub(crate) fn sk(&self) -> &G1Affine {
         &self.sk
     }
+
+    /// The fixed-base table of `K_V = ê(sk_ID, Q_V)` for `verifier`. The
+    /// first call for a `Q_V` pays one prepared pairing (against `Q_V`'s
+    /// public preparation in [`seccloud_pairing::cache::global`]) and the
+    /// table build, both outside the lock; every later call, on this key
+    /// or a clone, is a lookup. `K_V` itself is wiped once its table is
+    /// built. Neither ever enters a prepared-key cache.
+    pub(crate) fn designation_table(&self, verifier: &VerifierPublic) -> Arc<GtPowTable> {
+        if let Some(table) = find_table(&self.lock_tables(), verifier.q()) {
+            return table;
+        }
+        let mut k = pairing_prepared(&self.sk, &verifier.q_prepared());
+        let table = Arc::new(GtPowTable::new(&k));
+        seccloud_hash::wipe_copy(&mut k, Gt::one());
+        let mut tables = self.lock_tables();
+        // A clone may have built the same table meanwhile; keep the first.
+        if let Some(first) = find_table(&tables, verifier.q()) {
+            return first;
+        }
+        tables.push((*verifier.q(), Arc::clone(&table)));
+        table
+    }
+
+    /// Locks the designation tables; a poisoned lock is recovered, since
+    /// an entry is pushed whole or not at all.
+    fn lock_tables(&self) -> MutexGuard<'_, DesignationTables> {
+        match self.designation_tables.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+}
+
+/// The table kept for `q`, if any.
+fn find_table(tables: &DesignationTables, q: &G2) -> Option<Arc<GtPowTable>> {
+    tables
+        .iter()
+        .find(|(kept, _)| kept == q)
+        .map(|(_, table)| Arc::clone(table))
 }
 
 /// A verifier's public identity data: identity string and `Q_V ∈ G2`.
@@ -399,6 +454,52 @@ mod tests {
             !seccloud_pairing::cache::secret().contains(&sk_point),
             "secret-derived prepared lines must be dropped from the cache"
         );
+    }
+
+    #[test]
+    fn designation_table_powers_match_pairings_of_scaled_keys() {
+        // K_V^k = ê(k·sk_ID, Q_V): the identity sign_designated rests on.
+        let m = MasterKey::from_seed(b"sok-kat");
+        let u = m.extract_user("alice");
+        let v = m.extract_verifier("cs");
+        let table = u.designation_table(v.public());
+        let q_v = v.public().q_prepared();
+        let mut drbg = HmacDrbg::new(b"sok-kat-exponents");
+        let exponents = [Fr::zero(), Fr::one()]
+            .into_iter()
+            .chain((0..20).map(|_| Fr::random_nonzero(&mut drbg)));
+        for k in exponents {
+            let scaled = G1::from(*u.sk()).mul_fr(&k).to_affine();
+            assert_eq!(
+                table.pow_ct(&k),
+                pairing_prepared(&scaled, &q_v),
+                "k = {k:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn designation_tables_are_shared_by_clones_and_dropped_by_wipe() {
+        let m = MasterKey::from_seed(b"table-wipe");
+        let mut u = m.extract_user("alice");
+        let v = m.extract_verifier("cs");
+        let table = u.designation_table(v.public());
+        assert!(Arc::ptr_eq(
+            &table,
+            &u.clone().designation_table(v.public())
+        ));
+        assert!(Arc::ptr_eq(&table, &u.designation_table(v.public())));
+        assert_eq!(u.lock_tables().len(), 1);
+        // The pairing that built K_V used only Q_V's public preparation.
+        assert!(seccloud_pairing::cache::global().contains(&v.public().q().to_affine_vartime()));
+        let weak = Arc::downgrade(&table);
+        drop(table);
+
+        u.wipe();
+        assert!(u.lock_tables().is_empty(), "wipe() must drop the tables");
+        // Nothing else held the table or K_V — no cache, no clone — so its
+        // entries were zeroized on drop.
+        assert!(weak.upgrade().is_none(), "the table outlived wipe()");
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!   the party holding `sk_CS = s·Q_CS` can verify
 //!   `Σ = ê(U + h·Q_ID, sk_CS)` (eq. 5/7). This is what discourages
 //!   privacy-cheating: a leaked `Σ` convinces nobody else, and the verifier
-//!   can even [`simulate`] indistinguishable signatures itself.
+//!   can even [`simulate`] indistinguishable signatures itself. A signer
+//!   holding its key designates through [`sign_designated`] instead:
+//!   `Σ = K_V^(r+h)` for the fixed `K_V = ê(sk_ID, Q_V)`, a table-driven
+//!   `GT` power rather than a pairing, with the same output.
 //! * **Batch verify** (Section VI, eq. 8–9): `ℓ` designated signatures from
 //!   any mix of users collapse into a single pairing check
 //!   `ê(Σᵢⱼ (Uᵢⱼ + hᵢⱼ·Q_IDᵢ), sk_CS) = Πᵢⱼ Σᵢⱼ`.
@@ -41,4 +44,4 @@ mod sign;
 
 pub use batch::{draw_weights, verify_individually, BatchItem, BatchVerifier};
 pub use keys::{MasterKey, SystemParams, UserKey, UserPublic, VerifierKey, VerifierPublic};
-pub use sign::{designate, sign, simulate, DesignatedSignature, IbsSignature};
+pub use sign::{designate, sign, sign_designated, simulate, DesignatedSignature, IbsSignature};

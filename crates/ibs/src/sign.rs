@@ -2,7 +2,7 @@
 //! (paper Sections V-B and VII-B).
 
 use seccloud_hash::{HmacDrbg, Sha256};
-use seccloud_pairing::{pairing, pairing_prepared, Fr, G1Affine, Gt, G1, G2};
+use seccloud_pairing::{cache, multi_miller_loop, pairing_prepared, Fr, G1Affine, Gt, G1, G2};
 
 use crate::keys::{SystemParams, UserKey, UserPublic, VerifierKey, VerifierPublic};
 
@@ -10,7 +10,8 @@ use crate::keys::{SystemParams, UserKey, UserPublic, VerifierKey, VerifierPublic
 ///
 /// Publicly verifiable against the master public key — which is exactly why
 /// the protocol never transmits it: the user immediately transforms it with
-/// [`designate`] and deletes `V`.
+/// [`designate`] and deletes `V` (or, holding its key, signs through
+/// [`sign_designated`], which never computes `V`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IbsSignature {
     u: G1,
@@ -31,6 +32,10 @@ impl IbsSignature {
     /// Public verification `ê(V, P₂) = ê(U + h·Q_ID, s·P₂)` — the underlying
     /// Cha–Cheon check. Anyone holding the system parameters can run this,
     /// which is the capability the designated transform removes.
+    ///
+    /// Checked as `ê(V, P₂)·ê(−(U + h·Q_ID), P_pub) = 1`: one two-lane
+    /// Miller loop and one final exponentiation, with `P₂` and `P_pub`
+    /// prepared once in [`seccloud_pairing::cache::global`] (both public).
     pub fn verify_public(
         &self,
         params: &SystemParams,
@@ -38,10 +43,14 @@ impl IbsSignature {
         message: &[u8],
     ) -> bool {
         let h = challenge_hash(&self.u.to_affine_vartime(), message);
-        let lhs = pairing(&self.v.to_affine(), &G2::generator().to_affine());
-        let target = self.u.add(&signer.q().mul_fr(&h));
-        let rhs = pairing(&target.to_affine(), &params.p_pub_g2().to_affine());
-        lhs == rhs
+        let target = self.u.add(&signer.q().mul_fr(&h)).neg();
+        let generator = cache::global().get_or_prepare(&G2::generator().to_affine_vartime());
+        let p_pub = cache::global().get_or_prepare(&params.p_pub_g2().to_affine_vartime());
+        multi_miller_loop(&[
+            (&self.v.to_affine_vartime(), &generator),
+            (&target.to_affine_vartime(), &p_pub),
+        ])
+        .is_one()
     }
 }
 
@@ -135,6 +144,53 @@ pub(crate) fn challenge_hash(ua: &G1Affine, message: &[u8]) -> Fr {
 /// designated signatures on any message. Signatures stay reproducible per
 /// `(key, message, nonce)`.
 pub fn sign(user: &UserKey, message: &[u8], nonce: &[u8]) -> IbsSignature {
+    let (u, exponent) = commit(user, message, nonce);
+    let v = G1::from(*user.sk()).mul_fr_ct(&exponent);
+    IbsSignature { u, v }
+}
+
+/// Signs `message` and designates the signature to each of `verifiers` in
+/// one step, without ever computing `V`: `Σ_V = ê((r + h)·sk_ID, Q_V) =
+/// K_V^(r+h)` for the Sakai–Ohgishi–Kasahara key `K_V = ê(sk_ID, Q_V)`,
+/// so each `Σ_V` is a constant-time power from `K_V`'s fixed-base table
+/// (64 table scans and 63 `Fp12` products) instead of a pairing. The
+/// table is built on the key's first designation to `Q_V` (one pairing
+/// plus the build) and shared by every clone of `user`.
+///
+/// The output is byte-identical to `designate(&sign(user, message, nonce),
+/// v)` for each `v`, which stays the paper's literal transform.
+///
+/// # Examples
+///
+/// ```
+/// use seccloud_ibs::{designate, sign, sign_designated, MasterKey};
+///
+/// let sio = MasterKey::from_seed(b"doc-sign-designated");
+/// let alice = sio.extract_user("alice");
+/// let (cs, da) = (sio.extract_verifier("cs"), sio.extract_verifier("da"));
+/// let both = sign_designated(&alice, b"block", b"n", &[cs.public(), da.public()]);
+/// assert_eq!(both[0], designate(&sign(&alice, b"block", b"n"), cs.public()));
+/// assert!(both[1].verify(&da, alice.public(), b"block"));
+/// ```
+pub fn sign_designated(
+    user: &UserKey,
+    message: &[u8],
+    nonce: &[u8],
+    verifiers: &[&VerifierPublic],
+) -> Vec<DesignatedSignature> {
+    let (u, exponent) = commit(user, message, nonce);
+    verifiers
+        .iter()
+        .map(|v| DesignatedSignature {
+            u,
+            sigma: user.designation_table(v).pow_ct(&exponent),
+        })
+        .collect()
+}
+
+/// The signer's commitment `U = r·Q_ID` and exponent `r + h` of a
+/// signature on `message`, shared by [`sign`] and [`sign_designated`].
+fn commit(user: &UserKey, message: &[u8], nonce: &[u8]) -> (G1, Fr) {
     let sk = user.sk();
     let mut seed = [
         b"seccloud/ibs-nonce".as_slice(),
@@ -151,13 +207,15 @@ pub fn sign(user: &UserKey, message: &[u8], nonce: &[u8]) -> IbsSignature {
     // pattern leaks `sk` via `V = (r + h)·sk`.
     let u = user.public().q().mul_fr_ct(&r);
     let h = challenge_hash(&u.to_affine(), message);
-    let v = G1::from(*sk).mul_fr_ct(&r.add(&h));
-    IbsSignature { u, v }
+    (u, r.add(&h))
 }
 
 /// Transforms a raw signature into its designated form for `verifier`:
 /// `Σ = ê(V, Q_V)` (paper Section V-B-1, "the user then transforms the
-/// signature through the idea of designated signature").
+/// signature through the idea of designated signature"). One pairing per
+/// call. A signer that holds the [`UserKey`] gets the same `Σ` from
+/// [`sign_designated`] at a fixed-base `GT` power; this literal transform
+/// stays for holders of a raw `(U, V)` and as that path's oracle.
 pub fn designate(sig: &IbsSignature, verifier: &VerifierPublic) -> DesignatedSignature {
     DesignatedSignature {
         u: sig.u,
@@ -202,6 +260,49 @@ mod tests {
         let sig = sign(&user, b"block-0", b"n0");
         assert!(sig.verify_public(m.params(), user.public(), b"block-0"));
         assert!(!sig.verify_public(m.params(), user.public(), b"block-1"));
+    }
+
+    #[test]
+    fn public_verification_is_one_two_lane_loop() {
+        let (m, user, _, _) = setup();
+        let sig = sign(&user, b"block-0", b"n0");
+        let before = seccloud_pairing::counters::snapshot();
+        assert!(sig.verify_public(m.params(), user.public(), b"block-0"));
+        let spent = seccloud_pairing::counters::snapshot().since(&before);
+        assert_eq!(
+            (
+                spent.miller_loops,
+                spent.miller_lanes,
+                spent.final_exponentiations
+            ),
+            (1, 2, 1)
+        );
+    }
+
+    #[test]
+    fn sign_designated_equals_sign_then_designate() {
+        let (m, user, cs, da) = setup();
+        let pool = [cs, da, m.extract_verifier("auditor-3")];
+        let mut drbg = HmacDrbg::new(b"sign-designated-property");
+        for case in 0..16 {
+            let len = drbg.next_below(200) as usize;
+            let message = drbg.next_bytes(len);
+            let nonce = drbg.next_bytes(8);
+            let verifiers: Vec<&VerifierPublic> = (0..=drbg.next_below(3))
+                .map(|_| pool[drbg.next_below(3) as usize].public())
+                .collect();
+            let raw = sign(&user, &message, &nonce);
+            let designated = sign_designated(&user, &message, &nonce, &verifiers);
+            assert_eq!(designated.len(), verifiers.len());
+            for (v, d) in verifiers.iter().zip(&designated) {
+                assert_eq!(
+                    d,
+                    &designate(&raw, v),
+                    "case {case}, verifier {}",
+                    v.identity()
+                );
+            }
+        }
     }
 
     #[test]
