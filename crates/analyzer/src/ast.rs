@@ -223,6 +223,9 @@ pub enum Expr {
         init: Option<Box<Expr>>,
         /// `else { … }` diverging block of a let-else.
         else_block: Option<Box<Expr>>,
+        /// The pattern is a tuple whose element `i` binds exactly
+        /// `bindings[i]` — `(a, mut b, Some(c))`, not `(_, (b, c))`.
+        flat_tuple: bool,
         /// Source line.
         line: u32,
     },
@@ -343,6 +346,24 @@ pub enum Expr {
 }
 
 impl Expr {
+    /// `let (a, b) = (x, y);` — a flat tuple pattern over a tuple literal
+    /// of the same arity: each binding paired with its own element.
+    pub fn tuple_let_elements(&self) -> Option<impl Iterator<Item = (&String, &Expr)>> {
+        let Expr::Let {
+            bindings,
+            init: Some(init),
+            flat_tuple: true,
+            ..
+        } = self
+        else {
+            return None;
+        };
+        let Expr::Group { children, .. } = init.as_ref() else {
+            return None;
+        };
+        (children.len() == bindings.len()).then(|| bindings.iter().zip(children))
+    }
+
     /// The 1-based source line the expression starts on.
     pub fn line(&self) -> u32 {
         match self {
@@ -1027,6 +1048,14 @@ impl<'t> Parser<'t> {
             self.pos += 1;
         }
         let bindings = pattern_bindings(&pat);
+        let flat_tuple = match pat.as_slice() {
+            [open, inner @ .., close] if open.text == "(" && close.text == ")" => {
+                split_top_level(inner, ",")
+                    .iter()
+                    .all(|elem| pattern_bindings(elem).len() == 1)
+            }
+            _ => false,
+        };
         let ty = if self.eat(":") {
             let mut depth = 0i64;
             let mut ty: Vec<&Tok> = Vec::new();
@@ -1064,6 +1093,7 @@ impl<'t> Parser<'t> {
             ty,
             init,
             else_block,
+            flat_tuple,
             line,
         }
     }
@@ -2122,6 +2152,36 @@ mod tests {
                 }
             });
         }
+    }
+
+    #[test]
+    fn tuple_let_pairs_each_binding_with_its_element() {
+        let ast = parse_src(
+            "fn f() { let (a, mut b) = (x, y); let (_, (c, d)) = (x, y); \
+             let (e, ..) = (x, y); let (g, h) = pair(); let (i, j) = (x, y, z); }",
+        );
+        let f = first_fn(&ast);
+        let mut pairs = Vec::new();
+        if let Some(bd) = &f.body {
+            bd.walk(&mut |e| {
+                if let Expr::Let { flat_tuple, .. } = e {
+                    let names = e
+                        .tuple_let_elements()
+                        .map(|it| it.map(|(b, _)| b.as_str()).collect::<Vec<_>>());
+                    pairs.push((*flat_tuple, names));
+                }
+            });
+        }
+        assert_eq!(
+            pairs,
+            [
+                (true, Some(vec!["a", "b"])),
+                (false, None),
+                (false, None),
+                (true, None),
+                (true, None)
+            ]
+        );
     }
 
     #[test]

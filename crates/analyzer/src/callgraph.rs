@@ -530,6 +530,13 @@ impl<'w> Typer<'w> {
             });
             for _ in 0..2 {
                 for e in &decls {
+                    // `let (user, server) = (…, …);` types each binding
+                    // from its own element.
+                    for (name, elem) in e.tuple_let_elements().into_iter().flatten() {
+                        if let Some(head) = t.infer(elem).filter(|h| !h.is_empty()) {
+                            t.locals.insert(name.clone(), head);
+                        }
+                    }
                     if let Expr::Let {
                         bindings, ty, init, ..
                     } = e

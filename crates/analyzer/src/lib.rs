@@ -29,12 +29,11 @@ mod astrules;
 mod atomics;
 mod blocking;
 pub mod callgraph;
-mod ctflow;
 pub mod lexer;
 mod locks;
 pub mod rules;
 pub mod sarif;
-mod taint;
+mod secretflow;
 
 pub use rules::{
     lint_files, Allowance, Finding, Report, ALL_RULES, RULE_ANNOTATION, RULE_ARITH, RULE_ATOMICS,

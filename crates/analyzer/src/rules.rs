@@ -1,6 +1,8 @@
 //! The lint rules and the annotation grammar.
 //!
-//! Four rule families (see `DESIGN.md` §9 for the rationale):
+//! Seventeen rules in three tiers (see `DESIGN.md` §9 for the rationale).
+//!
+//! Token rules, decided from one file's token stream:
 //!
 //! * [`RULE_PANIC`] — no `.unwrap()` / `.expect()` / `panic!` /
 //!   `unreachable!` / `todo!` / `unimplemented!` in protocol-path code.
@@ -9,7 +11,8 @@
 //!   `Debug`/`Serialize`, must implement `Drop` (zeroize-on-drop), and must
 //!   never appear inside a `format!`-family macro invocation.
 //! * [`RULE_CT`] — no `==` / `!=` on digest/tag/MAC/root operands in
-//!   verification code; use `seccloud_hash::ct_eq`.
+//!   verification code; use `seccloud_hash::ct_eq`. It stands down
+//!   wherever [`RULE_CTFLOW`] reports the same site.
 //! * [`RULE_UNSAFE`] — every crate root carries `#![forbid(unsafe_code)]`,
 //!   `unsafe` appears nowhere in the workspace (a `// SAFETY:` comment does
 //!   not excuse it), and in single-file mode every `unsafe` keyword is
@@ -19,6 +22,26 @@
 //!   wrap them (`cloudsim`, `resilience`, `testkit`, `net`): audits everywhere
 //!   else must go through `ResilientTransport`, so a flaky channel can
 //!   never abort or launder an audit (DESIGN.md §10).
+//! * [`RULE_ATOMICS`] — every `Ordering::*` site is justified, and a
+//!   `Relaxed` read-modify-write on a security-scoped atomic is rejected.
+//! * [`RULE_ANNOTATION`] — every `lint:` comment is well formed.
+//!
+//! Interprocedural rules, over the workspace AST and call graph:
+//!
+//! * [`RULE_PANIC_PATH`] — no panic source transitively reachable from a
+//!   protocol-path fn.
+//! * [`RULE_TAINT`], [`RULE_CTFLOW`], [`RULE_VARTIME`] — one secret-flow
+//!   engine with two lattices: no secret-derived value reaches a
+//!   format/wire sink, a timing sink (branch, comparison, index, loop
+//!   bound), or a variable-time primitive.
+//! * [`RULE_ARITH`] — overflow-safe sampling/backoff arithmetic.
+//! * [`RULE_DISPATCH`] — no catch-all arm in a `match` over a wire enum.
+//!
+//! Concurrency rules:
+//!
+//! * [`RULE_LOCKS`] — no lock-order cycle or re-entrant acquisition.
+//! * [`RULE_BLOCKING`] — no blocking work while a lock is held.
+//! * [`RULE_DEADLINE`] — socket I/O is dominated by a read/write deadline.
 //!
 //! # Annotation grammar
 //!
@@ -182,7 +205,7 @@ const CT_SEGMENTS: [&str; 5] = ["digest", "tag", "mac", "hmac", "root"];
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
 /// Macros whose arguments are formatted — a secret value reaching one of
-/// these is a leak vector (shared with the taint engine).
+/// these is a leak vector (the secret-flow engine's format sinks).
 pub(crate) const FORMAT_MACROS: [&str; 18] = [
     "format",
     "format_args",
@@ -205,7 +228,7 @@ pub(crate) const FORMAT_MACROS: [&str; 18] = [
 ];
 
 /// A lexed file plus the structural facts rules need. The AST-backed
-/// rules ([`crate::callgraph`], [`crate::taint`]) consume it for the
+/// rules ([`crate::callgraph`], [`crate::secretflow`]) consume it for the
 /// annotation and test-line maps.
 pub struct FileCtx {
     /// Workspace-relative path with `/` separators.
@@ -301,16 +324,16 @@ pub fn lint_files(inputs: &[(String, String)], all_rules: bool) -> Report {
     phase("secret-types", &mut mark);
 
     // AST-backed interprocedural rules: parse every file, build the
-    // workspace call graph, then run panic reachability, taint flow,
-    // constant-time dataflow, arithmetic, and dispatch analyses over it.
+    // workspace call graph, then run panic reachability, secret flow
+    // (taint, ctflow, vartime), arithmetic, and dispatch analyses over it.
     let parsed: Vec<(String, crate::ast::Ast)> = ctxs
         .iter()
         .map(|c| (c.path.clone(), crate::ast::parse(&c.toks)))
         .collect();
     phase("parse", &mut mark);
     let ws = crate::callgraph::Workspace::build(parsed);
-    // One shared type environment per fn: the taint and ctflow passes
-    // (fixpoint + reporting each) would otherwise rebuild it 4x per fn.
+    // One shared type environment per fn: the secret-flow and
+    // concurrency passes would otherwise rebuild it on every analysis.
     let typers: Vec<crate::callgraph::Typer<'_>> = ws
         .fns
         .iter()
@@ -321,7 +344,7 @@ pub fn lint_files(inputs: &[(String, String)], all_rules: bool) -> Report {
     crate::callgraph::check_panic_path(&ws, &ctx_map, all_rules, &mut report);
     phase("panic_path", &mut mark);
     let secret_names: HashSet<String> = secrets.iter().map(|s| s.name.clone()).collect();
-    crate::taint::check_taint(
+    crate::secretflow::check_secret_flow(
         &ws,
         &typers,
         &ctx_map,
@@ -329,16 +352,7 @@ pub fn lint_files(inputs: &[(String, String)], all_rules: bool) -> Report {
         all_rules,
         &mut report,
     );
-    phase("taint", &mut mark);
-    crate::ctflow::check_ctflow(
-        &ws,
-        &typers,
-        &ctx_map,
-        &secret_names,
-        all_rules,
-        &mut report,
-    );
-    phase("ctflow", &mut mark);
+    phase("secretflow", &mut mark);
     crate::astrules::check_arith(&ws, &ctx_map, all_rules, &mut report);
     crate::astrules::check_dispatch(&ws, &ctx_map, all_rules, &mut report);
     phase("arith+dispatch", &mut mark);

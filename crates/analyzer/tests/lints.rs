@@ -142,6 +142,119 @@ fn bare_call_prefers_the_local_fn_over_a_foreign_namesake() {
     );
 }
 
+/// Findings of `rule` as `(file, line)` pairs.
+fn sites<'r>(report: &'r Report, rule: &str) -> Vec<(&'r str, u32)> {
+    report
+        .findings
+        .iter()
+        .filter(|f| f.rule == rule)
+        .map(|f| (f.file.as_str(), f.line))
+        .collect()
+}
+
+/// An `ibs`-shaped crate: secret key types, their public halves, and a
+/// `designate` whose body reaches a variable-time primitive.
+const IBS_KEYS: &str = "// lint: secret\n\
+    pub struct MasterKey { s: u64 }\n\
+    impl Drop for MasterKey { fn drop(&mut self) {} }\n\
+    // lint: secret\n\
+    pub struct UserKey { sk: u64 }\n\
+    impl Drop for UserKey { fn drop(&mut self) {} }\n\
+    // lint: secret\n\
+    pub struct VerifierKey { sk: u64, public: VerifierPublic }\n\
+    impl Drop for VerifierKey { fn drop(&mut self) {} }\n\
+    pub struct VerifierPublic { q: u64 }\n\
+    impl MasterKey {\n\
+        pub fn from_seed(seed: &[u8]) -> MasterKey { MasterKey { s: seed.len() as u64 } }\n\
+        pub fn extract_user(&self, id: &str) -> UserKey { UserKey { sk: self.s } }\n\
+        pub fn extract_verifier(&self, id: &str) -> VerifierKey {\n\
+            VerifierKey { sk: self.s, public: VerifierPublic { q: 2 } }\n\
+        }\n\
+    }\n\
+    impl VerifierKey { pub fn public(&self) -> &VerifierPublic { &self.public } }\n\
+    pub fn sign(user: &UserKey, msg: &[u8]) -> u64 { user.sk ^ msg.len() as u64 }\n\
+    pub fn designate(sig: u64, v: &VerifierPublic) -> u64 { mul_vartime(sig, v.q) }\n\
+    fn mul_vartime(a: u64, b: u64) -> u64 { a * b }\n";
+
+/// A second `public()` outside `ibs`, so an untyped receiver's
+/// `.public()` cannot resolve to the declassifying one alone.
+const NODE: &str = "pub struct Node { public: VerifierPublic }\n\
+    impl Node { pub fn public(&self) -> &VerifierPublic { &self.public } }\n";
+
+#[test]
+fn tuple_literal_binds_each_element_to_its_own_secrecy() {
+    // The public half of `(user_key, verifier_key)` reaches `designate`:
+    // `server.public()` is the declassified half of the verifier key.
+    let public_half = format!(
+        "{NODE}\
+         pub fn run() -> u64 {{\n\
+             let sio = MasterKey::from_seed(b\"s\");\n\
+             let (user, server) = (sio.extract_user(\"alice\"), sio.extract_verifier(\"cs\"));\n\
+             let raw = sign(&user, b\"block\");\n\
+             designate(raw, server.public())\n\
+         }}\n"
+    );
+    // The mirror: the secret half itself reaches the variable-time path.
+    let secret_half = format!(
+        "{NODE}\
+         pub fn run() -> u64 {{\n\
+             let sio = MasterKey::from_seed(b\"s\");\n\
+             let (user, server) = (sio.extract_user(\"alice\"), sio.extract_verifier(\"cs\"));\n\
+             designate(user.sk, server.public())\n\
+         }}\n"
+    );
+    let lint = |bench: &str| {
+        analyzer::lint_files(
+            &[
+                ("crates/ibs/src/keys.rs".into(), IBS_KEYS.into()),
+                ("crates/core/src/run.rs".into(), bench.to_string()),
+            ],
+            false,
+        )
+    };
+    let report = lint(&public_half);
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    let report = lint(&secret_half);
+    assert_eq!(
+        sites(&report, "vartime"),
+        [("crates/core/src/run.rs", 6)],
+        "{:?}",
+        report.findings
+    );
+}
+
+#[test]
+fn pairing_calls_declassify_for_format_but_not_for_timing() {
+    // One secret through one `crates/pairing` call: the format lane
+    // declassifies what the arithmetic returns, the timing lane sees
+    // through it.
+    let pairing = "pub fn norm(v: u64) -> u64 { v }\n";
+    let core = "// lint: secret\n\
+                pub struct UserKey { sk: u64 }\n\
+                impl Drop for UserKey { fn drop(&mut self) {} }\n\
+                pub fn show(k: &UserKey) -> String {\n\
+                    let n = norm(k.sk);\n\
+                    if n > 3 {\n\
+                        return String::new();\n\
+                    }\n\
+                    format!(\"{n}\")\n\
+                }\n";
+    let report = analyzer::lint_files(
+        &[
+            ("crates/pairing/src/norm.rs".into(), pairing.into()),
+            ("crates/core/src/show.rs".into(), core.into()),
+        ],
+        false,
+    );
+    assert_eq!(sites(&report, "taint"), [], "{:?}", report.findings);
+    assert_eq!(
+        sites(&report, "ctflow"),
+        [("crates/core/src/show.rs", 6)],
+        "{:?}",
+        report.findings
+    );
+}
+
 #[test]
 fn arith_fixture_trips_arith_rule() {
     let report = lint_fixture("arith_bad.rs");

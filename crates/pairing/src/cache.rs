@@ -36,15 +36,16 @@
 //!
 //! * [`global`] caches **public** points only — `seccloud-ibs` routes
 //!   `q_prepared` (verifier *public* key) lookups through it. Capacity
-//!   defaults to [`DEFAULT_GLOBAL_CAPACITY`], pinned with
-//!   `SECCLOUD_PREPARED_CACHE` (read once, at first use).
+//!   starts at [`DEFAULT_GLOBAL_CAPACITY`].
 //! * [`secret`] caches **secret-derived** preparations — `sk_prepared`
 //!   (the designated verifier's private key) routes here, and nothing
 //!   else shares the instance. Entries are [`G2Prepared`] values, which
 //!   wipe their line coefficients on drop, so LRU eviction, `clear()`
 //!   and `set_capacity(0)` all zeroize rather than merely free. Capacity
-//!   defaults to [`DEFAULT_SECRET_CAPACITY`], pinned with
-//!   `SECCLOUD_SECRET_PREPARED_CACHE`.
+//!   starts at [`DEFAULT_SECRET_CAPACITY`].
+//!
+//! Both can be re-bounded at runtime with [`PreparedCache::set_capacity`]
+//! (a benchmark's cache-off arm sets 0).
 //!
 //! Keeping the two populations in separate instances means public-key
 //! churn can never evict (or be used to probe) secret-derived entries,
@@ -57,17 +58,15 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use crate::g2::G2Affine;
 use crate::prepared::G2Prepared;
 
-/// Capacity of the [`global`] cache when `SECCLOUD_PREPARED_CACHE` is
-/// unset: generous enough for thousands of co-resident verifier keys
-/// (shard agencies, cloud servers, epoch-rotated identities) at roughly
-/// 10 KiB of line coefficients each.
+/// Capacity of the [`global`] cache: generous enough for thousands of
+/// co-resident verifier keys (shard agencies, cloud servers,
+/// epoch-rotated identities) at roughly 10 KiB of line coefficients each.
 pub const DEFAULT_GLOBAL_CAPACITY: usize = 4096;
 
-/// Capacity of the [`secret`] cache when `SECCLOUD_SECRET_PREPARED_CACHE`
-/// is unset: sized for the handful of co-resident *private* verifier keys
-/// a process legitimately holds (per-shard designated agencies), kept
-/// deliberately small so secret-derived line coefficients have a bounded
-/// resident footprint.
+/// Capacity of the [`secret`] cache: sized for the handful of co-resident
+/// *private* verifier keys a process legitimately holds (per-shard
+/// designated agencies), kept deliberately small so secret-derived line
+/// coefficients have a bounded resident footprint.
 pub const DEFAULT_SECRET_CAPACITY: usize = 256;
 
 /// The canonical map key: a point's compressed encoding.
@@ -321,40 +320,26 @@ impl PreparedCache {
 }
 
 /// The process-wide prepared-key cache for **public** points (see module
-/// docs). Capacity comes from `SECCLOUD_PREPARED_CACHE` (read at first
-/// use) or [`DEFAULT_GLOBAL_CAPACITY`]; benchmarks re-bound it at runtime
-/// with [`PreparedCache::set_capacity`].
+/// docs), holding up to [`DEFAULT_GLOBAL_CAPACITY`] entries until
+/// [`PreparedCache::set_capacity`] re-bounds it.
 ///
 /// Secret-derived preparations must go through [`secret`] instead — this
 /// instance is shared with general wire-handling code and must never hold
 /// key material.
 pub fn global() -> &'static PreparedCache {
     static GLOBAL: OnceLock<PreparedCache> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let capacity = std::env::var("SECCLOUD_PREPARED_CACHE")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(DEFAULT_GLOBAL_CAPACITY);
-        PreparedCache::new(capacity)
-    })
+    GLOBAL.get_or_init(|| PreparedCache::new(DEFAULT_GLOBAL_CAPACITY))
 }
 
 /// The process-wide prepared-key cache for **secret-derived** points —
 /// designated-verifier private keys (`sk_prepared`). Kept separate from
 /// [`global`] so public-key churn can neither evict nor probe secret
 /// entries; evicted/cleared [`G2Prepared`] values wipe their line
-/// coefficients on drop. Capacity comes from
-/// `SECCLOUD_SECRET_PREPARED_CACHE` (read at first use) or
-/// [`DEFAULT_SECRET_CAPACITY`].
+/// coefficients on drop. Holds up to [`DEFAULT_SECRET_CAPACITY`] entries
+/// until [`PreparedCache::set_capacity`] re-bounds it.
 pub fn secret() -> &'static PreparedCache {
     static SECRET: OnceLock<PreparedCache> = OnceLock::new();
-    SECRET.get_or_init(|| {
-        let capacity = std::env::var("SECCLOUD_SECRET_PREPARED_CACHE")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(DEFAULT_SECRET_CAPACITY);
-        PreparedCache::new(capacity)
-    })
+    SECRET.get_or_init(|| PreparedCache::new(DEFAULT_SECRET_CAPACITY))
 }
 
 #[cfg(test)]
@@ -548,7 +533,7 @@ mod tests {
     #[test]
     fn global_cache_is_shared_and_bounded() {
         let g = global();
-        assert!(g.capacity() > 0 || std::env::var("SECCLOUD_PREPARED_CACHE").is_ok());
+        assert!(g.capacity() > 0);
         let q = point(50);
         let a = g.get_or_prepare(&q);
         assert_eq!(*a, G2Prepared::from(&q));

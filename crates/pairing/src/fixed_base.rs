@@ -1,106 +1,18 @@
-//! Fixed-base scalar multiplication via precomputed window tables.
+//! Fixed-base powers in `GT` via a precomputed window table.
 //!
-//! SecCloud multiplies the *group generators* far more often than arbitrary
-//! points: every signature, designation and commitment computes `[k]G` for
-//! fresh `k` but fixed `G`. For a fixed base the doubling chain of
-//! double-and-add can be traded for memory: a [`FixedBaseTable`] stores
-//! `d·16^w·B` for every window `w ∈ 0..64` and digit `d ∈ 1..16`, so a full
-//! 256-bit multiplication is at most 64 point additions and **zero
-//! doublings** — versus ~255 doublings + ~64 additions for
-//! [`Point::mul_limbs_wnaf`].
-//!
-//! The per-generator tables behind [`g1_generator_mul`] and
-//! [`g2_generator_mul`] are built once on first use and cached for the
-//! process lifetime (≈ 960 points each).
-//!
-//! [`GtPowTable`] is the same idea in `GT`, for a *secret* exponent: a
-//! designated signature is `Σ = K^(r+h)` for a fixed `K = ê(sk_ID, Q_V)`,
-//! so a signer that keeps `K`'s table pays 64 table scans and 63 `Fp12`
-//! products per designation instead of a pairing.
+//! A designated signature is `Σ = K^(r+h)` for a fixed `K = ê(sk_ID, Q_V)`,
+//! the exponent is secret, and `K` is the same for every signature a user
+//! designates to one verifier. A signer that keeps `K`'s [`GtPowTable`]
+//! therefore pays 64 constant-time table scans and 63 `Fp12` products per
+//! designation instead of a pairing.
 
-use std::sync::OnceLock;
-
-use seccloud_bigint::U256;
-
-use crate::ec::{CurveParams, Point};
 use crate::fp12::Fp12;
 use crate::fr::Fr;
-use crate::g1::{G1Params, G1};
-use crate::g2::{G2Params, G2};
 use crate::pairing::Gt;
 use crate::traits::FieldElement;
 
 /// Number of 4-bit windows in a 256-bit scalar.
 const WINDOWS: usize = 64;
-/// Nonzero digits per window (`1..=15`).
-const DIGITS: usize = 15;
-
-/// Precomputed multiples of a fixed base point, indexed by radix-16 digit
-/// position.
-///
-/// # Examples
-///
-/// ```
-/// use seccloud_pairing::{FixedBaseTable, Fr, G1};
-///
-/// let table = FixedBaseTable::new(&G1::generator());
-/// let k = Fr::hash(b"scalar");
-/// assert_eq!(table.mul_fr(&k), G1::generator().mul_fr(&k));
-/// ```
-pub struct FixedBaseTable<C: CurveParams> {
-    /// `windows[w][d − 1] = d·16^w·B`.
-    windows: Vec<[Point<C>; DIGITS]>,
-}
-
-impl<C: CurveParams> FixedBaseTable<C> {
-    /// Builds the table for `base` (64 windows × 15 points).
-    pub fn new(base: &Point<C>) -> Self {
-        let mut windows = Vec::with_capacity(WINDOWS);
-        let mut pow = *base; // 16^w · B
-        for _ in 0..WINDOWS {
-            let mut row = [Point::identity(); DIGITS];
-            row[0] = pow;
-            for d in 1..DIGITS {
-                row[d] = row[d - 1].add(&pow);
-            }
-            pow = row[DIGITS - 1].add(&pow); // 15·16^w·B + 16^w·B
-            windows.push(row);
-        }
-        Self { windows }
-    }
-
-    /// `[k]B` by table lookups: one addition per nonzero radix-16 digit.
-    pub fn mul_u256(&self, scalar: &U256) -> Point<C> {
-        let limbs = scalar.limbs();
-        let mut acc = Point::identity();
-        for (w, row) in self.windows.iter().enumerate() {
-            let digit = (limbs[w / 16] >> (4 * (w % 16))) & 0xf;
-            if digit != 0 {
-                acc = acc.add(&row[digit as usize - 1]);
-            }
-        }
-        acc
-    }
-
-    /// `[k]B` for a scalar-field element.
-    pub fn mul_fr(&self, k: &Fr) -> Point<C> {
-        self.mul_u256(&k.to_u256())
-    }
-}
-
-/// `[k]G₁` via the process-wide cached generator table.
-pub fn g1_generator_mul(k: &Fr) -> G1 {
-    static T: OnceLock<FixedBaseTable<G1Params>> = OnceLock::new();
-    T.get_or_init(|| FixedBaseTable::new(&G1::generator()))
-        .mul_fr(k)
-}
-
-/// `[k]G₂` via the process-wide cached generator table.
-pub fn g2_generator_mul(k: &Fr) -> G2 {
-    static T: OnceLock<FixedBaseTable<G2Params>> = OnceLock::new();
-    T.get_or_init(|| FixedBaseTable::new(&G2::generator()))
-        .mul_fr(k)
-}
 
 /// Entries per window of a [`GtPowTable`]: `B^(d·16^w)` for `d ∈ 0..=8`,
 /// the magnitudes of the signed radix-16 digits `−8..=7`.
@@ -204,56 +116,11 @@ impl std::fmt::Debug for GtPowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seccloud_bigint::U256;
+
     use crate::g1::hash_to_g1;
     use crate::g2::hash_to_g2;
     use crate::pairing::pairing;
-
-    #[test]
-    fn matches_double_and_add_on_generators() {
-        for i in 0..8u32 {
-            let k = Fr::hash(format!("fb-{i}").as_bytes());
-            assert_eq!(g1_generator_mul(&k), G1::generator().mul_fr(&k), "g1 {i}");
-            assert_eq!(g2_generator_mul(&k), G2::generator().mul_fr(&k), "g2 {i}");
-        }
-    }
-
-    #[test]
-    fn edge_scalars() {
-        assert!(g1_generator_mul(&Fr::zero()).is_identity());
-        assert!(g2_generator_mul(&Fr::zero()).is_identity());
-        assert_eq!(g1_generator_mul(&Fr::one()), G1::generator());
-        let r_minus_1 = Fr::zero().sub(&Fr::one());
-        assert_eq!(
-            g1_generator_mul(&r_minus_1),
-            G1::generator().neg(),
-            "[r−1]G = −G"
-        );
-        // A scalar exercising every window.
-        let all_nibbles = U256::from_limbs([u64::MAX; 4]);
-        let table = FixedBaseTable::new(&G1::generator());
-        assert_eq!(
-            table.mul_u256(&all_nibbles),
-            G1::generator().mul_u256(&all_nibbles)
-        );
-    }
-
-    #[test]
-    fn arbitrary_base_table() {
-        let base = hash_to_g1(b"fb-base");
-        let table = FixedBaseTable::new(&base);
-        for i in 0..4u32 {
-            let k = Fr::hash(format!("fb-arb-{i}").as_bytes());
-            assert_eq!(table.mul_fr(&k), base.mul_fr(&k), "sample {i}");
-        }
-        assert_eq!(table.mul_fr(&Fr::zero()), Point::identity());
-    }
-
-    #[test]
-    fn identity_base_stays_identity() {
-        let table = FixedBaseTable::<G1Params>::new(&G1::identity());
-        let k = Fr::hash(b"fb-id");
-        assert!(table.mul_fr(&k).is_identity());
-    }
 
     #[test]
     fn gt_table_matches_square_and_multiply() {

@@ -60,7 +60,7 @@ pub mod traits;
 
 pub use cache::PreparedCache;
 pub use ec::{Affine, CurveParams, Point};
-pub use fixed_base::{g1_generator_mul, g2_generator_mul, FixedBaseTable, GtPowTable};
+pub use fixed_base::GtPowTable;
 pub use fp::Fp;
 pub use fp12::Fp12;
 pub use fp2::Fp2;
