@@ -120,13 +120,9 @@ pub struct Arm {
     pub pat_paths: Vec<Vec<String>>,
     /// Lowercase identifiers bound by the pattern.
     pub bindings: Vec<String>,
-    /// Whether the pattern is a bare catch-all `_` (no guard).
-    pub is_wildcard: bool,
     /// Whether the pattern contains a literal token (`0`, `"ack"`, `'c'`)
     /// — such an arm compares values, not just structure.
     pub has_literal: bool,
-    /// Whether the arm carries an `if` guard.
-    pub has_guard: bool,
     /// The arm body.
     pub body: Expr,
     /// 1-based line of the pattern.
@@ -1634,15 +1630,12 @@ impl<'t> Parser<'t> {
                     _ => {}
                 }
             }
-            let (pat_part, has_guard) = match guard_split {
-                Some(i) => (pat.get(..i).map(<[&Tok]>::to_vec).unwrap_or_default(), true),
-                None => (pat.clone(), false),
+            let pat_part = match guard_split {
+                Some(i) => pat.get(..i).map(<[&Tok]>::to_vec).unwrap_or_default(),
+                None => pat.clone(),
             };
             let pat_paths = pattern_paths(&pat_part);
             let bindings = pattern_bindings(&pat_part);
-            let is_wildcard = !has_guard
-                && pat_part.len() == 1
-                && pat_part.first().is_some_and(|t| t.text == "_");
             let has_literal = pat_part
                 .iter()
                 .any(|t| matches!(t.kind, TokKind::Number | TokKind::Str | TokKind::Char));
@@ -1651,9 +1644,7 @@ impl<'t> Parser<'t> {
             arms.push(Arm {
                 pat_paths,
                 bindings,
-                is_wildcard,
                 has_literal,
-                has_guard,
                 body,
                 line: arm_line,
             });
@@ -2020,22 +2011,6 @@ fn int_literal(text: &str) -> bool {
     !text.contains('.') && !text.contains('e') && !text.contains('E')
 }
 
-/// The integer type names [`int_typed`] recognizes.
-const INT_TYPES: [&str; 12] = [
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-];
-
-/// Does a type string name a primitive integer (possibly behind `&`)?
-pub fn int_typed(ty: &str) -> bool {
-    let t = ty.trim_start_matches('&').trim_start_matches("mut ").trim();
-    INT_TYPES.contains(&t)
-}
-
-/// Does this literal token carry an explicit integer suffix (`1u64`)?
-pub fn int_suffixed(text: &str) -> bool {
-    INT_TYPES.iter().any(|s| text.ends_with(s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2119,7 +2094,7 @@ mod tests {
     }
 
     #[test]
-    fn match_arms_capture_paths_and_wildcards() {
+    fn match_arms_capture_pattern_paths() {
         let ast = parse_src(
             "fn f(e: RpcError) -> bool { match e { RpcError::Timeout { .. } => true, \
              RpcError::Server(s) => s.ok(), _ => false } }",
@@ -2132,26 +2107,11 @@ mod tests {
                     found = true;
                     assert_eq!(arms.len(), 3);
                     assert_eq!(arms[0].pat_paths, vec![vec!["RpcError", "Timeout"]]);
-                    assert!(arms[2].is_wildcard);
-                    assert!(!arms[1].is_wildcard);
+                    assert!(arms[2].pat_paths.is_empty() && arms[2].bindings.is_empty());
                 }
             });
         }
         assert!(found, "match not parsed");
-    }
-
-    #[test]
-    fn guarded_wildcard_is_not_a_bare_catchall() {
-        let ast = parse_src("fn f(x: u8) -> u8 { match x { 0 => 1, _ if x > 3 => 2, _ => 3 } }");
-        let f = first_fn(&ast);
-        if let Some(b) = &f.body {
-            b.walk(&mut |e| {
-                if let Expr::Match { arms, .. } = e {
-                    assert!(!arms[1].is_wildcard && arms[1].has_guard);
-                    assert!(arms[2].is_wildcard);
-                }
-            });
-        }
     }
 
     #[test]
@@ -2318,7 +2278,5 @@ mod tests {
     fn int_literal_classification() {
         assert!(int_literal("42") && int_literal("0xff") && int_literal("1_000u64"));
         assert!(!int_literal("1.5") && !int_literal("2e3"));
-        assert!(int_suffixed("1u64") && !int_suffixed("1.0f64"));
-        assert!(int_typed("u32") && int_typed("&mut usize") && !int_typed("f64"));
     }
 }

@@ -6,22 +6,24 @@
 //! top of that, [`check_panic_path`] implements the `panic_path` rule:
 //! a protocol-path function whose call graph *reaches* a panic source
 //! (`.unwrap()` / `.expect()` / panic macro / non-literal index) through
-//! at least one call edge is a finding — the single-line `panic` rule
-//! cannot see a panic laundered through a helper, which is exactly how
-//! reproductions drift from their panic-freedom claims.
+//! at least one call edge is a finding. Clippy's `unwrap_used`/`panic`
+//! family, denied in the protocol crates, sees only the line it is on;
+//! it cannot see a panic laundered through a helper in another crate,
+//! which is exactly how reproductions drift from their panic-freedom
+//! claims.
 //!
 //! Crates `pairing`, `bigint` and `hash` are *trusted
 //! leaves*: constant-size field/curve arithmetic indexes fixed-length
 //! arrays pervasively, is covered by its own property tests, and takes
 //! no attacker-controlled lengths, so their bodies are neither scanned
-//! for sources nor traversed for edges. An `// lint: allow(panic,
+//! for sources nor traversed for edges. An `// lint: allow(panic_path,
 //! reason=…)` at a source line removes that source from the can-panic
 //! set, so one documented invariant silences the whole caller chain.
 
 use std::collections::HashMap;
 
 use crate::ast::{Ast, Expr, FnDecl, Item, Param};
-use crate::rules::{FileCtx, Finding, Report, RULE_PANIC, RULE_PANIC_PATH};
+use crate::rules::{FileCtx, Finding, Report, RULE_PANIC_PATH};
 
 /// Protocol-path prefixes whose functions are `panic_path` roots.
 const PANIC_PATH_ROOTS: [&str; 6] = [
@@ -43,7 +45,7 @@ const TRUSTED_CRATES: [&str; 4] = [
     "crates/testkit/",
 ];
 
-/// Macros that panic when reached (kept in sync with the token rule).
+/// Macros that panic when reached.
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
 /// One function in the flattened workspace table.
@@ -784,14 +786,14 @@ fn literal_index(index: &Expr) -> bool {
 }
 
 /// Collects the direct panic sources of one fn, honoring
-/// `// lint: allow(panic, …)` at the source line.
+/// `// lint: allow(panic_path, …)` at the source line.
 fn panic_sources(f: &FnNode, ctx: Option<&FileCtx>) -> Vec<PanicSource> {
     let mut out = Vec::new();
     let Some(body) = &f.body else {
         return out;
     };
     let line_allowed = |line: u32| {
-        ctx.is_some_and(|c| c.rule_allowed(RULE_PANIC, line) || c.test_lines.contains(&line))
+        ctx.is_some_and(|c| c.rule_allowed(RULE_PANIC_PATH, line) || c.test_lines.contains(&line))
     };
     body.walk(&mut |e| match e {
         Expr::MethodCall { name, line, .. }
@@ -893,7 +895,7 @@ pub fn check_panic_path(
             line: f.line,
             message: format!(
                 "`{}` can reach a panic: {chain} — make the callee total or annotate the \
-                 source `// lint: allow(panic, reason=...)`",
+                 source `// lint: allow(panic_path, reason=...)`",
                 qualified(f)
             ),
         });

@@ -1,13 +1,15 @@
 //! `seccloud-lint`: in-house static analysis for the SecCloud workspace.
 //!
 //! SecCloud's audit pipeline is only as trustworthy as its implementation:
-//! a panicking decoder is a remote denial-of-service, a `Debug`-printed
-//! master secret breaks the designated-verifier property, and a
-//! short-circuiting digest comparison is a timing oracle on the very tags
-//! the auditor relies on. This crate machine-checks those invariants with
-//! a dependency-free token-level analysis (no `syn`, matching the
-//! workspace's zero-dependency rule) and a `seccloud-lint` binary that
-//! `ci.sh` runs as a hard gate.
+//! a panic reachable from a protocol entry point is a remote
+//! denial-of-service, a `Debug`-printed master secret breaks the
+//! designated-verifier property, and a short-circuiting digest comparison
+//! is a timing oracle on the very tags the auditor relies on. This crate
+//! machine-checks those invariants with a dependency-free token and AST
+//! analysis (no `syn`, matching the workspace's zero-dependency rule) and
+//! a `seccloud-lint` binary that `ci.sh` runs as a hard gate. Checks that
+//! clippy already makes on the compiler's types (panic macros, indexing,
+//! wrapping arithmetic, `_` arms) are denied in the crates instead.
 //!
 //! See [`rules`] for the rule set and the annotation grammar, and
 //! `DESIGN.md` §9 for the paper property each rule protects.
@@ -15,17 +17,16 @@
 //! # Examples
 //!
 //! ```
-//! use analyzer::{lint_files, RULE_PANIC};
-//! let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }".to_string();
-//! let report = lint_files(&[("crates/core/src/f.rs".into(), src)], false);
+//! use analyzer::{lint_files, RULE_CT};
+//! let src = "fn f(tag: &[u8], expected_tag: &[u8]) -> bool { tag == expected_tag }";
+//! let report = lint_files(&[("crates/core/src/f.rs".into(), src.into())], false);
 //! assert_eq!(report.findings.len(), 1);
-//! assert_eq!(report.findings[0].rule, RULE_PANIC);
+//! assert_eq!(report.findings[0].rule, RULE_CT);
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;
-mod astrules;
 mod atomics;
 mod blocking;
 pub mod callgraph;
@@ -37,8 +38,8 @@ mod secretflow;
 
 pub use rules::{
     lint_files, Allowance, Finding, Report, ALL_RULES, RULE_ANNOTATION, RULE_ARITH, RULE_ATOMICS,
-    RULE_BLOCKING, RULE_CT, RULE_CTFLOW, RULE_DEADLINE, RULE_DISPATCH, RULE_INDEX, RULE_LOCKS,
-    RULE_PANIC, RULE_PANIC_PATH, RULE_SECRET, RULE_TAINT, RULE_UNSAFE, RULE_VARTIME,
+    RULE_BLOCKING, RULE_CT, RULE_CTFLOW, RULE_DEADLINE, RULE_LOCKS, RULE_PANIC_PATH, RULE_SECRET,
+    RULE_TAINT, RULE_UNSAFE, RULE_VARTIME,
 };
 pub use sarif::render_sarif;
 
@@ -186,7 +187,7 @@ mod tests {
     fn json_output_is_well_formed_and_escaped() {
         let report = Report {
             findings: vec![Finding {
-                rule: RULE_PANIC,
+                rule: RULE_CT,
                 file: "a \"b\"\\c.rs".to_string(),
                 line: 3,
                 message: "line1\nline2".to_string(),
@@ -195,7 +196,7 @@ mod tests {
             files: 1,
         };
         let json = render_json(&report);
-        assert!(json.contains(r#""rule":"panic""#));
+        assert!(json.contains(r#""rule":"ct""#));
         assert!(json.contains(r#"a \"b\"\\c.rs"#));
         assert!(json.contains(r"line1\nline2"));
         assert!(json.trim_end().ends_with(']'));

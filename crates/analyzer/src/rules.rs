@@ -1,12 +1,15 @@
 //! The lint rules and the annotation grammar.
 //!
-//! Seventeen rules in three tiers (see `DESIGN.md` §9 for the rationale).
+//! Fourteen rules in three tiers (see `DESIGN.md` §9 for the rationale).
+//! Checks the compiler's own types decide better are not rules here: the
+//! crates deny the matching clippy lints at the same scopes (panic
+//! macros and `unwrap`/`expect` in `core`/`cloudsim`/`ibs`, indexing in
+//! `wire.rs`, wrapping arithmetic in the sampling/backoff files, and `_`
+//! arms on enums in `core`/`cloudsim`/`resilience`/`testkit`), and
+//! `ci.sh` runs clippy with `-D warnings`.
 //!
 //! Token rules, decided from one file's token stream:
 //!
-//! * [`RULE_PANIC`] — no `.unwrap()` / `.expect()` / `panic!` /
-//!   `unreachable!` / `todo!` / `unimplemented!` in protocol-path code.
-//! * [`RULE_INDEX`] — no bare index/slice expressions in wire-decode paths.
 //! * [`RULE_SECRET`] — `// lint: secret` types must not derive
 //!   `Debug`/`Serialize`, must implement `Drop` (zeroize-on-drop), and must
 //!   never appear inside a `format!`-family macro invocation.
@@ -24,7 +27,10 @@
 //!   never abort or launder an audit (DESIGN.md §10).
 //! * [`RULE_ATOMICS`] — every `Ordering::*` site is justified, and a
 //!   `Relaxed` read-modify-write on a security-scoped atomic is rejected.
-//! * [`RULE_ANNOTATION`] — every `lint:` comment is well formed.
+//! * [`RULE_ARITH`] — no raw `<<`/`<<=` in sampling/backoff math, the one
+//!   wrapping operator clippy's `arithmetic_side_effects` does not flag.
+//! * [`RULE_ANNOTATION`] — every `lint:` comment is well formed, and an
+//!   `allow` names a rule that exists.
 //!
 //! Interprocedural rules, over the workspace AST and call graph:
 //!
@@ -34,8 +40,6 @@
 //!   engine with two lattices: no secret-derived value reaches a
 //!   format/wire sink, a timing sink (branch, comparison, index, loop
 //!   bound), or a variable-time primitive.
-//! * [`RULE_ARITH`] — overflow-safe sampling/backoff arithmetic.
-//! * [`RULE_DISPATCH`] — no catch-all arm in a `match` over a wire enum.
 //!
 //! Concurrency rules:
 //!
@@ -68,12 +72,8 @@ use std::collections::{HashMap, HashSet};
 
 use crate::lexer::{lex, Comment, Tok, TokKind};
 
-/// Rule id: panic-freedom in protocol paths.
-pub const RULE_PANIC: &str = "panic";
 /// Rule id: transitive panic reachability over the call graph.
 pub const RULE_PANIC_PATH: &str = "panic_path";
-/// Rule id: no bare indexing in decode paths.
-pub const RULE_INDEX: &str = "index";
 /// Rule id: secret hygiene.
 pub const RULE_SECRET: &str = "secret";
 /// Rule id: interprocedural secret taint flow.
@@ -93,10 +93,8 @@ pub const RULE_LOCKS: &str = "locks";
 pub const RULE_BLOCKING: &str = "blocking";
 /// Rule id: socket I/O must be dominated by a read/write deadline.
 pub const RULE_DEADLINE: &str = "deadline";
-/// Rule id: overflow-safe sampling/backoff arithmetic.
+/// Rule id: no raw left shift in sampling/backoff arithmetic.
 pub const RULE_ARITH: &str = "arith";
-/// Rule id: exhaustive wire dispatch.
-pub const RULE_DISPATCH: &str = "dispatch";
 /// Rule id: unsafe audit.
 pub const RULE_UNSAFE: &str = "unsafe";
 /// Rule id: raw-transport discipline.
@@ -105,10 +103,8 @@ pub const RULE_TRANSPORT: &str = "transport";
 pub const RULE_ANNOTATION: &str = "annotation";
 
 /// Every rule id, in reporting order (drives the SARIF rule catalogue).
-pub const ALL_RULES: [&str; 17] = [
-    RULE_PANIC,
+pub const ALL_RULES: [&str; 14] = [
     RULE_PANIC_PATH,
-    RULE_INDEX,
     RULE_SECRET,
     RULE_TAINT,
     RULE_CT,
@@ -119,7 +115,6 @@ pub const ALL_RULES: [&str; 17] = [
     RULE_BLOCKING,
     RULE_DEADLINE,
     RULE_ARITH,
-    RULE_DISPATCH,
     RULE_UNSAFE,
     RULE_TRANSPORT,
     RULE_ANNOTATION,
@@ -162,13 +157,6 @@ pub struct Report {
     pub files: usize,
 }
 
-/// Protocol-path prefixes for [`RULE_PANIC`].
-const PANIC_SCOPE: [&str; 3] = [
-    "crates/core/src/",
-    "crates/cloudsim/src/",
-    "crates/ibs/src/",
-];
-
 /// Verification-code prefixes for [`RULE_CT`].
 const CT_SCOPE: [&str; 5] = [
     "crates/core/src/",
@@ -178,8 +166,15 @@ const CT_SCOPE: [&str; 5] = [
     "crates/hash/src/",
 ];
 
-/// Decode-path files for [`RULE_INDEX`].
-const INDEX_SCOPE: [&str; 1] = ["crates/core/src/wire.rs"];
+/// Sampling/escalation/backoff files for [`RULE_ARITH`]. Each also denies
+/// `clippy::arithmetic_side_effects`, which covers every other integer
+/// operator there.
+const ARITH_SCOPE: [&str; 4] = [
+    "crates/resilience/src/escalation.rs",
+    "crates/resilience/src/policy.rs",
+    "crates/core/src/analysis/sampling.rs",
+    "crates/cloudsim/src/montecarlo.rs",
+];
 
 /// Places allowed to name raw wire channels for [`RULE_TRANSPORT`]:
 /// `cloudsim` defines the trait and the direct server, `resilience` wraps
@@ -200,9 +195,6 @@ const TRANSPORT_IDENTS: [&str; 2] = ["WireTransport", "WireServer"];
 
 /// Identifier segments that mark a comparison operand as digest-like.
 const CT_SEGMENTS: [&str; 5] = ["digest", "tag", "mac", "hmac", "root"];
-
-/// Macros that panic when reached.
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
 /// Macros whose arguments are formatted — a secret value reaching one of
 /// these is a leak vector (the secret-flow engine's format sinks).
@@ -312,8 +304,7 @@ pub fn lint_files(inputs: &[(String, String)], all_rules: bool) -> Report {
 
     // Token-level rules only read their own file's ctx.
     for ctx in &ctxs {
-        check_panic(ctx, all_rules, &mut report);
-        check_index(ctx, all_rules, &mut report);
+        check_arith(ctx, all_rules, &mut report);
         check_ct(ctx, all_rules, &mut report);
         check_unsafe(ctx, all_rules, &mut report);
         check_transport(ctx, all_rules, &mut report);
@@ -324,8 +315,8 @@ pub fn lint_files(inputs: &[(String, String)], all_rules: bool) -> Report {
     phase("secret-types", &mut mark);
 
     // AST-backed interprocedural rules: parse every file, build the
-    // workspace call graph, then run panic reachability, secret flow
-    // (taint, ctflow, vartime), arithmetic, and dispatch analyses over it.
+    // workspace call graph, then run panic reachability and secret flow
+    // (taint, ctflow, vartime) over it.
     let parsed: Vec<(String, crate::ast::Ast)> = ctxs
         .iter()
         .map(|c| (c.path.clone(), crate::ast::parse(&c.toks)))
@@ -353,9 +344,6 @@ pub fn lint_files(inputs: &[(String, String)], all_rules: bool) -> Report {
         &mut report,
     );
     phase("secretflow", &mut mark);
-    crate::astrules::check_arith(&ws, &ctx_map, all_rules, &mut report);
-    crate::astrules::check_dispatch(&ws, &ctx_map, all_rules, &mut report);
-    phase("arith+dispatch", &mut mark);
     // Concurrency tier: the deadline pass computes per-fn stream-I/O
     // summaries that the locks pass reuses (a call handing a TcpStream to
     // an I/O-doing callee blocks like a direct socket op).
@@ -507,31 +495,15 @@ fn keyword_reason(s: &str, kw: &str) -> Option<String> {
     Some(reason.to_string())
 }
 
-/// Parses `allow(<rule>, reason=<text>)`; the reason is mandatory.
+/// Parses `allow(<rule>, reason=<text>)`; the reason is mandatory and the
+/// rule must be one of [`ALL_RULES`] (an `annotation` finding cannot be
+/// allowed away).
 fn parse_allow(s: &str) -> Option<(String, String)> {
     let body = s.strip_prefix("allow(")?.strip_suffix(')')?;
     let (rule, reason) = body.split_once(',')?;
     let reason = reason.trim().strip_prefix("reason=")?.trim();
     let rule = rule.trim();
-    let known = [
-        RULE_PANIC,
-        RULE_PANIC_PATH,
-        RULE_INDEX,
-        RULE_SECRET,
-        RULE_TAINT,
-        RULE_CT,
-        RULE_CTFLOW,
-        RULE_VARTIME,
-        RULE_ATOMICS,
-        RULE_LOCKS,
-        RULE_BLOCKING,
-        RULE_DEADLINE,
-        RULE_ARITH,
-        RULE_DISPATCH,
-        RULE_UNSAFE,
-        RULE_TRANSPORT,
-    ];
-    if rule.is_empty() || reason.is_empty() || !known.contains(&rule) {
+    if reason.is_empty() || rule == RULE_ANNOTATION || !ALL_RULES.contains(&rule) {
         return None;
     }
     Some((rule.to_string(), reason.to_string()))
@@ -640,91 +612,33 @@ fn item_body(toks: &[Tok], start: usize) -> Option<(usize, usize)> {
     Some((open, toks.len() - 1))
 }
 
-// --- rule: panic-freedom --------------------------------------------------
+// --- rule: raw shifts in sampling arithmetic ------------------------------
 
 fn in_scope(path: &str, scope: &[&str], all_rules: bool) -> bool {
     all_rules || scope.iter().any(|p| path.starts_with(p) || path == *p)
 }
 
-fn check_panic(ctx: &FileCtx, all_rules: bool, report: &mut Report) {
-    if !in_scope(&ctx.path, &PANIC_SCOPE, all_rules) {
+fn check_arith(ctx: &FileCtx, all_rules: bool, report: &mut Report) {
+    if !in_scope(&ctx.path, &ARITH_SCOPE, all_rules) {
         return;
     }
-    let toks = &ctx.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || ctx.test_lines.contains(&t.line) {
+    for t in &ctx.toks {
+        if !matches!(t.text.as_str(), "<<" | "<<=")
+            || ctx.test_lines.contains(&t.line)
+            || allowed(ctx, RULE_ARITH, t.line)
+        {
             continue;
         }
-        let prev = i
-            .checked_sub(1)
-            .and_then(|p| toks.get(p))
-            .map(|t| t.text.as_str());
-        let next = toks.get(i + 1).map(|n| n.text.as_str());
-        let hit = match t.text.as_str() {
-            "unwrap" | "expect" => (prev == Some(".") || prev == Some("::")) && next == Some("("),
-            m if PANIC_MACROS.contains(&m) => next == Some("!"),
-            _ => false,
-        };
-        if !hit {
-            continue;
-        }
-        if allowed(ctx, RULE_PANIC, t.line) {
-            continue;
-        }
-        let what = if next == Some("!") {
-            format!("{}!", t.text)
-        } else {
-            format!(".{}()", t.text)
-        };
         report.findings.push(Finding {
-            rule: RULE_PANIC,
+            rule: RULE_ARITH,
             file: ctx.path.clone(),
             line: t.line,
             message: format!(
-                "{what} in protocol path — return the typed error instead, or annotate \
-                 `// lint: allow(panic, reason=...)`"
+                "raw `{}` in sampling/backoff math — a shift past the width drops bits \
+                 silently and skews eq. 10; use `checked_shl`, or annotate \
+                 `// lint: allow(arith, reason=...)`",
+                t.text
             ),
-        });
-    }
-}
-
-// --- rule: bare indexing in decode paths ----------------------------------
-
-fn check_index(ctx: &FileCtx, all_rules: bool, report: &mut Report) {
-    if !in_scope(&ctx.path, &INDEX_SCOPE, all_rules) {
-        return;
-    }
-    let toks = &ctx.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if t.text != "[" || ctx.test_lines.contains(&t.line) {
-            continue;
-        }
-        // Postfix position: the previous token ends an expression.
-        let postfix = i
-            .checked_sub(1)
-            .and_then(|p| toks.get(p))
-            .is_some_and(|prev| {
-                matches!(prev.kind, TokKind::Ident | TokKind::Number | TokKind::Str)
-                    || matches!(prev.text.as_str(), ")" | "]" | "?")
-            });
-        // `foo!["…"]` and `#[attr]` are not index expressions.
-        let macro_or_attr = i
-            .checked_sub(1)
-            .and_then(|p| toks.get(p))
-            .is_some_and(|t| matches!(t.text.as_str(), "!" | "#"));
-        if !postfix || macro_or_attr {
-            continue;
-        }
-        if allowed(ctx, RULE_INDEX, t.line) {
-            continue;
-        }
-        report.findings.push(Finding {
-            rule: RULE_INDEX,
-            file: ctx.path.clone(),
-            line: t.line,
-            message: "bare index/slice in decode path — use `.get(..)` and return \
-                      `WireError::Truncated`, or annotate `// lint: allow(index, reason=...)`"
-                .to_string(),
         });
     }
 }
@@ -1043,79 +957,57 @@ mod tests {
     }
 
     #[test]
-    fn panic_rule_fires_only_in_scope() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }";
-        let hit = lint_one("crates/core/src/foo.rs", src);
-        assert_eq!(rules_of(&hit), vec![RULE_PANIC]);
-        let miss = lint_one("crates/bench/src/foo.rs", src);
-        assert!(miss.findings.is_empty());
+    fn arith_flags_raw_shifts_in_scope_only() {
+        let src = "pub fn esc(t: usize, s: u32) -> usize {\n\
+                   let mut x = 1usize << s;\n\
+                   x <<= 1;\n\
+                   t * x\n}";
+        let hits = lint_one("crates/resilience/src/escalation.rs", src);
+        let lines: Vec<(&str, u32)> = hits.findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(lines, vec![(RULE_ARITH, 2), (RULE_ARITH, 3)]);
+        assert!(lint_one("crates/resilience/src/transport.rs", src)
+            .findings
+            .is_empty());
     }
 
     #[test]
-    fn panic_rule_skips_tests_strings_and_comments() {
+    fn arith_skips_checked_shifts_strings_and_tests() {
         let src = r#"
-            // a.unwrap() in a comment
-            fn f() -> &'static str { "don't panic!()" }
+            pub fn esc(t: usize, s: u32) -> usize {
+                let scale = 1usize.checked_shl(s.min(63)).unwrap_or(usize::MAX);
+                let _ = "a << b";
+                t.saturating_mul(scale)
+            }
             #[cfg(test)]
             mod tests {
                 #[test]
-                fn t() { Some(1).unwrap(); panic!("fine in tests"); }
+                fn t() { assert_eq!(1u32 << 3, 8); }
             }
         "#;
-        let r = lint_one("crates/core/src/foo.rs", src);
+        let r = lint_one("crates/core/src/analysis/sampling.rs", src);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn panic_macros_and_expect_fire() {
-        let src = r#"
-            fn f(x: Option<u8>) -> u8 {
-                if x.is_none() { panic!("boom"); }
-                x.expect("present")
-            }
-            fn g() { unreachable!() }
-        "#;
-        let r = lint_one("crates/ibs/src/foo.rs", src);
-        assert_eq!(r.findings.len(), 3);
-    }
-
-    #[test]
-    fn unwrap_or_else_is_not_unwrap() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap_or_else(|| 0) }";
-        let r = lint_one("crates/core/src/foo.rs", src);
-        assert!(r.findings.is_empty());
     }
 
     #[test]
     fn allow_annotation_downgrades_to_allowance() {
         let src = r#"
-            fn f(x: Option<u8>) -> u8 {
-                // lint: allow(panic, reason=precondition documented on f)
-                x.expect("caller checked")
+            fn f(x: u8) -> u8 {
+                // lint: allow(arith, reason=precondition documented on f)
+                x << 1
             }
         "#;
-        let r = lint_one("crates/core/src/foo.rs", src);
+        let r = lint_one("crates/core/src/analysis/sampling.rs", src);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.allowances.len(), 1);
-        assert_eq!(r.allowances[0].rule, RULE_PANIC);
+        assert_eq!(r.allowances[0].rule, RULE_ARITH);
         assert!(r.allowances[0].reason.contains("precondition"));
     }
 
     #[test]
     fn malformed_annotation_is_a_finding() {
-        let src = "// lint: allow(panic)\nfn f() {}";
+        let src = "// lint: allow(ct)\nfn f() {}";
         let r = lint_one("crates/core/src/foo.rs", src);
         assert_eq!(rules_of(&r), vec![RULE_ANNOTATION]);
-    }
-
-    #[test]
-    fn index_rule_fires_in_decode_paths() {
-        let src = "fn take(d: &[u8]) -> u8 { d[0] }";
-        let r = lint_one("crates/core/src/wire.rs", src);
-        assert_eq!(rules_of(&r), vec![RULE_INDEX]);
-        // Attributes and macro brackets are not index expressions.
-        let ok = "#[derive(Clone)]\nstruct S;\nfn f() -> Vec<u8> { vec![1, 2] }";
-        assert!(lint_one("crates/core/src/wire.rs", ok).findings.is_empty());
     }
 
     #[test]
@@ -1287,8 +1179,8 @@ mod tests {
 
     #[test]
     fn all_rules_mode_ignores_path_scoping() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }";
+        let src = "fn f(x: u8) -> u8 { x << 1 }";
         let r = lint_files(&[("anything.rs".to_string(), src.to_string())], true);
-        assert_eq!(rules_of(&r), vec![RULE_PANIC]);
+        assert_eq!(rules_of(&r), vec![RULE_ARITH]);
     }
 }

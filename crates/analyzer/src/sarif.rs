@@ -16,9 +16,7 @@ pub const SARIF_VERSION: &str = "2.1.0";
 /// Short per-rule descriptions for the SARIF rule catalogue.
 fn rule_description(rule: &str) -> &'static str {
     match rule {
-        "panic" => "No unwrap/expect/panic macros in protocol-path code.",
         "panic_path" => "Protocol-path fns must not transitively reach a panic source.",
-        "index" => "No bare index/slice expressions in wire-decode paths.",
         "secret" => "Secret types: no Debug/Serialize derive, zeroize on Drop.",
         "taint" => "Secret-derived values must never reach format or wire-encode sinks.",
         "ct" => "Digest/tag comparisons must be constant-time (ct_eq).",
@@ -46,8 +44,7 @@ fn rule_description(rule: &str) -> &'static str {
             "Every std::net read/write must be dominated by set_read_timeout/\
                        set_write_timeout on the same stream."
         }
-        "arith" => "Sampling/backoff integer math must be checked or saturating.",
-        "dispatch" => "Matches on wire enums must not hide variants behind a catch-all `_`.",
+        "arith" => "No raw left shift in sampling/backoff integer math (checked_shl).",
         "unsafe" => "forbid(unsafe_code) on crate roots; SAFETY comments on unsafe blocks.",
         "transport" => "Raw wire channels only inside cloudsim/resilience/testkit/net.",
         "annotation" => "lint: annotations must parse and carry a reason.",

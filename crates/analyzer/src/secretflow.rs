@@ -435,7 +435,7 @@ fn is_value_arm(arm: &Arm) -> bool {
         // a value comparison wherever it sits in the pattern.
         return true;
     }
-    if arm.is_wildcard || !arm.bindings.is_empty() {
+    if !arm.bindings.is_empty() {
         return false;
     }
     !arm.pat_paths
@@ -706,21 +706,28 @@ impl Eval<'_> {
                     let m = init.as_ref().map_or(Mask::default(), |i| self.eval(i)) | declared;
                     // `let (key, items) = make();` — when the callee's
                     // declared tuple components are visible, only
-                    // secret-typed components inherit SECRET for timing;
-                    // smearing the whole tuple's taint over every binding
-                    // flags the public halves too.
+                    // secret-typed components inherit SECRET, in both
+                    // lattices; smearing the whole tuple's taint over
+                    // every binding flags the public halves too.
                     let comps = (bindings.len() > 1 && ty.is_none())
                         .then(|| init.as_ref().and_then(|i| self.typer.ret_tuple_types(i)))
                         .flatten();
                     match comps {
                         Some(comps) if comps.len() == bindings.len() => {
                             for (b, c) in bindings.iter().zip(&comps) {
-                                let ct = if ty_secret(c, self.secret_names) {
-                                    m.ct | SECRET
-                                } else {
-                                    m.ct & !SECRET
+                                let secret = ty_secret(c, self.secret_names);
+                                let split = |bits: u64| {
+                                    if secret {
+                                        bits | SECRET
+                                    } else {
+                                        bits & !SECRET
+                                    }
                                 };
-                                self.bind(std::slice::from_ref(b), Mask { fmt: m.fmt, ct });
+                                let mask = Mask {
+                                    fmt: split(m.fmt),
+                                    ct: split(m.ct),
+                                };
+                                self.bind(std::slice::from_ref(b), mask);
                             }
                         }
                         _ => self.bind(bindings, m),

@@ -50,8 +50,12 @@ pub fn read_raw(p: *const u8) -> u8 {
 }
 
 pub fn checked_invariant(v: &[u8]) -> u8 {
-    // lint: allow(panic, reason=fixture demonstrating the escape hatch)
+    // lint: allow(panic_path, reason=fixture demonstrating the escape hatch)
     v.first().copied().expect("caller keeps v non-empty")
+}
+
+pub fn first_reading(v: &[u8]) -> u8 {
+    checked_invariant(v)
 }
 
 #[cfg(test)]

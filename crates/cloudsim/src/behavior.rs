@@ -53,7 +53,7 @@ impl Behavior {
     pub fn ssc(&self) -> f64 {
         match self {
             Behavior::StorageCheater { ssc, .. } => *ssc,
-            _ => 1.0,
+            Behavior::Honest | Behavior::ComputationCheater { .. } | Behavior::PrivacyLeaker => 1.0,
         }
     }
 
@@ -61,7 +61,7 @@ impl Behavior {
     pub fn csc(&self) -> f64 {
         match self {
             Behavior::ComputationCheater { csc, .. } => *csc,
-            _ => 1.0,
+            Behavior::Honest | Behavior::StorageCheater { .. } | Behavior::PrivacyLeaker => 1.0,
         }
     }
 }

@@ -7,6 +7,7 @@
 //! replacement* — and estimates the empirical cheat-success probability.
 //! Agreement with the closed forms (for `n ≫ t`) is what
 //! `bin/detection_sim` reports.
+#![deny(clippy::arithmetic_side_effects)]
 
 use seccloud_core::analysis::sampling::CheatParams;
 use seccloud_hash::HmacDrbg;
@@ -162,7 +163,7 @@ pub fn run_crypto(csc: f64, guess_range: Option<u64>, n: usize, t: usize, trials
         b"mc-server",
     );
     let blocks: Vec<DataBlock> = (0..n as u64)
-        .map(|i| DataBlock::from_values(i, &[i, i + 1]))
+        .map(|i| DataBlock::from_values(i, &[i, i.saturating_add(1)]))
         .collect();
     server.store(
         &user,
@@ -180,13 +181,19 @@ pub fn run_crypto(csc: f64, guess_range: Option<u64>, n: usize, t: usize, trials
     let mut escapes = 0usize;
     for trial in 0..trials {
         // A fresh commitment per trial re-rolls the server's cheat dice.
+        #[expect(
+            clippy::expect_used,
+            reason = "simulator invariant, blocks were stored two lines above"
+        )]
         let handle = server
             .handle_computation(&user.identity().to_string(), &request, da.public())
-            // lint: allow(panic, reason=simulator invariant, blocks were stored two lines above)
             .expect("blocks stored");
+        #[expect(
+            clippy::expect_used,
+            reason = "simulator invariant, warrant was issued for this request"
+        )]
         let verdict = da
             .audit(&server, &handle, &user, t, trial as u64)
-            // lint: allow(panic, reason=simulator invariant, warrant was issued for this request)
             .expect("warranted audit");
         if !verdict.detected {
             escapes = escapes.saturating_add(1);

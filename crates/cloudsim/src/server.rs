@@ -270,7 +270,9 @@ impl CloudServer {
                         }
                     }
                 }
-                _ => honest_y,
+                Behavior::Honest | Behavior::StorageCheater { .. } | Behavior::PrivacyLeaker => {
+                    honest_y
+                }
             };
             results.push(y);
             inputs.push(blocks);

@@ -1,4 +1,5 @@
 //! Uncheatability analysis (paper Section VII-A, eq. 10–15, Fig. 4).
+#![deny(clippy::arithmetic_side_effects)]
 
 /// Parameters of a (potentially) cheating cloud server.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -190,10 +190,13 @@ impl CloudUser {
         data: Vec<u8>,
         verifiers: &[&VerifierPublic],
     ) -> VersionedBlock {
+        #[expect(
+            clippy::panic,
+            reason = "documented API contract, caller-side misuse of the owner ledger"
+        )]
         let v = ledger
             .versions
             .get_mut(&position)
-            // lint: allow(panic, reason=documented API contract, caller-side misuse of the owner ledger)
             .unwrap_or_else(|| panic!("position {position} is not live"));
         *v += 1;
         let version = *v;
@@ -207,10 +210,13 @@ impl CloudUser {
     ///
     /// Panics if the position is not live in the ledger.
     pub fn dyn_delete(&self, ledger: &mut OwnerLedger, position: u64) {
+        #[expect(
+            clippy::panic,
+            reason = "documented API contract, caller-side misuse of the owner ledger"
+        )]
         let v = ledger
             .versions
             .remove(&position)
-            // lint: allow(panic, reason=documented API contract, caller-side misuse of the owner ledger)
             .unwrap_or_else(|| panic!("position {position} is not live"));
         ledger.deleted.insert(position, v);
     }

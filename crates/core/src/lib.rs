@@ -34,6 +34,23 @@
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Panic-freedom in protocol code (DESIGN §9): test code is exempt through
+// the workspace `clippy.toml`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Exhaustive dispatch (DESIGN §9): a `_` arm on an enum hides the variant
+// a new case adds, whether it stands for several variants or for one;
+// guarded `_ if …` arms stay allowed.
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
 pub mod analysis;
 pub mod computation;

@@ -13,7 +13,7 @@
 //! * decoded signatures/points are *structurally* validated here
 //!   (on-curve, canonical) while protocol validity is established by the
 //!   usual verification calls.
-
+#![deny(clippy::indexing_slicing, clippy::string_slice)]
 use seccloud_ibs::DesignatedSignature;
 use seccloud_merkle::{MerklePath, Node};
 use seccloud_pairing::{G1Affine, Gt, G1};

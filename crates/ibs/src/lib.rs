@@ -37,6 +37,16 @@
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Panic-freedom in protocol code (DESIGN §9): test code is exempt through
+// the workspace `clippy.toml`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod batch;
 mod keys;

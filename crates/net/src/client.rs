@@ -37,23 +37,22 @@ use seccloud_ibs::{UserPublic, VerifierPublic};
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{NetRequest, NetResponse};
 
+/// Dial deadline.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(1_000);
+/// Per-call write deadline.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(2_000);
+
 /// Tuning for a [`NetTransport`].
 #[derive(Clone, Debug)]
 pub struct NetClientConfig {
-    /// Dial deadline in milliseconds.
-    pub connect_timeout_ms: u64,
     /// Per-call read deadline in milliseconds.
     pub read_timeout_ms: u64,
-    /// Per-call write deadline in milliseconds.
-    pub write_timeout_ms: u64,
 }
 
 impl Default for NetClientConfig {
     fn default() -> Self {
         Self {
-            connect_timeout_ms: 1_000,
             read_timeout_ms: 2_000,
-            write_timeout_ms: 2_000,
         }
     }
 }
@@ -109,20 +108,15 @@ impl NetTransport {
         if self.stream.is_some() {
             return Ok(());
         }
-        let stream = TcpStream::connect_timeout(
-            &self.addr,
-            Duration::from_millis(self.config.connect_timeout_ms.max(1)),
-        )
-        .map_err(|e| match e.kind() {
+        let dialed = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT);
+        let stream = dialed.map_err(|e| match e.kind() {
             std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => WireError::Timeout,
             _ => WireError::ConnectionLost,
         })?;
         let _ = stream.set_read_timeout(Some(Duration::from_millis(
             self.config.read_timeout_ms.max(1),
         )));
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(
-            self.config.write_timeout_ms.max(1),
-        )));
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let _ = stream.set_nodelay(true);
         self.stream = Some(stream);
         self.reconnects = self.reconnects.saturating_add(1);

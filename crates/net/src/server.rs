@@ -2,14 +2,14 @@
 //!
 //! The server owns a listener bound to loopback, an accept thread, and a
 //! pool of [`NetServerConfig::workers`] socket workers (default: the
-//! host's available parallelism). Each accepted connection gets per-connection
-//! read/write deadlines (`set_read_timeout`/`set_write_timeout`), is
+//! host's available parallelism). Each accepted connection gets fixed
+//! read/write deadlines (`READ_TIMEOUT`/`WRITE_TIMEOUT`, 2 s each), is
 //! served at most [`NetServerConfig::max_requests_per_conn`] requests, and
 //! is then closed — a deliberate churn source that forces clients to
 //! exercise their reconnect path even against an honest server.
 //!
-//! Admission is bounded: accepted sockets enter a queue of
-//! [`NetServerConfig::backlog`] slots; when every worker is busy and the
+//! Admission is bounded: accepted sockets enter a queue of `BACKLOG`
+//! (64) slots; when every worker is busy and the
 //! queue is full, the newest connection is shed (dropped) rather than
 //! queued without bound — load-shedding beats unbounded memory growth, and
 //! the client sees an ordinary [`WireError::ConnectionLost`] it already
@@ -34,17 +34,20 @@ use seccloud_core::wire::{WireError, WireMessage};
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{NetRequest, NetResponse};
 
-/// Tuning for a [`NetServer`].
+/// Per-connection read deadline; a peer stalled mid-frame for longer loses
+/// its connection.
+const READ_TIMEOUT: Duration = Duration::from_millis(2_000);
+/// Per-connection write deadline.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(2_000);
+/// Accepted-connection queue depth; connections beyond it are shed.
+const BACKLOG: usize = 64;
+
+/// Tuning for a [`NetServer`]. The deadlines and the admission queue depth
+/// are fixed (see the module docs).
 #[derive(Clone, Debug)]
 pub struct NetServerConfig {
-    /// Per-connection read deadline in milliseconds.
-    pub read_timeout_ms: u64,
-    /// Per-connection write deadline in milliseconds.
-    pub write_timeout_ms: u64,
     /// Requests served on one connection before the server closes it.
     pub max_requests_per_conn: u64,
-    /// Accepted-connection queue depth; connections beyond it are shed.
-    pub backlog: usize,
     /// Socket worker count; `None` means
     /// [`std::thread::available_parallelism`].
     pub workers: Option<usize>,
@@ -53,10 +56,7 @@ pub struct NetServerConfig {
 impl Default for NetServerConfig {
     fn default() -> Self {
         Self {
-            read_timeout_ms: 2_000,
-            write_timeout_ms: 2_000,
             max_requests_per_conn: 64,
-            backlog: 64,
             workers: None,
         }
     }
@@ -121,7 +121,7 @@ impl NetServer {
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
             .max(1);
         let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-            std::sync::mpsc::sync_channel(config.backlog.max(1));
+            std::sync::mpsc::sync_channel(BACKLOG);
         let rx = Arc::new(Mutex::new(rx));
 
         let mut threads = Vec::with_capacity(workers + 1);
@@ -251,8 +251,8 @@ fn serve_connection<T: WireTransport>(
     // the `deadline` rule can prove every frame op below is covered on
     // *this* stream, rather than trusting the accept thread to have
     // configured the socket before queueing it.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(config.read_timeout_ms.max(1))));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(config.write_timeout_ms.max(1))));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     for _ in 0..config.max_requests_per_conn.max(1) {
         let payload = match read_frame(&mut stream) {
             Ok(p) => p,

@@ -7,6 +7,7 @@
 //! the same `t` would let a lucky partial cheater keep re-rolling the same
 //! dice; escalating makes every suspicious round strictly harder to
 //! survive.
+#![deny(clippy::arithmetic_side_effects)]
 
 /// The escalated sample size after `steps` suspicion steps:
 /// `min(base_t · 2^steps, n)`, never below 1 (for nonempty requests) and

@@ -34,6 +34,13 @@
 //! draw from seeded [`seccloud_hash::HmacDrbg`] streams, so a failing
 //! recovery schedule replays exactly from its seed.
 #![forbid(unsafe_code)]
+// Exhaustive dispatch (DESIGN §9): a `_` arm on an enum hides the variant
+// a new case adds, whether it stands for several variants or for one;
+// guarded `_ if …` arms stay allowed.
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
 pub mod clock;
 pub mod driver;

@@ -1,4 +1,5 @@
 //! Retry policy: attempt counts, exponential backoff and time budgets.
+#![deny(clippy::arithmetic_side_effects)]
 
 use seccloud_hash::HmacDrbg;
 

@@ -239,10 +239,10 @@ fn scripted_client(addr: SocketAddr, read_timeout_ms: u64) -> NetTransport {
         addr,
         VerifierPublic::from_identity("cs"),
         UserPublic::from_identity("srv"),
-        NetClientConfig {
-            read_timeout_ms,
-            ..NetClientConfig::default()
-        },
+        // Only the read deadline is settable: the error-mapping cases
+        // below vary how long the client waits for a reply, while the
+        // dial and write deadlines are fixed constants.
+        NetClientConfig { read_timeout_ms },
     )
 }
 
@@ -443,7 +443,6 @@ fn concurrent_clients_are_served_at_one_and_four_workers() {
         let config = NetServerConfig {
             workers: Some(workers),
             max_requests_per_conn: 2,
-            ..NetServerConfig::default()
         };
         let world = net_world_with(b"net-concurrent", Behavior::Honest, config);
         let body = signed_upload_body(&world);
