@@ -72,6 +72,12 @@ fi
 echo "== every suite once: cargo test --workspace -q (tier-1 cargo test -q is its root-package subset) =="
 cargo test --workspace -q
 
+echo "== GT cofactor sweep: no prime below 2^32 divides h_T = Phi12(p)/r, the batch check's 2^-64 bound (release build) =="
+sweep_start=$(date +%s%N)
+cargo test --release -q -p seccloud-pairing --lib -- --ignored --exact params::tests::cofactor_has_no_prime_factor_below_2_32
+sweep_end=$(date +%s%N)
+echo "cofactor sweep wall-clock: $(( (sweep_end - sweep_start) / 1000000 )) ms (includes the release test build)"
+
 echo "== scale smoke bench: enrollment, per-shard commitments, epoch rotation, both cache arms =="
 # ≤10k simulated users, end to end through the release binary.
 ./target/release/bench_scale --smoke --out target/BENCH_scale_smoke.json

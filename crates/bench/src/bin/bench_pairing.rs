@@ -13,7 +13,9 @@
 //!   unit timer (`Effort::unit_us`: the fastest of 25 short timed rounds);
 //! * a designation by the signer's fixed-base `GT` table of
 //!   `K_V = ê(sk_ID, Q_V)`, and that table's first-use cost;
-//! * the `GT` subgroup test batch verification runs on every pushed `Σ`;
+//! * the two `GT` membership checks batch verification pays: the
+//!   cyclotomic check on every weighted `Σ` and the subgroup test it runs
+//!   once per batch, on a second random combination of them;
 //! * designated batch verification at ℓ ∈ {9, 16, 64, 256} vs ℓ individual
 //!   verifications (ℓ = 9 is an Algorithm-1 audit at t = 4: eight input
 //!   blocks and `Sig(R)`), from the shared batch timer.
@@ -37,7 +39,11 @@
 //! `sign_designated` pays per verifier instead of a pairing), and
 //! `designation_table_ms`, the first designation to a verifier: one
 //! prepared pairing for `K_V` plus the table build (slow timer). Every v7
-//! field keeps its name and meaning.
+//! field keeps its name and meaning. Schema v9 adds
+//! `gt_cyclotomic_check_us`, the per-signature check that replaced the
+//! per-signature subgroup test in batch verification; the batch rows now
+//! pay one subgroup test per batch. Every v8 field keeps its name and
+//! meaning.
 //!
 //! Run with `cargo run --release -p seccloud-bench --bin bench_pairing`.
 //! The file lands in the current working directory; `--out PATH` moves
@@ -106,6 +112,7 @@ fn main() {
     let g2_ct_us = effort.unit_us(|| G2::generator().mul_fr_ct(&k));
     let sigma = pairing(&p, &q);
     let subgroup_us = effort.unit_us(|| assert!(sigma.is_in_subgroup()));
+    let cyclotomic_us = effort.unit_us(|| assert!(sigma.is_cyclotomic()));
     let sigma_sq = sigma.as_fp12().square();
     let fp12_mul_us = effort.unit_us(|| sigma.as_fp12().mul(&sigma_sq));
     let cyclotomic_square_us = effort.unit_us(|| sigma.as_fp12().cyclotomic_square());
@@ -133,7 +140,8 @@ fn main() {
     println!(
         "final exp {final_exp_us:.1} µs, G1 ct mul {g1_ct_us:.1} µs, \
          G2 ct mul {g2_ct_us:.1} µs, sign {sign_us:.1} µs, \
-         GT subgroup test {subgroup_us:.1} µs, Fp12 product {fp12_mul_us:.2} µs, \
+         GT subgroup test {subgroup_us:.1} µs, cyclotomic check {cyclotomic_us:.2} µs, \
+         Fp12 product {fp12_mul_us:.2} µs, \
          cyclotomic squaring {cyclotomic_square_us:.2} µs, \
          designation by table {designate_us:.1} µs (table built in {designation_table_ms:.2} ms)"
     );
@@ -162,7 +170,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"seccloud-bench-pairing/v8\",\n  \"threads\": 1,\n  \
+        "{{\n  \"schema\": \"seccloud-bench-pairing/v9\",\n  \"threads\": 1,\n  \
          \"host_cores\": {},\n  \"host_arch\": \"{}\",\n  \
          \"pairing_ops_per_sec\": {:.3},\n  \"prepared_pairing_ops_per_sec\": {:.3},\n  \
          \"prepared_speedup\": {:.3},\n  \"g2_preparation_ms\": {:.4},\n  \
@@ -170,7 +178,8 @@ fn main() {
          \"glv_speedup_vs_wnaf\": {:.3},\n  \
          \"final_exponentiation_us\": {:.1},\n  \"g1_mul_ct_us\": {:.1},\n  \
          \"g2_mul_ct_us\": {:.1},\n  \"sign_us\": {:.1},\n  \
-         \"gt_subgroup_check_us\": {:.1},\n  \"fp12_mul_us\": {:.2},\n  \
+         \"gt_subgroup_check_us\": {:.1},\n  \"gt_cyclotomic_check_us\": {:.2},\n  \
+         \"fp12_mul_us\": {:.2},\n  \
          \"cyclotomic_square_us\": {:.2},\n  \"designate_us\": {:.1},\n  \
          \"designation_table_ms\": {:.3},\n  \
          \"designated_verify_us\": [\n{}\n  ],\n  \
@@ -189,6 +198,7 @@ fn main() {
         g2_ct_us,
         sign_us,
         subgroup_us,
+        cyclotomic_us,
         fp12_mul_us,
         cyclotomic_square_us,
         designate_us,

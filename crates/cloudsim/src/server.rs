@@ -430,8 +430,12 @@ mod tests {
         assert_eq!(server.store(&user, signed.clone()), 16);
         let spent = seccloud_pairing::counters::snapshot().since(&before);
         assert_eq!(
-            (spent.final_exponentiations, spent.gt_subgroup_tests),
-            (1, 15)
+            (
+                spent.final_exponentiations,
+                spent.gt_subgroup_tests,
+                spent.gt_cyclotomic_checks
+            ),
+            (1, 1, 15)
         );
         // A bad block is located and refused; the rest are stored. The
         // rejected batch is followed by one pairing per uploaded block.
@@ -445,9 +449,10 @@ mod tests {
                 spent.miller_loops,
                 spent.miller_lanes,
                 spent.final_exponentiations,
-                spent.gt_subgroup_tests
+                spent.gt_subgroup_tests,
+                spent.gt_cyclotomic_checks
             ),
-            (1 + 16, 1 + 16, 1 + 16, 15)
+            (1 + 16, 1 + 16, 1 + 16, 1, 15)
         );
         assert!(server.retrieve("alice", 3).is_none());
         assert!(server.retrieve("alice", 4).is_some());

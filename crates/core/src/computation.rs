@@ -725,7 +725,8 @@ mod tests {
     fn a_clean_audit_costs_one_pairing() {
         // Items 0, 1, 3, 4 read 3 + 2 + 1 + 2 = 8 blocks: with Sig(R), 9
         // signatures, which the per-signature checks price at 9 pairings.
-        // The batch tests every Σ but the first, which it weighs by one.
+        // The batch checks every Σ but the first, which it weighs by one,
+        // for being cyclotomic, and tests one combination of them.
         let w = world();
         let (commitment, session) = commit(&w);
         let challenge = AuditChallenge::from_indices(vec![0, 1, 3, 4]);
@@ -734,7 +735,8 @@ mod tests {
         assert!(outcome.is_valid(), "{outcome:?}");
         assert_eq!(spent.final_exponentiations, 1);
         assert_eq!((spent.miller_loops, spent.miller_lanes), (1, 1));
-        assert_eq!(spent.gt_subgroup_tests, 8);
+        assert_eq!(spent.gt_subgroup_tests, 1);
+        assert_eq!(spent.gt_cyclotomic_checks, 8);
     }
 
     #[test]
@@ -749,7 +751,8 @@ mod tests {
         assert!(outcome.root_sig_ok && outcome.nonce_ok);
         // The batch, then Sig(R) and the 8 blocks one pairing each.
         assert_eq!(spent.final_exponentiations, 1 + 9);
-        assert_eq!(spent.gt_subgroup_tests, 8);
+        assert_eq!(spent.gt_subgroup_tests, 1);
+        assert_eq!(spent.gt_cyclotomic_checks, 8);
 
         // Two independently tampered items: the report names exactly those
         // two, the signature failure as such.

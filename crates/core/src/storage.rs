@@ -345,8 +345,12 @@ mod tests {
         assert!(audit_blocks(cs.key(), user.public(), &signed).is_valid());
         let spent = seccloud_pairing::counters::snapshot().since(&before);
         assert_eq!(
-            (spent.final_exponentiations, spent.gt_subgroup_tests),
-            (1, 9)
+            (
+                spent.final_exponentiations,
+                spent.gt_subgroup_tests,
+                spent.gt_cyclotomic_checks
+            ),
+            (1, 1, 9)
         );
         // A block without a designation to the auditor fails without a
         // pairing, the others still batch.
@@ -366,8 +370,9 @@ mod tests {
     fn a_rejected_audit_pays_one_pairing_per_block() {
         // The whole audit runs on the calling thread, so the snapshot
         // sees every check: the rejected batch (one single-lane pairing,
-        // a subgroup test per signature after the first), then each of
-        // the ten blocks alone at one pairing each.
+        // a cyclotomic check per signature after the first and one
+        // subgroup test), then each of the ten blocks alone at one
+        // pairing each.
         let (_, user, cs, _) = setup();
         let mut signed = user.sign_blocks(&blocks(10), &[cs.public()]);
         signed[6].tamper_data(b"x".to_vec());
@@ -382,9 +387,10 @@ mod tests {
                 spent.miller_loops,
                 spent.miller_lanes,
                 spent.final_exponentiations,
-                spent.gt_subgroup_tests
+                spent.gt_subgroup_tests,
+                spent.gt_cyclotomic_checks
             ),
-            (1 + 10, 1 + 10, 1 + 10, 9)
+            (1 + 10, 1 + 10, 1 + 10, 1, 9)
         );
     }
 

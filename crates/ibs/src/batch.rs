@@ -1,5 +1,5 @@
 //! Batch verification of designated signatures (paper Section VI),
-//! hardened with small-exponent randomization and a `GT` subgroup test.
+//! hardened with small-exponent randomization and a `GT` membership check.
 //!
 //! Given `ℓ` designated signatures `{(Uᵢⱼ, Σᵢⱼ)}` from `k` users, the
 //! paper's eq. 8 aggregates
@@ -25,29 +25,54 @@
 //! The weights only bound a cheat by 2⁻⁶⁴ when every weighted `Σ` lies
 //! in `μ_r`: an element of small order outside it vanishes under a weight
 //! that is a multiple of its order (`−Σ` under any even weight, half the
-//! draws). So [`BatchVerifier::verify`] runs [`Gt::is_in_subgroup`] on
-//! each `Σ` it weights, and one failed test rejects the whole batch.
+//! draws). [`BatchVerifier::verify`] makes sure of that without a
+//! subgroup test per `Σ`:
+//!
+//! 1. every weighted `Σ` must pass [`Gt::is_cyclotomic`] (two Frobenius
+//!    maps and a product), so it lies in the cyclotomic group of order
+//!    `Φ₁₂(p) = p⁴ − p² + 1 = r·h_T`;
+//! 2. the product over the weights' low halves, `Π Σᵢ^(r'ᵢ)` with
+//!    `r'ᵢ = rᵢ mod 2³²`, must pass one [`Gt::is_in_subgroup`];
+//! 3. the weighted equation above must hold.
+//!
+//! Why that is sound. `gcd(r, h_T) = 1`, so each cyclotomic `Σᵢ` splits
+//! uniquely as `σᵢ·zᵢ` with `σᵢ ∈ μ_r` and `zᵢ` of order dividing `h_T`.
+//! No prime below 2³² divides `h_T` (checked in `seccloud-pairing`'s
+//! `params` tests, the full sweep by `ci.sh`), so every `zᵢ ≠ 1` has
+//! order above 2³². Write `rᵢ = hᵢ·2³² + r'ᵢ` with `hᵢ`, `r'ᵢ` independent
+//! and uniform in `[0, 2³²)`. Step 2 forces `Π zᵢ^(r'ᵢ) = 1` over the
+//! weighted `Σ`. The equation's left side lies in `μ_r`, so step 3 can
+//! only hold if the first, unweighted `Σ₀` is cyclotomic too, and it
+//! forces `z₀·Π zᵢ^(rᵢ) = 1`, which given step 2 is
+//! `z₀·(Π zᵢ^(hᵢ))^(2³²) = 1`. If some weighted `zⱼ ≠ 1`, the two hold for
+//! at most one value of `r'ⱼ` and one of `hⱼ` in `[0, 2³²)` (`2 ∤ h_T`, so
+//! `zⱼ^(2³²) ≠ 1` has order above 2³² as well): both, with probability
+//! ≤ 2⁻⁶⁴. If every weighted `zᵢ = 1`, then `z₀ = 1`, every `Σ` lies in
+//! `μ_r` and the small-exponent bound below applies.
 //!
 //! The first signature takes the weight `r₀ = 1`, so its `Σ` is never
-//! raised to a weight and needs no test. Fixing one weight loses nothing:
+//! raised to a weight and needs no check. Fixing one weight loses nothing:
 //! if only the first signature is bad, its error term
 //! `Σ₀/ê(U₀ + h₀·Q_ID₀, sk_V)` stands alone in the equation and is not
 //! one; if another one, `j`, is bad, its error term has order `r`, so the
 //! other weights leave one value of `rⱼ` modulo `r` that passes, which
 //! `rⱼ` hits with probability ≤ 2⁻⁶⁴. With that, a batch containing any
-//! invalid signature survives with probability ≤ 2⁻⁶⁴ per verification
-//! attempt, coordinated or not.
+//! invalid signature survives with probability about 2⁻⁶⁴ per
+//! verification attempt, coordinated or not.
 //!
 //! Individual verification costs one pairing per signature. The batch
-//! costs one pairing in total, plus per signature after the first a
-//! subgroup test (about a sixth of a pairing) and a few group operations
-//! in the interleaved folds [`seccloud_pairing::multi_mul_g1`] (the `U`s
-//! plus one full-width `h·Q_ID` term per distinct signer) and
-//! [`seccloud_pairing::weighted_product_gt`] — the constant-vs-linear gap
-//! of Fig. 5 and Table II is preserved.
+//! costs one pairing and one subgroup test (about a fifth of a pairing) in
+//! total, plus per signature after the first a cyclotomic check and a few
+//! group operations in the interleaved folds
+//! [`seccloud_pairing::multi_mul_g1`] (the `U`s plus one full-width
+//! `h·Q_ID` term per distinct signer) and
+//! [`seccloud_pairing::weighted_product_gt_and_low_halves`] — the
+//! constant-vs-linear gap of Fig. 5 and Table II is preserved.
 
 use seccloud_hash::{entropy_seed, HmacDrbg};
-use seccloud_pairing::{multi_mul_g1, pairing_prepared, weighted_product_gt, Fr, G1Affine, Gt, G1};
+use seccloud_pairing::{
+    multi_mul_g1, pairing_prepared, weighted_product_gt_and_low_halves, Fr, G1Affine, Gt, G1,
+};
 
 use crate::keys::{UserPublic, VerifierKey};
 use crate::sign::{challenge_hash, DesignatedSignature};
@@ -99,10 +124,11 @@ struct Entry {
 /// merge the `h·Q_ID` terms of one signer into a single scalar
 /// multiplication; the memory cost is two `G1` points, one scalar and one
 /// `GT` element per pending signature, released when the batch is
-/// dropped. The `GT` subgroup tests run where a `Σ` meets a weight:
-/// [`Self::verify`] tests every `Σ` it weights, [`Self::is_poisoned`]
-/// every `Σ` (for callers of [`Self::terms`]), and [`Self::aggregate`]
-/// the product it hands on.
+/// dropped. The `GT` membership checks run where a `Σ` meets a weight:
+/// [`Self::verify`] checks every `Σ` it weights with the cyclotomic check
+/// and tests one random combination of them (module docs),
+/// [`Self::is_poisoned`] tests every `Σ` (for callers of [`Self::terms`]),
+/// and [`Self::aggregate`] the product it hands on.
 ///
 /// # Examples
 ///
@@ -171,8 +197,9 @@ impl BatchVerifier {
     }
 
     /// Runs the randomized single-pairing batch check with fresh weights
-    /// (the first signature's weight is one), after a subgroup test of
-    /// every other `Σ`.
+    /// (the first signature's weight is one), after a cyclotomic check of
+    /// every other `Σ` and one subgroup test of their combination under
+    /// the weights' low halves (module docs).
     ///
     /// An empty batch verifies trivially (`1 = 1`); a poisoned one never
     /// does.
@@ -188,12 +215,18 @@ impl BatchVerifier {
         let Some((first, rest)) = self.entries.split_first() else {
             return true;
         };
-        if rest.iter().any(|e| !e.sigma.is_in_subgroup()) {
+        let sigmas: Vec<Gt> = rest.iter().map(|e| e.sigma).collect();
+        if !sigmas.iter().all(Gt::is_cyclotomic) {
             return false;
         }
         let mut weights = draw_weights(self.entries.len());
         weights[0] = 1;
-        let sigmas: Vec<Gt> = rest.iter().map(|e| e.sigma).collect();
+        // The first Σ is unchecked, so it stays out of the cyclotomic fold
+        // and is multiplied in by the generic Fp12 product.
+        let (sigma, low) = weighted_product_gt_and_low_halves(&sigmas, &weights[1..]);
+        if !rest.is_empty() && !low.is_in_subgroup() {
+            return false;
+        }
         // One interleaved pass over the weighted Us and one full-width
         // (Σ w·h)·Q_ID term per signer; the first U enters unweighted.
         let mut terms: Vec<(G1, Fr)> = rest
@@ -203,12 +236,9 @@ impl BatchVerifier {
             .collect();
         terms.extend(self.signer_terms(&weights));
         let u = multi_mul_g1(&terms).add(&first.u);
-        // The first Σ is untested, so it stays out of the cyclotomic fold
-        // and is multiplied in by the generic Fp12 product.
-        let sigma = weighted_product_gt(&sigmas, &weights[1..]).mul(&first.sigma);
         // The fold is already variable-time in the one-use weights, so the
         // public sum takes the variable-time conversion too.
-        pairing_prepared(&u.to_affine_vartime(), prepared).ct_eq(&sigma)
+        pairing_prepared(&u.to_affine_vartime(), prepared).ct_eq(&sigma.mul(&first.sigma))
     }
 
     /// `(Q_ID, Σⱼ wⱼ·hⱼ)` per distinct signer, in first-push order, over
@@ -334,6 +364,27 @@ mod tests {
         let mut b = BatchVerifier::new();
         b.push_item(&items[0]);
         assert!(b.verify(&v));
+    }
+
+    #[test]
+    fn a_batch_pays_one_subgroup_test_whatever_its_size() {
+        // Each weighted Σ pays a cyclotomic check; the batch pays one
+        // subgroup test, none when no Σ is weighted.
+        for (n, subgroup_tests) in [(1, 0), (2, 1), (12, 1)] {
+            let (_, v, items) = make_items(n, 3, "one-test");
+            let mut b = BatchVerifier::new();
+            for item in &items {
+                b.push_item(item);
+            }
+            let before = seccloud_pairing::counters::snapshot();
+            assert!(b.verify(&v));
+            let spent = seccloud_pairing::counters::snapshot().since(&before);
+            assert_eq!(
+                (spent.gt_subgroup_tests, spent.gt_cyclotomic_checks),
+                (subgroup_tests, n as u64 - 1),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]
@@ -503,19 +554,20 @@ mod tests {
             *forged.signature.u(),
             negated(forged.signature.sigma()),
         );
+        // (verdict, subgroup tests, standalone cyclotomic checks)
         let tests = |f: &dyn Fn() -> bool| {
             let before = seccloud_pairing::counters::snapshot();
             let verdict = f();
             let spent = seccloud_pairing::counters::snapshot().since(&before);
-            (verdict, spent.gt_subgroup_tests)
+            (verdict, spent.gt_subgroup_tests, spent.gt_cyclotomic_checks)
         };
         let mut b = BatchVerifier::new();
         b.push_item(&forged);
         b.push_item(&items[1]);
         b.push_item(&items[2]);
-        assert_eq!(tests(&|| b.verify(&v)), (false, 2));
-        assert_eq!(tests(&|| b.is_poisoned()), (true, 1));
-        assert_eq!(tests(&|| b.aggregate().is_some()), (false, 1));
+        assert_eq!(tests(&|| b.verify(&v)), (false, 1, 2));
+        assert_eq!(tests(&|| b.is_poisoned()), (true, 1, 0));
+        assert_eq!(tests(&|| b.aggregate().is_some()), (false, 1, 0));
         for trial in 0..200 {
             assert!(!b.verify(&v), "trial {trial}");
         }

@@ -3,7 +3,8 @@
 //! The paper prices verification in pairings (Table I, eq. 8–9), so the
 //! crate counts the parts a pairing is made of — `G2` preparations, Miller
 //! loops and the pairs they absorb, final exponentiations — plus the `GT`
-//! subgroup tests batch verification pays per term. Counts are exact and
+//! membership checks batch verification pays: cyclotomic checks per term
+//! and subgroup tests per batch. Counts are exact and
 //! deterministic, so a test can pin a protocol path's cost without a
 //! clock. A cold pairing prepares its `G2` argument and replays it; a
 //! pairing against a kept preparation pays only the replay:
@@ -43,6 +44,9 @@ pub struct OpCounts {
     pub final_exponentiations: u64,
     /// `GT` subgroup tests ([`crate::Gt::is_in_subgroup`]).
     pub gt_subgroup_tests: u64,
+    /// Standalone cyclotomic checks ([`crate::Gt::is_cyclotomic`]); the
+    /// one inside a subgroup test is not counted here.
+    pub gt_cyclotomic_checks: u64,
 }
 
 impl OpCounts {
@@ -52,6 +56,7 @@ impl OpCounts {
         miller_lanes: 0,
         final_exponentiations: 0,
         gt_subgroup_tests: 0,
+        gt_cyclotomic_checks: 0,
     };
 
     /// The operations counted between `earlier` and `self`.
@@ -63,6 +68,7 @@ impl OpCounts {
             miller_lanes: self.miller_lanes - earlier.miller_lanes,
             final_exponentiations: self.final_exponentiations - earlier.final_exponentiations,
             gt_subgroup_tests: self.gt_subgroup_tests - earlier.gt_subgroup_tests,
+            gt_cyclotomic_checks: self.gt_cyclotomic_checks - earlier.gt_cyclotomic_checks,
         }
     }
 }
@@ -105,4 +111,9 @@ pub(crate) fn final_exponentiation() {
 /// Counts one `GT` subgroup test.
 pub(crate) fn gt_subgroup_test() {
     bump(|c| c.gt_subgroup_tests += 1);
+}
+
+/// Counts one standalone `GT` cyclotomic check.
+pub(crate) fn gt_cyclotomic_check() {
+    bump(|c| c.gt_cyclotomic_checks += 1);
 }

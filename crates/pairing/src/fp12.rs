@@ -63,6 +63,7 @@ impl Fp12 {
 
     /// Conjugation over `Fp6`: `c0 − c1·w`. Equals the Frobenius power
     /// `x ↦ x^(p⁶)` because `w^(p⁶) = −w`.
+    #[inline(always)]
     pub fn conjugate(&self) -> Self {
         Self::new(self.c0, self.c1.neg())
     }
@@ -195,14 +196,17 @@ impl FieldElement for Fp12 {
         self.c0.is_zero() && self.c1.is_zero()
     }
 
+    #[inline(always)]
     fn add(&self, rhs: &Self) -> Self {
         Self::new(self.c0.add(&rhs.c0), self.c1.add(&rhs.c1))
     }
 
+    #[inline(always)]
     fn sub(&self, rhs: &Self) -> Self {
         Self::new(self.c0.sub(&rhs.c0), self.c1.sub(&rhs.c1))
     }
 
+    #[inline(always)]
     fn neg(&self) -> Self {
         Self::new(self.c0.neg(), self.c1.neg())
     }

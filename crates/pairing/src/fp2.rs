@@ -54,6 +54,7 @@ impl Fp2 {
 
     /// Complex conjugation `c0 − c1·u`; equals the Frobenius map `x ↦ xᵖ`
     /// because `uᵖ = −u` (as `p ≡ 3 mod 4`).
+    #[inline(always)]
     pub fn conjugate(&self) -> Self {
         Self::new(self.c0, self.c1.neg())
     }
@@ -145,14 +146,17 @@ impl FieldElement for Fp2 {
         self.c0.is_zero() && self.c1.is_zero()
     }
 
+    #[inline(always)]
     fn add(&self, rhs: &Self) -> Self {
         Self::new(self.c0.add(&rhs.c0), self.c1.add(&rhs.c1))
     }
 
+    #[inline(always)]
     fn sub(&self, rhs: &Self) -> Self {
         Self::new(self.c0.sub(&rhs.c0), self.c1.sub(&rhs.c1))
     }
 
+    #[inline(always)]
     fn neg(&self) -> Self {
         Self::new(self.c0.neg(), self.c1.neg())
     }

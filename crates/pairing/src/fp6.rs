@@ -61,6 +61,7 @@ impl FieldElement for Fp6 {
         self.c0.is_zero() && self.c1.is_zero() && self.c2.is_zero()
     }
 
+    #[inline(always)]
     fn add(&self, rhs: &Self) -> Self {
         Self::new(
             self.c0.add(&rhs.c0),
@@ -69,6 +70,7 @@ impl FieldElement for Fp6 {
         )
     }
 
+    #[inline(always)]
     fn sub(&self, rhs: &Self) -> Self {
         Self::new(
             self.c0.sub(&rhs.c0),
@@ -77,6 +79,7 @@ impl FieldElement for Fp6 {
         )
     }
 
+    #[inline(always)]
     fn neg(&self) -> Self {
         Self::new(self.c0.neg(), self.c1.neg(), self.c2.neg())
     }

@@ -20,8 +20,9 @@
 //! — one shared doubling chain, a table of odd multiples per term — for
 //! small batches, and the shared-window bucket method (Pippenger), whose
 //! marginal cost per term is a handful of group operations, above the
-//! crossover (for 64-bit weights; a wider `G1` scalar always takes the
-//! Straus pass). The two sides are separate calls because they need not cover
+//! crossover, which the model places by the weights' bit width (a wider
+//! `G1` scalar always takes the Straus pass). The two sides are separate
+//! calls because they need not cover
 //! the same terms: the sharded epoch verifier sums `G1` once per shard
 //! (each shard pairs with its own key) but multiplies every shard's `σ`
 //! terms in one `GT` fold, whose larger term count makes it cheaper than
@@ -29,9 +30,16 @@
 //!
 //! The `GT` side runs cyclotomic arithmetic — Granger–Scott squarings and
 //! conjugation as the inverse — so every `σ` it folds must be cyclotomic
-//! ([`crate::Gt::is_cyclotomic`]). For the 2⁻⁶⁴ bound a value from the
-//! wire must moreover pass [`crate::Gt::is_in_subgroup`] before it is
-//! weighted; the batch verifier tests every `σ` it weights.
+//! ([`crate::Gt::is_cyclotomic`]). For the 2⁻⁶⁴ bound the weighted values
+//! from the wire must moreover lie in `μ_r`. The batch verifier checks
+//! each with `is_cyclotomic` and folds them once more under the weights'
+//! low halves ([`weighted_product_gt_and_low_halves`]); one
+//! [`crate::Gt::is_in_subgroup`] on that second product, with the
+//! weighted equation, catches any part of order dividing the cofactor
+//! `h_T = Φ₁₂(p)/r`, whose prime factors all exceed 2³², except with
+//! probability about 2⁻⁶⁴ (proof in `seccloud_ibs::batch`). The epoch
+//! verifier's values were tested one by one
+//! (`BatchVerifier::is_poisoned`), or are vouched for by their producer.
 
 use crate::ec::wnaf_digits;
 use crate::fr::Fr;
@@ -41,21 +49,28 @@ use crate::pairing::Gt;
 /// Number of bits in the batch-verification weights.
 pub const WEIGHT_BITS: u32 = 64;
 
-/// The bucket loop's expected group operations for `n` terms at window
-/// width `c`: `⌈64/c⌉·(c + n·(1−2⁻ᶜ) + 2·(2ᶜ−1))` — `c` doublings, one
-/// bucket add per term with a nonzero digit, and the running-sum
-/// aggregation, per window.
-fn bucket_ops(n: usize, c: u32) -> f64 {
-    let buckets = f64::from((1u32 << c) - 1);
-    let nonzero_digit = buckets / (buckets + 1.0);
-    f64::from(WEIGHT_BITS.div_ceil(c)) * (f64::from(c) + n as f64 * nonzero_digit + 2.0 * buckets)
+/// The bit length of the widest weight: the width the fold loops walk.
+fn width(weights: &[u64]) -> u32 {
+    u64::BITS - weights.iter().fold(0, |acc, w| acc | w).leading_zeros()
 }
 
-/// Bucket-window width for a batch of `n` terms: the `c ∈ 1..=8` that
-/// minimises [`bucket_ops`]. Ties go to the narrower window.
-fn window_bits(n: usize) -> u32 {
+/// The bucket loop's expected group operations for `n` terms with
+/// `bits`-bit weights at window width `c`:
+/// `⌈bits/c⌉·(c + n·(1−2⁻ᶜ) + 2·(2ᶜ−1))` — `c` doublings, one bucket add
+/// per term with a nonzero digit, and the running-sum aggregation, per
+/// window.
+fn bucket_ops(n: usize, bits: u32, c: u32) -> f64 {
+    let buckets = f64::from((1u32 << c) - 1);
+    let nonzero_digit = buckets / (buckets + 1.0);
+    f64::from(bits.div_ceil(c)) * (f64::from(c) + n as f64 * nonzero_digit + 2.0 * buckets)
+}
+
+/// Bucket-window width for a batch of `n` terms with `bits`-bit weights:
+/// the `c ∈ 1..=8` that minimises [`bucket_ops`]. Ties go to the narrower
+/// window.
+fn window_bits(n: usize, bits: u32) -> u32 {
     (2..=8).fold(1, |best, c| {
-        if bucket_ops(n, c) < bucket_ops(n, best) {
+        if bucket_ops(n, bits, c) < bucket_ops(n, bits, best) {
             c
         } else {
             best
@@ -63,23 +78,36 @@ fn window_bits(n: usize) -> u32 {
     })
 }
 
-/// Group operations per term of the Straus pass: the odd-multiple table
-/// `{x, 3x, 5x, 7x}` (one doubling, three additions) plus one addition
-/// per nonzero width-4 wNAF digit of a 64-bit weight, about `64/5`.
-const STRAUS_OPS_PER_TERM: f64 = 4.0 + WEIGHT_BITS as f64 / 5.0;
+/// Operations per term the Straus pass pays beyond its count: the table
+/// normalisation and the walk's reads from `4n` table entries, which the
+/// count leaves out. Fitted to where the two loops tie when measured
+/// (EXPERIMENTS, "One `Gt` subgroup test per batch"): between 96 and 128
+/// terms for 64-bit weights, between 32 and 48 for 32-bit ones.
+const STRAUS_OVERHEAD_PER_TERM: f64 = 2.5;
 
-/// Whether the interleaved Straus pass folds `n` 64-bit-weighted terms in
-/// fewer group operations than the bucket loop at its best width: its `65`
-/// shared doublings plus [`STRAUS_OPS_PER_TERM`] per term, against
-/// [`bucket_ops`] at [`window_bits`]. The crossover sits near 200 terms.
+/// Group operations per term of the Straus pass with `bits`-bit weights:
+/// the odd-multiple table `{x, 3x, 5x, 7x}` (one doubling, three
+/// additions), one addition per nonzero width-4 wNAF digit, about
+/// `bits/5`, and [`STRAUS_OVERHEAD_PER_TERM`].
+fn straus_ops_per_term(bits: u32) -> f64 {
+    4.0 + f64::from(bits) / 5.0 + STRAUS_OVERHEAD_PER_TERM
+}
+
+/// Whether the interleaved Straus pass folds `n` terms with `bits`-bit
+/// weights more cheaply than the bucket loop at its best width: its
+/// `bits + 1` shared doublings plus [`straus_ops_per_term`] per term,
+/// against [`bucket_ops`] at [`window_bits`]. The crossover sits at 112
+/// terms for 64-bit weights and at 45 for 32-bit ones.
 ///
 /// The model counts every group operation alike (a `G1` doubling and
-/// addition, a cyclotomic squaring and an `Fp12` product), so the exact
-/// crossover is a model, not a measurement (EXPERIMENTS measures both
-/// loops around it); the folds the verifiers run sit away from it (≤ 64
-/// terms on one side, ≥ 255 on the other).
-fn straus_wins(n: usize) -> bool {
-    f64::from(WEIGHT_BITS + 1) + n as f64 * STRAUS_OPS_PER_TERM < bucket_ops(n, window_bits(n))
+/// addition, a cyclotomic squaring and an `Fp12` product); its one fitted
+/// constant places the 64-bit crossover where the measured loops trade
+/// places (EXPERIMENTS measures both loops around it). The folds the
+/// verifiers run sit away from it (≤ 64 terms on one side, ≥ 255 on the
+/// other).
+fn straus_wins(n: usize, bits: u32) -> bool {
+    f64::from(bits + 1) + n as f64 * straus_ops_per_term(bits)
+        < bucket_ops(n, bits, window_bits(n, bits))
 }
 
 /// The group operations the fold loops need, written additively.
@@ -202,14 +230,16 @@ fn straus_walk<T: FoldGroup>(tables: &[[T::Entry; 4]], digits: &[&[i64]]) -> T {
 }
 
 /// `Σᵢ rᵢ·xᵢ` over `terms = [xᵢ]` and `weights = [rᵢ]`, by the bucket
-/// method (extra entries on either side are ignored).
+/// method over the weights' [`width`] (extra entries on either side are
+/// ignored).
 fn bucket_fold<T: FoldGroup>(terms: &[T], weights: &[u64]) -> T {
     let n = terms.len().min(weights.len());
     if n == 0 {
         return T::identity();
     }
-    let c = window_bits(n);
-    let windows = WEIGHT_BITS.div_ceil(c);
+    let bits = width(&weights[..n]);
+    let c = window_bits(n, bits);
+    let windows = bits.div_ceil(c);
     let mask = (1u64 << c) - 1;
     let mut acc = T::identity();
     let mut buckets = vec![T::identity(); (1usize << c) - 1];
@@ -264,10 +294,12 @@ fn bucket_fold<T: FoldGroup>(terms: &[T], weights: &[u64]) -> T {
 pub fn multi_mul_g1(terms: &[(G1, Fr)]) -> G1 {
     let scalars: Vec<_> = terms.iter().map(|(_, k)| k.to_u256()).collect();
     let narrow = |s: &seccloud_bigint::U256| s.limbs()[1..].iter().all(|&l| l == 0);
-    if !straus_wins(terms.len()) && scalars.iter().all(narrow) {
-        let points: Vec<G1> = terms.iter().map(|(p, _)| *p).collect();
+    if scalars.iter().all(narrow) {
         let weights: Vec<u64> = scalars.iter().map(|s| s.limbs()[0]).collect();
-        return bucket_fold(&points, &weights);
+        if !straus_wins(terms.len(), width(&weights)) {
+            let points: Vec<G1> = terms.iter().map(|(p, _)| *p).collect();
+            return bucket_fold(&points, &weights);
+        }
     }
     // One table row per term; a wide term's row serves both GLV lanes.
     let mut rows = Vec::with_capacity(terms.len());
@@ -326,11 +358,61 @@ pub fn multi_mul_g1(terms: &[(G1, Fr)]) -> G1 {
 /// ```
 pub fn weighted_product_gt(elements: &[Gt], weights: &[u64]) -> Gt {
     let n = elements.len().min(weights.len());
-    if straus_wins(n) {
+    if straus_wins(n, width(&weights[..n])) {
         straus_fold(&lanes(elements, weights))
     } else {
         bucket_fold(elements, weights)
     }
+}
+
+/// `(Πᵢ σᵢ^{rᵢ}, Πᵢ σᵢ^{r'ᵢ})` over `elements = [σᵢ]` and
+/// `weights = [rᵢ]`, where `r'ᵢ = rᵢ mod 2³²` is the weight's low half
+/// (extra entries on either side are ignored).
+///
+/// Writing `rᵢ = hᵢ·2³² + r'ᵢ`, this folds the high and the low halves as
+/// two 32-bit products over one set of Straus tables (or two bucket
+/// passes) and returns `(Π σᵢ^{hᵢ})^(2³²) · Π σᵢ^{r'ᵢ}` with the low
+/// product: both combinations for about 32 cyclotomic squarings more than
+/// [`weighted_product_gt`] alone pays for the first. The batch verifier
+/// tests the second combination for membership in `μ_r`.
+///
+/// Same preconditions as [`weighted_product_gt`]: every `σᵢ` is
+/// cyclotomic.
+///
+/// # Examples
+///
+/// ```
+/// use seccloud_pairing::{
+///     hash_to_g1, hash_to_g2, pairing, weighted_product_gt, weighted_product_gt_and_low_halves,
+/// };
+///
+/// let sigma = pairing(&hash_to_g1(b"p").to_affine(), &hash_to_g2(b"q").to_affine());
+/// let w = (5u64 << 32) | 3;
+/// let (full, low) = weighted_product_gt_and_low_halves(&[sigma], &[w]);
+/// assert_eq!(full, weighted_product_gt(&[sigma], &[w]));
+/// assert_eq!(low, sigma.mul(&sigma).mul(&sigma));
+/// ```
+pub fn weighted_product_gt_and_low_halves(elements: &[Gt], weights: &[u64]) -> (Gt, Gt) {
+    let n = elements.len().min(weights.len());
+    let elements = &elements[..n];
+    let (high, low): (Vec<u64>, Vec<u64>) = weights[..n]
+        .iter()
+        .map(|&w| (w >> 32, w & u64::from(u32::MAX)))
+        .unzip();
+    // Over shared tables, the two walks cost one walk of both widths.
+    let (high, low) = if straus_wins(n, width(&high) + width(&low)) {
+        let tables: Vec<[Gt; 4]> = elements.iter().map(odd_multiples).collect();
+        let walk = |half: &[u64]| {
+            let digits: Vec<Vec<i64>> = half.iter().map(|&w| wnaf_digits(&[w])).collect();
+            let digits: Vec<&[i64]> = digits.iter().map(Vec::as_slice).collect();
+            straus_walk::<Gt>(&tables, &digits)
+        };
+        (walk(&high), walk(&low))
+    } else {
+        (bucket_fold(elements, &high), bucket_fold(elements, &low))
+    };
+    let shifted = (0..32).fold(high, |acc, _| acc.twice());
+    (shifted.op(&low), low)
 }
 
 /// One Straus lane per term: the term and its weight's wNAF digits.
@@ -400,7 +482,7 @@ mod tests {
         // windows against 8 at c = 8).
         let widths: Vec<u32> = [1, 2, 8, 9, 24, 25, 32, 41, 64, 136, 330, 941, 942, 1 << 20]
             .iter()
-            .map(|&n| window_bits(n))
+            .map(|&n| window_bits(n, WEIGHT_BITS))
             .collect();
         assert_eq!(widths, [1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6, 6, 8, 8]);
     }
@@ -409,7 +491,7 @@ mod tests {
     fn both_sides_match_naive_at_widths_one_to_five() {
         // The first n of widths 1–5, weights exercising high/low bits.
         for (c, n) in [(1, 1usize), (2, 9), (3, 25), (4, 41), (5, 136)] {
-            assert_eq!(window_bits(n), c);
+            assert_eq!(window_bits(n, WEIGHT_BITS), c);
             let weights: Vec<u64> = (0..n)
                 .map(|i| {
                     u64::MAX
@@ -487,14 +569,77 @@ mod tests {
     }
 
     #[test]
-    fn straus_gives_way_to_buckets_near_two_hundred_terms() {
-        let crossover = (1..4096)
-            .find(|&n| !straus_wins(n))
-            .expect("buckets win eventually");
-        assert!((150..300).contains(&crossover), "crossover at {crossover}");
-        assert!((crossover..4096).all(|n| !straus_wins(n)));
-        // The epoch verifier's 10k-term folds stay on buckets.
-        assert!(!straus_wins(10_000));
+    fn straus_gives_way_to_buckets_near_one_hundred_and_twenty_eight_terms() {
+        let crossover = |bits| {
+            let n = (1..4096)
+                .find(|&n| !straus_wins(n, bits))
+                .expect("buckets win eventually");
+            assert!((n..4096).all(|n| !straus_wins(n, bits)), "{bits} bits");
+            n
+        };
+        // The measured loops tie between 96 and 128 terms at 64 bits.
+        let wide = crossover(WEIGHT_BITS);
+        assert!((96..=128).contains(&wide), "64-bit crossover at {wide}");
+        // Half-width weights have half the shared doubling chain to spread
+        // over their terms, so buckets win sooner: measured, between 32
+        // and 48 terms.
+        let narrow = crossover(32);
+        assert!((32..=48).contains(&narrow), "32-bit crossover at {narrow}");
+        // The epoch verifier's 10k-term folds stay on buckets, an audit's
+        // 8-term ones on Straus.
+        assert!(!straus_wins(10_000, WEIGHT_BITS));
+        assert!(straus_wins(8, WEIGHT_BITS) && straus_wins(8, 32));
+    }
+
+    #[test]
+    fn the_fold_walks_the_weights_width() {
+        assert_eq!(width(&[]), 0);
+        assert_eq!(width(&[0, 0]), 0);
+        assert_eq!(width(&[1, 5]), 3);
+        assert_eq!(width(&[u64::from(u32::MAX), 7]), 32);
+        assert_eq!(width(&[1 << 63]), 64);
+        // Buckets over narrow weights take fewer windows, same product.
+        let elements = sample_elements(3);
+        let weights = [u64::from(u32::MAX), 1 << 31, 12_345];
+        assert_eq!(
+            bucket_fold(&elements, &weights),
+            naive_product(&elements, &weights)
+        );
+    }
+
+    #[test]
+    fn low_halves_fold_matches_two_separate_folds() {
+        // Through the Straus tables and through the bucket loop, with an
+        // identity term and weights whose halves are zero, one or full.
+        let n_buckets = (1..4096)
+            .find(|&n| !straus_wins(n, WEIGHT_BITS))
+            .expect("crossover");
+        for n in [1usize, 3, 8, n_buckets] {
+            let mut elements = sample_elements(n.min(9));
+            elements.resize(n, elements[1 % elements.len()]);
+            elements[n / 2] = Gt::one();
+            let weights: Vec<u64> = (0..n as u64)
+                .map(|i| match i % 4 {
+                    0 => u64::MAX,
+                    1 => 1 << 32,
+                    2 => u64::from(u32::MAX),
+                    _ => 0x9E37_79B9_7F4A_7C15u64.rotate_left(i as u32),
+                })
+                .collect();
+            let low: Vec<u64> = weights.iter().map(|w| w & u64::from(u32::MAX)).collect();
+            assert_eq!(
+                weighted_product_gt_and_low_halves(&elements, &weights),
+                (
+                    weighted_product_gt(&elements, &weights),
+                    weighted_product_gt(&elements, &low)
+                ),
+                "n = {n}"
+            );
+        }
+        assert_eq!(
+            weighted_product_gt_and_low_halves(&[], &[]),
+            (Gt::one(), Gt::one())
+        );
     }
 
     #[test]
@@ -544,7 +689,9 @@ mod tests {
         // 64-bit weights past the crossover fold by buckets; one wider
         // scalar sends the same batch through the Straus pass. Both equal
         // the per-term sum.
-        let n = (1..4096).find(|&n| !straus_wins(n)).expect("crossover");
+        let n = (1..4096)
+            .find(|&n| !straus_wins(n, WEIGHT_BITS))
+            .expect("crossover");
         let points = sample_points(n);
         let weights: Vec<u64> = (0..n as u64)
             .map(|i| 0x9E37_79B9_7F4A_7C15 ^ (i << 40))

@@ -111,11 +111,13 @@ impl Gt {
     ///   (recomputed in `optimal_ate_relation_pins_the_order_to_r`), so the
     ///   two relations together hold exactly on `μ_r`.
     ///
-    /// A value from the wire must pass this before it is raised to a
-    /// verifier-drawn weight: an element of small order outside `μ_r` (say
+    /// A value from the wire raised to a verifier-drawn weight must be
+    /// known to lie in `μ_r`: an element of small order outside it (say
     /// `−1`) can vanish under an even weight and let a forged term through
-    /// a randomized batch. Comparing against a freshly computed pairing
-    /// needs no test. Variable-time: the input is public.
+    /// a randomized batch. A batch need not test each value: it checks each
+    /// with [`Self::is_cyclotomic`] and tests one random combination of
+    /// them (`seccloud_ibs::BatchVerifier`). Comparing against a freshly
+    /// computed pairing needs no test. Variable-time: the input is public.
     pub fn is_in_subgroup(&self) -> bool {
         crate::counters::gt_subgroup_test();
         let Some(f_p2) = self.cyclotomic_frobenius_p2() else {
@@ -133,9 +135,12 @@ impl Gt {
     /// [`Self::is_in_subgroup`], at the price of two Frobenius maps and one
     /// product. It is what [`crate::weighted_product_gt`]'s cyclotomic
     /// arithmetic needs to compute the true product; it does not make a
-    /// randomized batch sound on its own (an element of small order
-    /// dividing `(p⁴ − p² + 1)/r` passes it).
+    /// randomized batch sound on its own (an element of order dividing the
+    /// cofactor `h_T = (p⁴ − p² + 1)/r` passes it), so a batch also tests
+    /// one random combination of the values it checked with
+    /// [`Self::is_in_subgroup`].
     pub fn is_cyclotomic(&self) -> bool {
+        crate::counters::gt_cyclotomic_check();
         self.cyclotomic_frobenius_p2().is_some()
     }
 
@@ -153,7 +158,10 @@ impl Gt {
     /// only compared against freshly computed pairings, which needs no
     /// test, and a storage read would pay one per block. Whoever raises a
     /// decoded value to a secret or random exponent — batch verification's
-    /// weighted fold — must first check [`Gt::is_in_subgroup`].
+    /// weighted fold — must know it lies in `μ_r`: by
+    /// [`Gt::is_in_subgroup`] on the value itself, or, for a batch, by
+    /// [`Gt::is_cyclotomic`] on each value plus one subgroup test of a
+    /// second random combination (`seccloud_ibs::BatchVerifier::verify`).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         if bytes.len() != 384 {
             return None;
@@ -641,6 +649,16 @@ mod tests {
         let spent = crate::counters::snapshot().since(&before);
         assert_eq!(spent.gt_subgroup_tests, 2);
         assert_eq!(spent.final_exponentiations, 0);
+        // The cyclotomic half of a subgroup test is not a standalone check.
+        assert_eq!(spent.gt_cyclotomic_checks, 0);
+        let before = crate::counters::snapshot();
+        assert!(Gt::one().is_cyclotomic());
+        assert!(!Gt(Fp12::zero()).is_cyclotomic());
+        let spent = crate::counters::snapshot().since(&before);
+        assert_eq!(
+            (spent.gt_cyclotomic_checks, spent.gt_subgroup_tests),
+            (2, 0)
+        );
     }
 
     /// `(preparations, Miller loops, lanes, final exponentiations)` spent

@@ -136,7 +136,7 @@ pub fn algebraic_faults(t: &mut Tape, slots: usize) -> Vec<(usize, AlgebraicFaul
 
 /// The `Gt` value with `f`'s coefficients, through the canonical encoding
 /// (no other public constructor takes an arbitrary `Fp12`).
-fn gt_of(f: &Fp12) -> Gt {
+pub fn gt_of(f: &Fp12) -> Gt {
     let mut bytes = Vec::with_capacity(384);
     for c6 in [&f.c0, &f.c1] {
         for c2 in [&c6.c0, &c6.c1, &c6.c2] {

@@ -3,6 +3,7 @@
 
 use std::collections::HashSet;
 
+use seccloud::bigint::ApInt;
 use seccloud::cloudsim::behavior::Behavior;
 use seccloud::cloudsim::CloudServer;
 use seccloud::core::computation::{
@@ -15,8 +16,9 @@ use seccloud::core::warrant::{Warrant, WarrantError};
 use seccloud::core::{CloudUser, Sio, VerifierCredential};
 use seccloud::hash::HmacDrbg;
 use seccloud::ibs::{verify_individually, BatchItem, BatchVerifier, DesignatedSignature};
-use seccloud::pairing::{params, FieldElement, Fp12, Fr, G1};
+use seccloud::pairing::{params, FieldElement, Fp12, Fp2, Fp6, Fr, Gt, G1};
 use seccloud::registry::EpochVerifier;
+use seccloud::testkit::algebraic::gt_of;
 use seccloud::testkit::forall::forall_with;
 use seccloud::testkit::{algebraic_faults, AlgebraicFault, Config, Tape};
 
@@ -723,6 +725,107 @@ fn epoch_fold_fails_on_any_bad_item() {
                 .ok_or(format!(
                     "epoch disagrees; individually valid = {individually}"
                 ))
+        },
+    );
+}
+
+/// `q₁ = 493 356 762 637`, the smallest prime factor of the `GT` cofactor
+/// `h_T = Φ₁₂(p)/r` (each prime factor of `h_T` exceeds 2³²).
+const Q1: u64 = 493_356_762_637;
+
+/// An element `z` of order `q₁`: the easy-part image
+/// `f^((p⁶−1)(p²+1))` of a hashed `f ∈ Fp12` (cyclotomic), raised to
+/// `Φ₁₂(p)/q₁`.
+fn order_q1_element() -> Gt {
+    let fp2 = |tag: &[u8]| Fp2::from_hash(b"adversarial/order-q1", tag);
+    let f = Fp12::new(
+        Fp6::new(fp2(b"a"), fp2(b"b"), fp2(b"c")),
+        Fp6::new(fp2(b"d"), fp2(b"e"), fp2(b"f")),
+    );
+    let easy = f.conjugate().mul(&f.inverse().expect("nonzero"));
+    let easy = easy.frobenius_p2().mul(&easy);
+    let phi12 = params::final_exp_hard_part() * params::r_apint();
+    let (cofactor, rem) = phi12.divrem(&ApInt::from_u64(Q1)).expect("q₁ ≠ 0");
+    assert!(rem.is_zero(), "q₁ divides Φ₁₂(p)");
+    let z = easy.pow_apint(&cofactor);
+    assert!(z != Fp12::one() && z.pow_apint(&ApInt::from_u64(Q1)) == Fp12::one());
+    gt_of(&z)
+}
+
+/// Exponents `e` of `z` planted into the DA designations of `n` items, one
+/// `(slot, e)` per planted slot: alone; as `z` and `z⁻¹` in two slots, so
+/// they cancel in the unweighted product; in the first slot, which the
+/// batch weighs by one; or in several slots at once with exponents that
+/// sum to zero mod `q₁`, cancelling in the unweighted product as well.
+fn order_q1_plants(t: &mut Tape, n: usize) -> Vec<(usize, u64)> {
+    let mut slots: Vec<usize> = (0..n).collect();
+    // Distinct slots in tape order.
+    for i in (1..n).rev() {
+        slots.swap(i, t.next_below(i as u64 + 1) as usize);
+    }
+    match t.next_below(4) {
+        0 => vec![(slots[0], 1 + t.next_below(Q1 - 1))],
+        1 => vec![(slots[0], 1), (slots[1], Q1 - 1)],
+        2 => vec![(0, 1 + t.next_below(Q1 - 1))],
+        _ => {
+            let k = 2 + t.next_below(n as u64 - 1) as usize;
+            let mut plants: Vec<(usize, u64)> = slots[..k - 1]
+                .iter()
+                .map(|&slot| (slot, 1 + t.next_below(Q1 - 1)))
+                .collect();
+            let sum = plants.iter().fold(0, |acc, &(_, e)| (acc + e) % Q1);
+            if sum != 0 {
+                plants.push((slots[k - 1], Q1 - sum));
+            }
+            plants
+        }
+    }
+}
+
+/// Parts of order `q₁` pass the cyclotomic check the batch makes per `Σ`,
+/// and in every trial the batch still rejects, as the individual checks
+/// do: however they are planted, the one subgroup test of the batch's
+/// second combination and the weighted equation catch them.
+#[test]
+fn order_q1_parts_planted_anywhere_never_pass_a_batch() {
+    let w = world();
+    let z = order_q1_element();
+    let honest = da_items(&w, &w.stored);
+    let unweighted = |items: &[BatchItem]| {
+        items
+            .iter()
+            .fold(Gt::one(), |acc, i| acc.mul(i.signature.sigma()))
+    };
+    forall_with(
+        "batch-verifier-under-order-q1-plants",
+        &algebraic_config(),
+        |t: &mut Tape| order_q1_plants(t, honest.len()),
+        |plan| {
+            let mut items = honest.clone();
+            for &(slot, e) in plan {
+                let sig = &items[slot].signature;
+                let planted = sig.sigma().mul(&z.pow(&Fr::from_u64(e)));
+                if !planted.is_cyclotomic() || planted.is_in_subgroup() {
+                    return Err(format!(
+                        "slot {slot}: z^{e}·Σ must be cyclotomic, not in μ_r"
+                    ));
+                }
+                items[slot].signature = DesignatedSignature::from_parts(*sig.u(), planted);
+            }
+            let cancels = plan.iter().fold(0, |acc, &(_, e)| (acc + e) % Q1) == 0;
+            if cancels != (unweighted(&items) == unweighted(&honest)) {
+                return Err(
+                    "the unweighted product must cancel exactly when the exponents do".into(),
+                );
+            }
+            let mut batch = BatchVerifier::new();
+            for item in &items {
+                batch.push_item(item);
+            }
+            let individually = verify_individually(&items, w.da.key());
+            (!batch.verify(w.da.key()) && individually.is_some())
+                .then_some(())
+                .ok_or(format!("batch accepted, or individually {individually:?}"))
         },
     );
 }
