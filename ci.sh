@@ -24,6 +24,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings (with the crates' denies: unwrap/expect/panic macros, indexing_slicing, arithmetic_side_effects, wildcard arms) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc -D warnings: no broken or private intra-doc link: cargo doc --workspace --no-deps =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== tier-1 build, plus every workspace binary the steps below run: cargo build --release --workspace =="
 cargo build --release --workspace
 

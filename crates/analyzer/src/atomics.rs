@@ -72,8 +72,15 @@ pub fn check_atomics(ctx: &FileCtx, all_rules: bool, report: &mut Report) {
         if ctx.test_lines.contains(&line) {
             continue;
         }
-        let allowed = ctx.rule_allowed(RULE_ATOMICS, line);
-        if !ctx.ordering_lines.contains(&line) && !allowed {
+        let unjustified = !ctx.ordering_lines.contains(&line);
+        let relaxed_rmw = (variant.text == "Relaxed" && security)
+            .then(|| enclosing_call_method(ctx, i))
+            .flatten()
+            .filter(|method| RMW_METHODS.contains(&method.as_str()));
+        if !unjustified && relaxed_rmw.is_none() || ctx.rule_allowed(RULE_ATOMICS, line) {
+            continue;
+        }
+        if unjustified {
             report.findings.push(Finding {
                 rule: RULE_ATOMICS,
                 file: ctx.path.clone(),
@@ -86,22 +93,18 @@ pub fn check_atomics(ctx: &FileCtx, all_rules: bool, report: &mut Report) {
                 ),
             });
         }
-        if variant.text == "Relaxed" && security && !allowed {
-            if let Some(method) = enclosing_call_method(ctx, i) {
-                if RMW_METHODS.contains(&method.as_str()) {
-                    report.findings.push(Finding {
-                        rule: RULE_ATOMICS,
-                        file: ctx.path.clone(),
-                        line,
-                        message: format!(
-                            "`Relaxed` read-modify-write (`{method}`) on a security-scoped \
-                             atomic — a counter or selector feeding a security decision needs \
-                             `SeqCst` (or at least `AcqRel`); `ordering(...)` cannot bless \
-                             this, only `// lint: allow(atomics, reason=...)` can"
-                        ),
-                    });
-                }
-            }
+        if let Some(method) = relaxed_rmw {
+            report.findings.push(Finding {
+                rule: RULE_ATOMICS,
+                file: ctx.path.clone(),
+                line,
+                message: format!(
+                    "`Relaxed` read-modify-write (`{method}`) on a security-scoped \
+                     atomic — a counter or selector feeding a security decision needs \
+                     `SeqCst` (or at least `AcqRel`); `ordering(...)` cannot bless \
+                     this, only `// lint: allow(atomics, reason=...)` can"
+                ),
+            });
         }
     }
 }

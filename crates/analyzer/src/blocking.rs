@@ -44,7 +44,7 @@ const PAIRING_ENTRY_POINTS: [&str; 5] = [
     "multi_miller_loop",
     "final_exponentiation",
     "multi_mul_g1",
-    "weighted_product_gt",
+    "weighted_product_gt_and_low_halves",
 ];
 
 /// Channel methods that block the caller (`try_send`/`try_recv` are the

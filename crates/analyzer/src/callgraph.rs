@@ -659,7 +659,7 @@ impl<'w> Typer<'w> {
     }
 
     /// The raw declared type of an expression (generics intact), when the
-    /// declaration is reachable. Public face of [`Self::raw_of`] for the
+    /// declaration is reachable. Public face of `Self::raw_of` for the
     /// concurrency analyses, which key lock identity and stream tracking
     /// off declared generic arguments (`Arc<Mutex<Receiver<TcpStream>>>`)
     /// that [`Self::infer`]'s head types erase.

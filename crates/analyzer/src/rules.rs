@@ -30,7 +30,7 @@
 //! * [`RULE_ARITH`] — no raw `<<`/`<<=` in sampling/backoff math, the one
 //!   wrapping operator clippy's `arithmetic_side_effects` does not flag.
 //! * [`RULE_ANNOTATION`] — every `lint:` comment is well formed, and an
-//!   `allow` names a rule that exists.
+//!   `allow` names a rule that exists and suppresses one of its findings.
 //!
 //! Interprocedural rules, over the workspace AST and call graph:
 //!
@@ -51,7 +51,8 @@
 //!
 //! * `// lint: allow(<rule>, reason=<free text>)` — suppresses `<rule>` on
 //!   the same line and the next line; the reason is mandatory and surfaced
-//!   in the lint summary.
+//!   in the lint summary. An `allow` that suppresses nothing is stale and
+//!   itself reported, as clippy reports an unfulfilled `#[expect]`.
 //! * `// lint: secret` — marks the next `struct`/`enum` as secret material.
 //! * `// lint: declassify(<reason>)` — declares the next line's
 //!   secret-derived value public by protocol design (suppresses `ctflow`;
@@ -68,6 +69,7 @@
 //! Any other `lint:` comment is itself reported (rule `annotation`), so a
 //! typo'd escape hatch can never silently disable a rule.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
 use crate::lexer::{lex, Comment, Tok, TokKind};
@@ -220,7 +222,7 @@ pub(crate) const FORMAT_MACROS: [&str; 18] = [
 ];
 
 /// A lexed file plus the structural facts rules need. The AST-backed
-/// rules ([`crate::callgraph`], [`crate::secretflow`]) consume it for the
+/// rules ([`crate::callgraph`], `crate::secretflow`) consume it for the
 /// annotation and test-line maps.
 pub struct FileCtx {
     /// Workspace-relative path with `/` separators.
@@ -233,6 +235,11 @@ pub struct FileCtx {
     pub test_lines: HashSet<u32>,
     /// rule → lines on which it is allowed.
     pub allows: HashMap<String, HashSet<u32>>,
+    /// The `allow(<rule>, …)` annotations: rule, annotation line and the
+    /// line after the comment.
+    allow_sites: Vec<(String, u32, u32)>,
+    /// `(rule, line)` pairs where an allowance suppressed a finding.
+    allow_hits: RefCell<HashSet<(String, u32)>>,
     /// Lines whose vicinity carries a `SAFETY:` comment.
     pub safety_lines: HashSet<u32>,
     /// Lines justified by `// lint: ordering(reason)` (the `atomics` rule).
@@ -246,10 +253,40 @@ pub struct FileCtx {
 }
 
 impl FileCtx {
-    /// Is `rule` allowed (via `// lint: allow`) on `line`?
+    /// Is `rule` allowed (via `// lint: allow`) on `line`? Rules ask only
+    /// where they would otherwise report (`panic_path` at every panic
+    /// source, reachable from a root or not), so a `true` marks the
+    /// allowance as used.
     #[must_use]
     pub fn rule_allowed(&self, rule: &str, line: u32) -> bool {
-        self.allows.get(rule).is_some_and(|s| s.contains(&line))
+        let hit = self.allows.get(rule).is_some_and(|s| s.contains(&line));
+        if hit {
+            self.allow_hits
+                .borrow_mut()
+                .insert((rule.to_string(), line));
+        }
+        hit
+    }
+
+    /// A finding per `allow` annotation that suppressed nothing on either
+    /// line it covers.
+    fn stale_allows(&self) -> Vec<Finding> {
+        let hits = self.allow_hits.borrow();
+        self.allow_sites
+            .iter()
+            .filter(|(rule, line, next)| {
+                !hits.contains(&(rule.clone(), *line)) && !hits.contains(&(rule.clone(), *next))
+            })
+            .map(|(rule, line, _)| Finding {
+                rule: RULE_ANNOTATION,
+                file: self.path.clone(),
+                line: *line,
+                message: format!(
+                    "stale `lint: allow({rule}, …)` — it suppresses no `{rule}` finding on \
+                     this line or the next; delete it"
+                ),
+            })
+            .collect()
     }
 }
 
@@ -290,6 +327,8 @@ pub fn lint_files(inputs: &[(String, String)], all_rules: bool) -> Report {
             comments,
             test_lines,
             allows: ann.allows,
+            allow_sites: ann.allow_sites,
+            allow_hits: RefCell::default(),
             safety_lines: ann.safety,
             ordering_lines: ann.ordering,
             vartime_lines: ann.vartime,
@@ -351,6 +390,9 @@ pub fn lint_files(inputs: &[(String, String)], all_rules: bool) -> Report {
     phase("deadline", &mut mark);
     crate::locks::check_locks(&ws, &typers, &ctx_map, &net, &mut report);
     phase("locks+blocking", &mut mark);
+    for ctx in &ctxs {
+        report.findings.extend(ctx.stale_allows());
+    }
 
     // Fallback tier: the token-level `ct` heuristic stands down wherever
     // the dataflow-backed `ctflow` rule covered the same site.
@@ -382,6 +424,7 @@ pub fn lint_files(inputs: &[(String, String)], all_rules: bool) -> Report {
 #[derive(Default)]
 struct ParsedAnnotations {
     allows: HashMap<String, HashSet<u32>>,
+    allow_sites: Vec<(String, u32, u32)>,
     safety: HashSet<u32>,
     ordering: HashSet<u32>,
     vartime: HashSet<u32>,
@@ -454,6 +497,7 @@ fn parse_annotations(path: &str, comments: &[Comment]) -> ParsedAnnotations {
                 let entry = out.allows.entry(rule.clone()).or_default();
                 entry.insert(c.line);
                 entry.insert(c.end_line + 1);
+                out.allow_sites.push((rule.clone(), c.line, c.end_line + 1));
                 out.allowances.push(Allowance {
                     rule,
                     file: path.to_string(),
@@ -507,10 +551,6 @@ fn parse_allow(s: &str) -> Option<(String, String)> {
         return None;
     }
     Some((rule.to_string(), reason.to_string()))
-}
-
-fn allowed(ctx: &FileCtx, rule: &str, line: u32) -> bool {
-    ctx.allows.get(rule).is_some_and(|s| s.contains(&line))
 }
 
 // --- test-code detection --------------------------------------------------
@@ -625,7 +665,7 @@ fn check_arith(ctx: &FileCtx, all_rules: bool, report: &mut Report) {
     for t in &ctx.toks {
         if !matches!(t.text.as_str(), "<<" | "<<=")
             || ctx.test_lines.contains(&t.line)
-            || allowed(ctx, RULE_ARITH, t.line)
+            || ctx.rule_allowed(RULE_ARITH, t.line)
         {
             continue;
         }
@@ -731,7 +771,7 @@ fn check_ct(ctx: &FileCtx, all_rules: bool, report: &mut Report) {
             j += 1;
         }
         let Some(ident) = suspicious else { continue };
-        if allowed(ctx, RULE_CT, t.line) {
+        if ctx.rule_allowed(RULE_CT, t.line) {
             continue;
         }
         report.findings.push(Finding {
@@ -821,7 +861,7 @@ fn check_transport(ctx: &FileCtx, all_rules: bool, report: &mut Report) {
         if t.kind != TokKind::Ident || !TRANSPORT_IDENTS.contains(&t.text.as_str()) {
             continue;
         }
-        if allowed(ctx, RULE_TRANSPORT, t.line) {
+        if ctx.rule_allowed(RULE_TRANSPORT, t.line) {
             continue;
         }
         report.findings.push(Finding {

@@ -18,7 +18,7 @@ fn miller_loop(x: u64) -> u64 {
     x.wrapping_mul(3)
 }
 
-fn weighted_product_gt(xs: &[u64], weights: &[u64]) -> u64 {
+fn weighted_product_gt_and_low_halves(xs: &[u64], weights: &[u64]) -> u64 {
     xs.iter().zip(weights).map(|(x, r)| x.wrapping_mul(*r)).sum()
 }
 
@@ -30,7 +30,7 @@ impl State {
 
     pub fn fold_under_lock(&self, weights: &[u64]) -> u64 {
         let Ok(g) = self.inner.lock() else { return 0 };
-        weighted_product_gt(&[*g], weights)
+        weighted_product_gt_and_low_halves(&[*g], weights)
     }
 
     pub fn sleep_on_temporary(&self) -> u64 {

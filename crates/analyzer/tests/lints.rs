@@ -255,6 +255,22 @@ fn allows_naming_retired_rules_are_annotation_findings() {
 }
 
 #[test]
+fn an_allow_that_suppresses_nothing_is_stale() {
+    // The first allowance covers a raw channel and stays silent; the
+    // other two cover nothing their rule would report.
+    let report = lint_fixture("stale_allow.rs");
+    assert_eq!(rules_hit(&report), ["annotation"], "{:?}", report.findings);
+    let lines: Vec<u32> = report.findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [10, 16], "{:?}", report.findings);
+    assert!(
+        report.findings.iter().all(|f| f.message.contains("stale")),
+        "{:?}",
+        report.findings
+    );
+    assert_eq!(report.allowances.len(), 3);
+}
+
+#[test]
 fn pairing_calls_declassify_for_format_but_not_for_timing() {
     // One secret through one `crates/pairing` call: the format lane
     // declassifies what the arithmetic returns, the timing lane sees
@@ -452,7 +468,7 @@ fn blocking_fixture_trips_blocking_rule() {
     // guard-extending temporary.
     assert_eq!(report.findings.len(), 3, "{:?}", report.findings);
     let msgs: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
-    for entry in ["miller_loop", "weighted_product_gt"] {
+    for entry in ["miller_loop", "weighted_product_gt_and_low_halves"] {
         assert!(
             msgs.iter()
                 .any(|m| m.contains(entry) && m.contains("pairing computation")),

@@ -2,7 +2,7 @@
 //!
 //! The paper plots verification time for 1–50 users: its scheme uses a
 //! *constant* number of pairings (batch verification, Section VI) while the
-//! Wang et al. [4], [5]-style auditors pay pairings *linear* in the user
+//! Wang et al. \[4\], \[5\]-style auditors pay pairings *linear* in the user
 //! count. We (a) rebuild the analytic curves from our measured Table-I
 //! costs (the shared unit timer's `T_pmul` and `T_pair`, as `table1`
 //! prints them) and (b) *actually run* batch vs individual verification at

@@ -79,7 +79,7 @@ impl Effort {
     }
 
     /// The batch timer: `n` signatures from `users` users
-    /// ([`designated_items`]) checked by one [`BatchVerifier`] and by
+    /// (`designated_items`) checked by one [`BatchVerifier`] and by
     /// [`verify_individually`], each side the fastest of 5 rounds of
     /// about 64 signatures. Panics unless both accept.
     pub fn time_batch(&self, seed: &[u8], n: usize, users: usize) -> BatchTiming {

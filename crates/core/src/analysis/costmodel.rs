@@ -126,7 +126,7 @@ impl VerificationCostModel {
         2.0 * self.costs.t_pair_ms + k as f64 * self.costs.t_pmul_ms
     }
 
-    /// Wang et al. [4]/[5]-style public auditing cost: pairings linear in
+    /// Wang et al. \[4\]/\[5\]-style public auditing cost: pairings linear in
     /// the number of users (2 per user in the paper's comparison).
     pub fn wang_ms(&self, k: u32) -> f64 {
         2.0 * k as f64 * self.costs.t_pair_ms + k as f64 * self.costs.t_pmul_ms

@@ -1,8 +1,8 @@
 //! Dynamic storage operations — append, update, delete with freshness.
 //!
 //! The paper's related-work section repeatedly calls out that early PDP
-//! schemes "did not consider the dynamic data storage" ([8]) and cites the
-//! dynamic constructions of Wang et al. [5] and Erway et al. [15] as the
+//! schemes "did not consider the dynamic data storage" (\[8\]) and cites the
+//! dynamic constructions of Wang et al. \[5\] and Erway et al. \[15\] as the
 //! state of the art. This module adds the corresponding extension to
 //! SecCloud: blocks carry a **version number** folded into the signed
 //! message, the owner keeps a tiny version ledger (`O(1)` per block — the

@@ -25,8 +25,8 @@
 //! The weights only bound a cheat by 2⁻⁶⁴ when every weighted `Σ` lies
 //! in `μ_r`: an element of small order outside it vanishes under a weight
 //! that is a multiple of its order (`−Σ` under any even weight, half the
-//! draws). [`BatchVerifier::verify`] makes sure of that without a
-//! subgroup test per `Σ`:
+//! draws). [`weighted_sigma_product`] makes sure of that without a
+//! subgroup test per `Σ`, here and in the registry's epoch verifier:
 //!
 //! 1. every weighted `Σ` must pass [`Gt::is_cyclotomic`] (two Frobenius
 //!    maps and a product), so it lies in the cyclotomic group of order
@@ -41,24 +41,25 @@
 //! `params` tests, the full sweep by `ci.sh`), so every `zᵢ ≠ 1` has
 //! order above 2³². Write `rᵢ = hᵢ·2³² + r'ᵢ` with `hᵢ`, `r'ᵢ` independent
 //! and uniform in `[0, 2³²)`. Step 2 forces `Π zᵢ^(r'ᵢ) = 1` over the
-//! weighted `Σ`. The equation's left side lies in `μ_r`, so step 3 can
-//! only hold if the first, unweighted `Σ₀` is cyclotomic too, and it
-//! forces `z₀·Π zᵢ^(rᵢ) = 1`, which given step 2 is
+//! weighted `Σ`. The equation's left side is a pairing value, or a
+//! product of pairing values with several keys, and lies in `μ_r`, so
+//! step 3 can only hold if the first, unweighted `Σ₀` is cyclotomic too,
+//! and it forces `z₀·Π zᵢ^(rᵢ) = 1`, which given step 2 is
 //! `z₀·(Π zᵢ^(hᵢ))^(2³²) = 1`. If some weighted `zⱼ ≠ 1`, the two hold for
 //! at most one value of `r'ⱼ` and one of `hⱼ` in `[0, 2³²)` (`2 ∤ h_T`, so
 //! `zⱼ^(2³²) ≠ 1` has order above 2³² as well): both, with probability
 //! ≤ 2⁻⁶⁴. If every weighted `zᵢ = 1`, then `z₀ = 1`, every `Σ` lies in
 //! `μ_r` and the small-exponent bound below applies.
 //!
-//! The first signature takes the weight `r₀ = 1`, so its `Σ` is never
-//! raised to a weight and needs no check. Fixing one weight loses nothing:
-//! if only the first signature is bad, its error term
-//! `Σ₀/ê(U₀ + h₀·Q_ID₀, sk_V)` stands alone in the equation and is not
-//! one; if another one, `j`, is bad, its error term has order `r`, so the
-//! other weights leave one value of `rⱼ` modulo `r` that passes, which
-//! `rⱼ` hits with probability ≤ 2⁻⁶⁴. With that, a batch containing any
-//! invalid signature survives with probability about 2⁻⁶⁴ per
-//! verification attempt, coordinated or not.
+//! The first `Σ` takes the weight `r₀ = 1`, so it is never raised to a
+//! weight and needs no check. Fixing one weight loses nothing: if only the
+//! first term is bad, its error term (`Σ₀` over the pairing value it
+//! claims) stands alone in the equation and is not one; if another one,
+//! `j`, is bad, its error term has order `r`, so the other weights leave
+//! one value of `rⱼ` modulo `r` that passes, which `rⱼ` hits with
+//! probability ≤ 2⁻⁶⁴. With that, a batch containing any invalid term
+//! survives with probability about 2⁻⁶⁴ per verification attempt,
+//! coordinated or not, within one key's terms or across keys.
 //!
 //! Individual verification costs one pairing per signature. The batch
 //! costs one pairing and one subgroup test (about a fifth of a pairing) in
@@ -92,7 +93,7 @@ pub struct BatchItem {
 /// Draws one nonzero 64-bit batch weight per term, seeded from process
 /// entropy. Weights must be unpredictable to whoever assembled the batch
 /// — they are drawn here, at verification time, never stored.
-pub fn draw_weights(n: usize) -> Vec<u64> {
+fn draw_weights(n: usize) -> Vec<u64> {
     // One DRBG output for all weights: each `next_u64` call would pay a
     // state update of its own.
     HmacDrbg::new(&entropy_seed())
@@ -104,6 +105,41 @@ pub fn draw_weights(n: usize) -> Vec<u64> {
             u64::from_be_bytes(word).max(1)
         })
         .collect()
+}
+
+/// The `Σ` side of every batch check (module docs, steps 1 and 2):
+/// `Πᵢ Σᵢ^(rᵢ)` under fresh weights with `r₀ = 1`, and the weights for
+/// the caller's `G1` side, or `None` if a `Σ` after the first is not
+/// cyclotomic or their low-half product is not in `μ_r`. The caller
+/// accepts only if its pairing side, weighted alike, equals the product.
+///
+/// ```
+/// use seccloud_ibs::{designate, sign, weighted_sigma_product, MasterKey};
+/// use seccloud_pairing::{Fr, Gt};
+///
+/// let sio = MasterKey::from_seed(b"sigma-doc");
+/// let signed = sign(&sio.extract_user("a"), b"m", b"n");
+/// let sigma = *designate(&signed, sio.extract_verifier("cs").public()).sigma();
+/// let (product, w) = weighted_sigma_product(&[sigma, sigma]).expect("pairing values");
+/// assert_eq!((w[0], product), (1, sigma.pow(&Fr::from_u64(w[1])).mul(&sigma)));
+/// assert_eq!(weighted_sigma_product(&[sigma, Gt::from_bytes(&[0; 384]).unwrap()]), None);
+/// ```
+pub fn weighted_sigma_product(sigmas: &[Gt]) -> Option<(Gt, Vec<u64>)> {
+    let Some((first, rest)) = sigmas.split_first() else {
+        return Some((Gt::one(), Vec::new()));
+    };
+    if !rest.iter().all(Gt::is_cyclotomic) {
+        return None;
+    }
+    let drawn = draw_weights(rest.len());
+    // The first Σ is unchecked, so it stays out of the cyclotomic fold
+    // and is multiplied in by the generic Fp12 product.
+    let (product, low) = weighted_product_gt_and_low_halves(rest, &drawn);
+    if !rest.is_empty() && !low.is_in_subgroup() {
+        return None;
+    }
+    let weights = std::iter::once(1).chain(drawn).collect();
+    Some((product.mul(first), weights))
 }
 
 /// One pushed signature: `U`, its challenge `h = H2(U‖m)`, the signer's
@@ -124,11 +160,8 @@ struct Entry {
 /// merge the `h·Q_ID` terms of one signer into a single scalar
 /// multiplication; the memory cost is two `G1` points, one scalar and one
 /// `GT` element per pending signature, released when the batch is
-/// dropped. The `GT` membership checks run where a `Σ` meets a weight:
-/// [`Self::verify`] checks every `Σ` it weights with the cyclotomic check
-/// and tests one random combination of them (module docs),
-/// [`Self::is_poisoned`] tests every `Σ` (for callers of [`Self::terms`]),
-/// and [`Self::aggregate`] the product it hands on.
+/// dropped. The `GT` membership check runs where the `Σ` meet their
+/// weights, in [`weighted_sigma_product`] (module docs).
 ///
 /// # Examples
 ///
@@ -167,14 +200,6 @@ impl BatchVerifier {
         self.entries.is_empty()
     }
 
-    /// Whether a pushed `Σ` lies outside `μ_r`: one subgroup test per
-    /// signature, run on each call. A poisoned batch never verifies, and
-    /// its [`Self::terms`] are not fit for another weighted fold; callers
-    /// locate the offender with per-item checks.
-    pub fn is_poisoned(&self) -> bool {
-        self.entries.iter().any(|e| !e.sigma.is_in_subgroup())
-    }
-
     /// Folds one signature into the batch: a challenge hash, no pairing
     /// and no subgroup test.
     pub fn push(&mut self, signer: UserPublic, message: Vec<u8>, signature: DesignatedSignature) {
@@ -201,8 +226,7 @@ impl BatchVerifier {
     /// every other `Σ` and one subgroup test of their combination under
     /// the weights' low halves (module docs).
     ///
-    /// An empty batch verifies trivially (`1 = 1`); a poisoned one never
-    /// does.
+    /// An empty batch verifies trivially (`1 = 1`).
     pub fn verify(&self, verifier: &VerifierKey) -> bool {
         self.verify_prepared(&verifier.sk_prepared())
     }
@@ -215,18 +239,10 @@ impl BatchVerifier {
         let Some((first, rest)) = self.entries.split_first() else {
             return true;
         };
-        let sigmas: Vec<Gt> = rest.iter().map(|e| e.sigma).collect();
-        if !sigmas.iter().all(Gt::is_cyclotomic) {
+        let sigmas: Vec<Gt> = self.entries.iter().map(|e| e.sigma).collect();
+        let Some((sigma, weights)) = weighted_sigma_product(&sigmas) else {
             return false;
-        }
-        let mut weights = draw_weights(self.entries.len());
-        weights[0] = 1;
-        // The first Σ is unchecked, so it stays out of the cyclotomic fold
-        // and is multiplied in by the generic Fp12 product.
-        let (sigma, low) = weighted_product_gt_and_low_halves(&sigmas, &weights[1..]);
-        if !rest.is_empty() && !low.is_in_subgroup() {
-            return false;
-        }
+        };
         // One interleaved pass over the weighted Us and one full-width
         // (Σ w·h)·Q_ID term per signer; the first U enters unweighted.
         let mut terms: Vec<(G1, Fr)> = rest
@@ -238,7 +254,7 @@ impl BatchVerifier {
         let u = multi_mul_g1(&terms).add(&first.u);
         // The fold is already variable-time in the one-use weights, so the
         // public sum takes the variable-time conversion too.
-        pairing_prepared(&u.to_affine_vartime(), prepared).ct_eq(&sigma.mul(&first.sigma))
+        pairing_prepared(&u.to_affine_vartime(), prepared).ct_eq(&sigma)
     }
 
     /// `(Q_ID, Σⱼ wⱼ·hⱼ)` per distinct signer, in first-push order, over
@@ -256,32 +272,18 @@ impl BatchVerifier {
         terms.into_iter().map(|(q, c)| (G1::from(q), c)).collect()
     }
 
-    /// The per-signature terms `[(U + h·Q_ID, Σ)]`, in push order (one
-    /// `G1` scalar multiplication each).
-    ///
-    /// Exposing the terms lets a higher layer (the sharded registry's
-    /// epoch verifier) fold many per-user batches into a *single*
-    /// randomized `multi_miller_loop` check while still weighting each
-    /// signature independently. Check [`Self::is_poisoned`] first: the
-    /// terms of a poisoned batch are not fit for a weighted fold.
-    pub fn terms(&self) -> Vec<(G1, Gt)> {
-        self.entries
-            .iter()
-            .map(|e| (e.u.add(&G1::from(e.q).mul_fr(&e.h)), e.sigma))
-            .collect()
-    }
-
     /// The unweighted aggregate `(U_A, Σ_A)` of paper eq. 8, or `None`
-    /// for an empty batch or a `Σ_A` outside `μ_r`.
+    /// for an empty batch.
     ///
     /// This is the *transport* form — collapsing a sub-batch to one
     /// `(G1, GT)` pair for wire transfer or coarse-grained folding. A
     /// verifier consuming aggregates can only weight per *aggregate*, not
     /// per signature, so whoever produced the aggregate vouches for its
-    /// internal consistency; prefer [`Self::terms`] when per-signature
-    /// soundness must survive aggregation. What the consumer raises to a
-    /// weight is `Σ_A`, so that is the one value tested. One scalar
-    /// multiplication per distinct signer and one subgroup test.
+    /// internal consistency; a one-signature aggregate is that
+    /// signature's own term `(U + h·Q_ID, Σ)`, weighted on its own. The
+    /// consumer checks `Σ_A`'s membership where it weights it
+    /// ([`weighted_sigma_product`]), so nothing is tested here: one scalar
+    /// multiplication per distinct signer and no subgroup test.
     pub fn aggregate(&self) -> Option<(G1, Gt)> {
         if self.entries.is_empty() {
             return None;
@@ -290,9 +292,6 @@ impl BatchVerifier {
             .entries
             .iter()
             .fold(Gt::one(), |acc, e| acc.mul(&e.sigma));
-        if !sigma.is_in_subgroup() {
-            return None;
-        }
         let u = self
             .entries
             .iter()
@@ -533,21 +532,22 @@ mod tests {
             negated(forged.signature.sigma()),
         );
         assert_eq!(verify_individually(&[forged.clone()], &v), Some(0));
+        assert!(!forged.signature.sigma().is_in_subgroup());
         for trial in 0..200 {
             let mut b = BatchVerifier::new();
             b.push_item(&items[0]);
             b.push_item(&forged);
-            assert!(b.is_poisoned());
             assert!(!b.verify(&v), "trial {trial}");
-            assert_eq!(b.aggregate(), None);
+            let (_, sigma) = b.aggregate().expect("non-empty");
+            assert_eq!(weighted_sigma_product(&[Gt::one(), sigma]), None);
         }
     }
 
     #[test]
     fn an_untested_first_sigma_still_cannot_forge() {
         // The first Σ takes weight one and no test: −Σ there must still
-        // fail every trial, and the queries that hand Σ on to other folds
-        // test it.
+        // fail every trial. The aggregate hands Σ_A on untested, and the
+        // Σ side of the fold that weighs it rejects it.
         let (_, v, items) = make_items(3, 3, "negated-first");
         let mut forged = items[0].clone();
         forged.signature = DesignatedSignature::from_parts(
@@ -566,18 +566,21 @@ mod tests {
         b.push_item(&items[1]);
         b.push_item(&items[2]);
         assert_eq!(tests(&|| b.verify(&v)), (false, 1, 2));
-        assert_eq!(tests(&|| b.is_poisoned()), (true, 1, 0));
-        assert_eq!(tests(&|| b.aggregate().is_some()), (false, 1, 0));
+        assert!(!forged.signature.sigma().is_in_subgroup());
+        assert_eq!(tests(&|| b.aggregate().is_some()), (true, 0, 0));
         for trial in 0..200 {
             assert!(!b.verify(&v), "trial {trial}");
         }
-        assert!(b.is_poisoned());
-        assert_eq!(b.aggregate(), None);
+        let (_, sigma) = b.aggregate().expect("non-empty");
+        assert_eq!(
+            weighted_sigma_product(&[*items[1].signature.sigma(), sigma]),
+            None
+        );
         let mut honest = BatchVerifier::new();
         for item in &items {
             honest.push_item(item);
         }
-        assert!(!honest.is_poisoned() && honest.verify(&v));
+        assert!(items.iter().all(|i| i.signature.sigma().is_in_subgroup()) && honest.verify(&v));
     }
 
     #[test]
@@ -585,9 +588,13 @@ mod tests {
         let (_, v, items) = make_items(3, 1, "poison-order");
         let mut b = BatchVerifier::new();
         let bad = DesignatedSignature::from_parts(*items[0].signature.u(), Gt::one().invert());
-        b.push(items[0].signer.clone(), items[0].message.clone(), bad);
+        b.push(
+            items[0].signer.clone(),
+            items[0].message.clone(),
+            bad.clone(),
+        );
         assert!(
-            !b.is_poisoned(),
+            bad.sigma().is_in_subgroup(),
             "1 is in the subgroup; the pairing check rejects it"
         );
         assert!(!b.verify(&v));
@@ -598,21 +605,29 @@ mod tests {
             DesignatedSignature::from_parts(*items[1].signature.u(), zero),
         );
         b.push_item(&items[2]);
-        assert!(b.is_poisoned() && !b.verify(&v));
+        assert!(!zero.is_in_subgroup() && !b.verify(&v));
         assert_eq!(b.len(), 3);
     }
 
     #[test]
     fn per_signer_merge_matches_per_term_sum() {
         // The aggregate merges each signer's h·Q_ID terms into one scalar
-        // multiplication; it must equal the sum of the per-term points.
+        // multiplication; it must equal the sum of the one-signature
+        // aggregates' points.
         let (_, v, items) = make_items(7, 3, "merge");
         let mut b = BatchVerifier::new();
         for item in &items {
             b.push_item(item);
         }
         let (u, sigma) = b.aggregate().expect("non-empty");
-        let terms = b.terms();
+        let terms: Vec<(G1, Gt)> = items
+            .iter()
+            .map(|item| {
+                let mut one = BatchVerifier::new();
+                one.push_item(item);
+                one.aggregate().expect("one signature")
+            })
+            .collect();
         let sum = terms.iter().fold(G1::identity(), |acc, (t, _)| acc.add(t));
         assert_eq!(u, sum);
         assert_eq!(
@@ -620,6 +635,52 @@ mod tests {
             terms.iter().fold(Gt::one(), |acc, (_, s)| acc.mul(s))
         );
         assert!(b.verify(&v));
+    }
+
+    #[test]
+    fn individual_checks_pay_one_pairing_each() {
+        // ℓ individual checks: ℓ single-lane Miller loops and ℓ final
+        // exponentiations, and no GT membership test beyond the pairing.
+        let (_, v, items) = make_items(5, 2, "individual");
+        let before = seccloud_pairing::counters::snapshot();
+        assert_eq!(verify_individually(&items, &v), None);
+        let spent = seccloud_pairing::counters::snapshot().since(&before);
+        assert_eq!(
+            (
+                spent.miller_loops,
+                spent.miller_lanes,
+                spent.final_exponentiations,
+                spent.gt_subgroup_tests,
+                spent.gt_cyclotomic_checks
+            ),
+            (5, 5, 5, 0, 0)
+        );
+    }
+
+    #[test]
+    fn the_sigma_side_checks_all_but_the_first_and_tests_once() {
+        let (_, _, items) = make_items(4, 2, "sigma-side");
+        let sigmas: Vec<Gt> = items.iter().map(|i| *i.signature.sigma()).collect();
+        let before = seccloud_pairing::counters::snapshot();
+        let (product, weights) = weighted_sigma_product(&sigmas).expect("pairing values");
+        let spent = seccloud_pairing::counters::snapshot().since(&before);
+        assert_eq!(
+            (spent.gt_subgroup_tests, spent.gt_cyclotomic_checks),
+            (1, 3)
+        );
+        assert_eq!(weights.len(), 4);
+        assert_eq!(weights[0], 1);
+        let naive = sigmas
+            .iter()
+            .zip(&weights)
+            .fold(Gt::one(), |acc, (s, &w)| acc.mul(&s.pow(&Fr::from_u64(w))));
+        assert_eq!(product, naive);
+        // One Σ is taken as it is; none gives the empty product.
+        assert_eq!(
+            weighted_sigma_product(&sigmas[..1]),
+            Some((sigmas[0], vec![1]))
+        );
+        assert_eq!(weighted_sigma_product(&[]), Some((Gt::one(), vec![])));
     }
 
     #[test]

@@ -344,7 +344,7 @@ impl VerifierKey {
     /// points flow through. Every designated verification pairs against
     /// the same `sk_V`, so the Miller-loop line coefficients are prepared
     /// once and amortized across calls (and across clones of this key);
-    /// eviction or [`Self::wipe`]-driven removal zeroizes the coefficients
+    /// eviction or `wipe`-driven removal zeroizes the coefficients
     /// when the last outstanding handle drops (`G2Prepared` wipes on
     /// drop).
     ///

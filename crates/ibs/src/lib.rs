@@ -52,6 +52,6 @@ mod batch;
 mod keys;
 mod sign;
 
-pub use batch::{draw_weights, verify_individually, BatchItem, BatchVerifier};
+pub use batch::{verify_individually, weighted_sigma_product, BatchItem, BatchVerifier};
 pub use keys::{MasterKey, SystemParams, UserKey, UserPublic, VerifierKey, VerifierPublic};
 pub use sign::{designate, sign, sign_designated, simulate, DesignatedSignature, IbsSignature};

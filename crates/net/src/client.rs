@@ -9,7 +9,7 @@
 //! may have been executed, and deciding whether to re-issue it belongs to
 //! the resilience layer's retry policy, not to the socket.
 //!
-//! Peer identities ([`peer_verifier`]/[`peer_signer`]) are supplied at
+//! Peer identities (`peer_verifier`/`peer_signer`) are supplied at
 //! construction from the SIO/PKI, exactly as the `WireTransport` contract
 //! requires — nothing read from the channel can influence who the client
 //! *expects* to be talking to, so a man-in-the-middle gains nothing by

@@ -6,7 +6,7 @@
 //!   *lazy-reduction* `Fp2` kernels that accumulate 512-bit products and
 //!   pay a single Montgomery reduction per output coefficient (bounds
 //!   proved in that module's docs and in `DESIGN.md` §11).
-//! * [`reference`] is the original strict CIOS code, unchanged: a
+//! * [`reference`](mod@reference) is the original strict CIOS code, unchanged: a
 //!   loop-based Montgomery multiplier and `U256` round-trip add/sub. It is
 //!   never called by production code; it is the obviously-correct oracle
 //!   the kernels are property-tested against (`tests/arch_equivalence.rs`).

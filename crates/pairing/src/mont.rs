@@ -1,6 +1,6 @@
 //! Montgomery-form prime fields over 4×64-bit moduli.
 //!
-//! The [`mont_field!`] macro instantiates a complete prime-field type from a
+//! The `mont_field!` macro instantiates a complete prime-field type from a
 //! modulus given in hex. All Montgomery constants (`R² mod m`, `-m⁻¹ mod
 //! 2⁶⁴`) are *derived* in `const fn`s rather than transcribed, eliminating a
 //! whole class of constant-typo bugs.

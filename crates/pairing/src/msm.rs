@@ -14,9 +14,10 @@
 //! verification attempt), which keeps the weighted fold far cheaper than
 //! the pairings it guards.
 //!
-//! [`multi_mul_g1`] (`Σᵢ kᵢ·uᵢ ∈ G1`) and [`weighted_product_gt`]
-//! (`Πᵢ σᵢ^{rᵢ} ∈ GT`) share two fold loops and pick between them by
-//! each call's operation count: an interleaved signed-window (Straus) pass
+//! [`multi_mul_g1`] (`Σᵢ kᵢ·uᵢ ∈ G1`) and
+//! [`weighted_product_gt_and_low_halves`] (`Πᵢ σᵢ^{rᵢ} ∈ GT`, with the
+//! product under the weights' low halves) share two fold loops and pick
+//! between them by each call's operation count: an interleaved signed-window (Straus) pass
 //! — one shared doubling chain, a table of odd multiples per term — for
 //! small batches, and the shared-window bucket method (Pippenger), whose
 //! marginal cost per term is a handful of group operations, above the
@@ -31,15 +32,13 @@
 //! The `GT` side runs cyclotomic arithmetic — Granger–Scott squarings and
 //! conjugation as the inverse — so every `σ` it folds must be cyclotomic
 //! ([`crate::Gt::is_cyclotomic`]). For the 2⁻⁶⁴ bound the weighted values
-//! from the wire must moreover lie in `μ_r`. The batch verifier checks
-//! each with `is_cyclotomic` and folds them once more under the weights'
-//! low halves ([`weighted_product_gt_and_low_halves`]); one
-//! [`crate::Gt::is_in_subgroup`] on that second product, with the
+//! from the wire must moreover lie in `μ_r`. Both batch verifiers check
+//! each with `is_cyclotomic` before the fold, and one
+//! [`crate::Gt::is_in_subgroup`] on the low-half product, with the
 //! weighted equation, catches any part of order dividing the cofactor
 //! `h_T = Φ₁₂(p)/r`, whose prime factors all exceed 2³², except with
-//! probability about 2⁻⁶⁴ (proof in `seccloud_ibs::batch`). The epoch
-//! verifier's values were tested one by one
-//! (`BatchVerifier::is_poisoned`), or are vouched for by their producer.
+//! probability about 2⁻⁶⁴ (`seccloud_ibs::weighted_sigma_product` runs
+//! the checks; the proof is in its module docs).
 
 use crate::ec::wnaf_digits;
 use crate::fr::Fr;
@@ -202,15 +201,6 @@ fn odd_multiples<T: FoldGroup>(x: &T) -> [T; 4] {
     row
 }
 
-/// `Σ dᵢ·xᵢ` by interleaved signed windows (Straus) over `lanes` of a
-/// term and its scalar's width-4 wNAF digits (least significant first):
-/// each term gets the table `{x, 3x, 5x, 7x}`.
-fn straus_fold<T: FoldGroup>(lanes: &[(T, Vec<i64>)]) -> T {
-    let rows: Vec<[T; 4]> = lanes.iter().map(|(x, _)| odd_multiples(x)).collect();
-    let digits: Vec<&[i64]> = lanes.iter().map(|(_, d)| d.as_slice()).collect();
-    straus_walk(&T::entries(&rows), &digits)
-}
-
 /// The Straus pass proper: one shared doubling chain walks every lane's
 /// digit columns from the top, adding `tables[i]`'s entry for each nonzero
 /// digit of `digits[i]`; a negative digit adds the inverse of its entry.
@@ -267,7 +257,7 @@ fn bucket_fold<T: FoldGroup>(terms: &[T], weights: &[u64]) -> T {
 
 /// The sum `Σᵢ kᵢ·pᵢ ∈ G1` over public scalars.
 ///
-/// When every scalar fits 64 bits and [`straus_wins`] does not hold for the
+/// When every scalar fits 64 bits and `straus_wins` does not hold for the
 /// term count — a large batch of random weights — this is one bucket pass
 /// (the epoch verifier's fold). Otherwise it is one interleaved Straus
 /// pass: a scalar above 64 bits enters as its two ≈ 127-bit GLV halves
@@ -336,35 +326,6 @@ pub fn multi_mul_g1(terms: &[(G1, Fr)]) -> G1 {
     straus_walk(&tables, &digits)
 }
 
-/// The weighted product `Πᵢ σᵢ^{rᵢ} ∈ GT` over `elements = [σᵢ]` and
-/// `weights = [rᵢ]`, by whichever fold loop [`straus_wins`] picks for the
-/// term count (extra entries on either side are ignored).
-///
-/// A zero weight erases its term — batch-verification callers must draw
-/// weights from `[1, 2⁶⁴)`.
-///
-/// Precondition: every `σᵢ` is cyclotomic ([`Gt::is_cyclotomic`]), as
-/// every pairing value and every element passing [`Gt::is_in_subgroup`]
-/// is. The fold squares with the cyclotomic formula and inverts by
-/// conjugation, which give garbage on other inputs.
-///
-/// # Examples
-///
-/// ```
-/// use seccloud_pairing::{hash_to_g1, hash_to_g2, pairing, weighted_product_gt, Fr};
-///
-/// let sigma = pairing(&hash_to_g1(b"p").to_affine(), &hash_to_g2(b"q").to_affine());
-/// assert_eq!(weighted_product_gt(&[sigma], &[3]), sigma.pow(&Fr::from_u64(3)));
-/// ```
-pub fn weighted_product_gt(elements: &[Gt], weights: &[u64]) -> Gt {
-    let n = elements.len().min(weights.len());
-    if straus_wins(n, width(&weights[..n])) {
-        straus_fold(&lanes(elements, weights))
-    } else {
-        bucket_fold(elements, weights)
-    }
-}
-
 /// `(Πᵢ σᵢ^{rᵢ}, Πᵢ σᵢ^{r'ᵢ})` over `elements = [σᵢ]` and
 /// `weights = [rᵢ]`, where `r'ᵢ = rᵢ mod 2³²` is the weight's low half
 /// (extra entries on either side are ignored).
@@ -373,23 +334,27 @@ pub fn weighted_product_gt(elements: &[Gt], weights: &[u64]) -> Gt {
 /// two 32-bit products over one set of Straus tables (or two bucket
 /// passes) and returns `(Π σᵢ^{hᵢ})^(2³²) · Π σᵢ^{r'ᵢ}` with the low
 /// product: both combinations for about 32 cyclotomic squarings more than
-/// [`weighted_product_gt`] alone pays for the first. The batch verifier
-/// tests the second combination for membership in `μ_r`.
+/// one 64-bit fold pays for the first. The batch verifiers test the
+/// second combination for membership in `μ_r`.
 ///
-/// Same preconditions as [`weighted_product_gt`]: every `σᵢ` is
-/// cyclotomic.
+/// A zero weight erases its term — batch-verification callers draw
+/// weights from `[1, 2⁶⁴)`.
+///
+/// Precondition: every `σᵢ` is cyclotomic ([`Gt::is_cyclotomic`]), as
+/// every pairing value and every element passing [`Gt::is_in_subgroup`]
+/// is. The fold squares with the cyclotomic formula and inverts by
+/// conjugation, which give garbage on other inputs; its one caller,
+/// `seccloud_ibs::weighted_sigma_product`, checks every `σᵢ` first.
 ///
 /// # Examples
 ///
 /// ```
-/// use seccloud_pairing::{
-///     hash_to_g1, hash_to_g2, pairing, weighted_product_gt, weighted_product_gt_and_low_halves,
-/// };
+/// use seccloud_pairing::{hash_to_g1, hash_to_g2, pairing, weighted_product_gt_and_low_halves, Fr};
 ///
 /// let sigma = pairing(&hash_to_g1(b"p").to_affine(), &hash_to_g2(b"q").to_affine());
 /// let w = (5u64 << 32) | 3;
 /// let (full, low) = weighted_product_gt_and_low_halves(&[sigma], &[w]);
-/// assert_eq!(full, weighted_product_gt(&[sigma], &[w]));
+/// assert_eq!(full, sigma.pow(&Fr::from_u64(w)));
 /// assert_eq!(low, sigma.mul(&sigma).mul(&sigma));
 /// ```
 pub fn weighted_product_gt_and_low_halves(elements: &[Gt], weights: &[u64]) -> (Gt, Gt) {
@@ -413,15 +378,6 @@ pub fn weighted_product_gt_and_low_halves(elements: &[Gt], weights: &[u64]) -> (
     };
     let shifted = (0..32).fold(high, |acc, _| acc.twice());
     (shifted.op(&low), low)
-}
-
-/// One Straus lane per term: the term and its weight's wNAF digits.
-fn lanes<T: Copy>(terms: &[T], weights: &[u64]) -> Vec<(T, Vec<i64>)> {
-    terms
-        .iter()
-        .zip(weights)
-        .map(|(x, &r)| (*x, wnaf_digits(&[r])))
-        .collect()
 }
 
 #[cfg(test)]
@@ -466,6 +422,35 @@ mod tests {
             .map(|(p, &r)| (*p, Fr::from_u64(r)))
             .collect();
         multi_mul_g1(&terms)
+    }
+
+    /// `Σ dᵢ·xᵢ` by interleaved signed windows (Straus) over `lanes` of a
+    /// term and its scalar's width-4 wNAF digits (least significant first):
+    /// each term gets the table `{x, 3x, 5x, 7x}`.
+    fn straus_fold<T: FoldGroup>(lanes: &[(T, Vec<i64>)]) -> T {
+        let rows: Vec<[T; 4]> = lanes.iter().map(|(x, _)| odd_multiples(x)).collect();
+        let digits: Vec<&[i64]> = lanes.iter().map(|(_, d)| d.as_slice()).collect();
+        straus_walk(&T::entries(&rows), &digits)
+    }
+
+    /// One Straus lane per term: the term and its weight's wNAF digits.
+    fn lanes<T: Copy>(terms: &[T], weights: &[u64]) -> Vec<(T, Vec<i64>)> {
+        terms
+            .iter()
+            .zip(weights)
+            .map(|(x, &r)| (*x, wnaf_digits(&[r])))
+            .collect()
+    }
+
+    /// The 64-bit weighted product by whichever loop [`straus_wins`]
+    /// picks, as the verifiers' fold makes its first combination.
+    fn weighted_product_gt(elements: &[Gt], weights: &[u64]) -> Gt {
+        let n = elements.len().min(weights.len());
+        if straus_wins(n, width(&weights[..n])) {
+            straus_fold(&lanes(elements, weights))
+        } else {
+            bucket_fold(elements, weights)
+        }
     }
 
     fn naive_product(elements: &[Gt], weights: &[u64]) -> Gt {

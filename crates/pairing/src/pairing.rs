@@ -133,7 +133,7 @@ impl Gt {
     /// Whether this value is nonzero and cyclotomic (`f^(p⁴)·f = f^(p²)`,
     /// so its order divides `p⁴ − p² + 1`): the first half of
     /// [`Self::is_in_subgroup`], at the price of two Frobenius maps and one
-    /// product. It is what [`crate::weighted_product_gt`]'s cyclotomic
+    /// product. It is what [`crate::weighted_product_gt_and_low_halves`]'s cyclotomic
     /// arithmetic needs to compute the true product; it does not make a
     /// randomized batch sound on its own (an element of order dividing the
     /// cofactor `h_T = (p⁴ − p² + 1)/r` passes it), so a batch also tests
@@ -388,7 +388,7 @@ fn final_exp_hard_part_chain(f: &Fp12) -> Fp12 {
 /// The final exponentiation `f ↦ f^((p¹²−1)/r)`.
 ///
 /// Easy part via Frobenius (`(p⁶−1)(p²+1)`), hard part by the
-/// Frobenius-assisted addition chain of [`final_exp_hard_part_chain`].
+/// Frobenius-assisted addition chain of `final_exp_hard_part_chain`.
 pub fn final_exponentiation(f: &Fp12) -> Fp12 {
     crate::counters::final_exponentiation();
     // f^(p⁶ − 1) = conj(f) · f⁻¹

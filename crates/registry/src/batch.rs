@@ -3,14 +3,12 @@
 
 use std::sync::Arc;
 
-use seccloud_ibs::{draw_weights, BatchVerifier};
-use seccloud_pairing::{
-    multi_miller_loop, multi_mul_g1, weighted_product_gt, Fr, G1Affine, G2Prepared, Gt, G1,
-};
+use seccloud_ibs::weighted_sigma_product;
+use seccloud_pairing::{multi_miller_loop, multi_mul_g1, Fr, G1Affine, G2Prepared, Gt, G1};
 
 /// One shard's retained verification terms in the sense of paper eq. (8):
-/// the pairs `(Uᵢⱼ + hᵢⱼ·Q_IDᵢ, Σᵢⱼ)` for every audited signature (or
-/// pre-merged aggregate) routed to the shard, plus the signature count.
+/// the aggregates `(Σᵢ (Uᵢ + hᵢ·Q_IDᵢ), Πᵢ Σᵢ)` routed to the shard, one
+/// or more signatures each, plus the signature count.
 #[derive(Clone, Debug, Default)]
 struct Lane {
     terms: Vec<(G1, Gt)>,
@@ -23,9 +21,9 @@ struct Lane {
 ///
 /// Each shard verifies against its own prepared key `sk_{V_s}` (shards
 /// have distinct designated verifiers). At verification time every
-/// retained term gets an independent nonzero 64-bit weight `r`, drawn
-/// *after* the batch is fixed, and the per-shard checks — paper eq. (9),
-/// one per shard — fuse into
+/// retained term gets its own nonzero 64-bit weight `r`, drawn *after*
+/// the batch is fixed (the first term's weight is one), and the per-shard
+/// checks — paper eq. (9), one per shard — fuse into
 ///
 /// ```text
 /// Π_s ê(Σᵢ rₛᵢ·uₛᵢ, sk_{V_s})  =  Π_s Πᵢ Σₛᵢ^{rₛᵢ}
@@ -34,34 +32,29 @@ struct Lane {
 /// evaluated as one shared Miller loop and one final exponentiation,
 /// regardless of how many users, signatures or shards contributed. The
 /// left side's `G1` sums stay per shard, because each pairs with its own
-/// key; the right side is one product, so all shards' `Σ` terms share one
-/// [`weighted_product_gt`] fold. The marginal cost of an extra audited
-/// signature is a `G1`/`GT` slot at fold time plus a few group operations
-/// in its shard's [`multi_mul_g1`] and in the epoch-wide `GT` fold at
-/// verify time; the marginal cost of an extra *shard* is one Miller-loop
-/// argument plus one `G1` fold.
+/// key; the right side is one product, so all shards' `Σ`, in lane order,
+/// go through one [`weighted_sigma_product`], the `Σ` side that
+/// [`seccloud_ibs::BatchVerifier`] uses too: a cyclotomic check per `Σ`
+/// after the first and one subgroup test per epoch. The marginal cost of
+/// an extra audited aggregate is a `G1`/`GT` slot at fold time plus a
+/// cyclotomic check and a few group operations in its shard's
+/// [`multi_mul_g1`] and in the epoch-wide `GT` fold at verify time; the
+/// marginal cost of an extra *shard* is one Miller-loop argument plus one
+/// `G1` fold.
 ///
-/// Soundness is the standard small-exponent argument: any set of
-/// corruptions — including coordinated ones whose error terms multiply
-/// to one, within a lane or across lanes — survives the weighted product
-/// only if the adversary predicts the weights, i.e. with probability
-/// ≤ 2⁻⁶⁴ per verification attempt, provided every `Σ` lies in `μ_r`.
-/// Terms folded through [`Self::fold_aggregate`] are weighted per
-/// *aggregate* (the caller pre-merged them), so whoever produced the
-/// aggregate vouches for its internal consistency and for its `Σ` being
-/// in `μ_r`; [`Self::fold`] retains per-signature terms after
-/// [`BatchVerifier::is_poisoned`] has tested them, and needs no such
-/// trust. The aggregate proviso is a deliberate trust assumption: the
-/// second random combination that lets [`BatchVerifier::verify`] test
-/// once per batch would cost an epoch one more 64-term `GT` fold
-/// (1.6–3.3 ms measured, against a ~10 ms epoch).
+/// Soundness is the small-exponent argument of `seccloud_ibs`'s batch
+/// module, lane for lane: any set of corrupted terms — including
+/// coordinated ones whose error terms multiply to one, within a lane or
+/// across lanes, and `Σ` with parts outside `μ_r` — survives only with
+/// probability about 2⁻⁶⁴ per verification attempt. The weight is per
+/// *term*, so an aggregate of several signatures is weighted as one
+/// (whoever merged it vouches for its internal consistency); folding each
+/// signature as a one-signature aggregate weights every signature on its
+/// own.
 #[derive(Clone, Debug)]
 pub struct EpochVerifier {
     epoch: u64,
     lanes: Vec<Lane>,
-    /// Whether a folded batch held a `Σ` outside `μ_r`, or a folded
-    /// aggregate a `Σ` that is not cyclotomic.
-    poisoned: bool,
 }
 
 impl EpochVerifier {
@@ -71,7 +64,6 @@ impl EpochVerifier {
         Self {
             epoch,
             lanes: vec![Lane::default(); shards.max(1) as usize],
-            poisoned: false,
         }
     }
 
@@ -80,64 +72,26 @@ impl EpochVerifier {
         self.epoch
     }
 
-    /// The number of shard lanes.
-    pub fn shard_count(&self) -> u32 {
-        self.lanes.len() as u32
-    }
-
     /// Total signatures folded across all shards.
     pub fn folded(&self) -> usize {
         self.lanes.iter().map(|l| l.folded).sum()
     }
 
-    /// Signatures folded into one shard's lane (0 if out of range).
-    pub fn shard_folded(&self, shard: u32) -> usize {
-        self.lanes.get(shard as usize).map_or(0, |l| l.folded)
-    }
-
-    /// Folds one signature's aggregate terms — `u = U + h·Q_ID` and
-    /// `sigma = Σ` — into `shard`'s lane, counting it as `count`
-    /// signatures (batched pushes fold pre-merged terms, which share one
-    /// verification weight — see the type docs). Out-of-range shards are
-    /// ignored and reported as `false`.
+    /// Routes one aggregate — `u = Σ (U + h·Q_ID)` and `sigma = Π Σ` over
+    /// the signatures it merges, as [`seccloud_ibs::BatchVerifier::aggregate`]
+    /// returns them — into `shard`'s lane, counting it as `count`
+    /// signatures. The aggregate takes one verification weight (see the
+    /// type docs). Out-of-range shards are ignored and reported as
+    /// `false`.
     ///
-    /// The producer vouches that `sigma` lies in `μ_r`, as
-    /// [`BatchVerifier::aggregate`] does by refusing a `Σ_A` outside `μ_r`.
-    /// There is no subgroup test here: at ~0.1 ms one would cost more than
-    /// the ~50 µs a folded aggregate costs in all, and an epoch of 64 folds
-    /// would pay it 64 times. The few-µs [`Gt::is_cyclotomic`] check does
-    /// run: a `sigma` that fails it (zero, say) would leave the cyclotomic
-    /// `GT` fold's product meaningless, so it fails the epoch instead.
+    /// Nothing is checked here: [`Self::verify`] checks every `sigma`
+    /// where it weights it.
     pub fn fold_aggregate(&mut self, shard: u32, u: &G1, sigma: &Gt, count: usize) -> bool {
         let Some(lane) = self.lanes.get_mut(shard as usize) else {
             return false;
         };
-        if !sigma.is_cyclotomic() {
-            self.poisoned = true;
-        }
         lane.terms.push((*u, *sigma));
         lane.folded += count;
-        true
-    }
-
-    /// Folds a whole per-user [`BatchVerifier`] into `shard`'s lane,
-    /// retaining each signature's term so every signature gets its own
-    /// verification weight. An out-of-range shard is rejected (`false`)
-    /// even when the batch is empty — agreeing with
-    /// [`Self::fold_aggregate`] so callers can use the result to validate
-    /// shard routing; an empty batch for a *valid* shard folds nothing
-    /// and returns `true`. A poisoned batch (a `Σ` outside `μ_r`) fails
-    /// the whole epoch's [`Self::verify`].
-    pub fn fold(&mut self, shard: u32, batch: &BatchVerifier) -> bool {
-        let Some(lane) = self.lanes.get_mut(shard as usize) else {
-            return false;
-        };
-        if batch.is_poisoned() {
-            self.poisoned = true;
-        } else {
-            lane.terms.extend(batch.terms());
-        }
-        lane.folded += batch.len();
         true
     }
 
@@ -150,9 +104,6 @@ impl EpochVerifier {
     /// must never silently skip real audits). An accumulator with no
     /// folded signatures at all verifies vacuously.
     pub fn verify(&self, keys: &[Arc<G2Prepared>]) -> bool {
-        if self.poisoned {
-            return false;
-        }
         let mut live = Vec::with_capacity(self.lanes.len());
         for (lane, shard) in self.lanes.iter().zip(0..) {
             if lane.terms.is_empty() {
@@ -166,41 +117,54 @@ impl EpochVerifier {
         if live.is_empty() {
             return true;
         }
-        // One weight per term, in lane order, drawn after the batch is
-        // fixed. Each lane's G1 fold takes the weights from its offset on
-        // and ignores the ones past its own terms. The folds already run
-        // in time variable in the weights, which are used once and then
-        // dropped, so the affine conversion may be variable-time too.
-        let weights = draw_weights(live.iter().map(|(lane, _)| lane.terms.len()).sum());
-        let mut args: Vec<(G1Affine, &G2Prepared)> = Vec::with_capacity(live.len());
-        let mut sigmas = Vec::with_capacity(weights.len());
-        let mut offset = 0;
-        for (lane, key) in live {
-            let terms: Vec<(G1, Fr)> = lane
-                .terms
-                .iter()
-                .zip(weights.get(offset..).unwrap_or_default())
-                .map(|((u, _), &w)| (*u, Fr::from_u64(w)))
-                .collect();
-            let u = multi_mul_g1(&terms);
-            offset += lane.terms.len();
-            args.push((u.to_affine_vartime(), key));
-            sigmas.extend(lane.terms.iter().map(|(_, sigma)| *sigma));
-        }
+        let sigmas: Vec<Gt> = live
+            .iter()
+            .flat_map(|(lane, _)| lane.terms.iter().map(|(_, sigma)| *sigma))
+            .collect();
+        let Some((sigma, weights)) = weighted_sigma_product(&sigmas) else {
+            return false;
+        };
+        // Each lane's G1 fold takes the next weights in lane order. The
+        // folds already run in time variable in the weights, which are
+        // used once and then dropped, so the affine conversion may be
+        // variable-time too.
+        let mut weights = weights.into_iter();
+        let args: Vec<(G1Affine, &G2Prepared)> = live
+            .into_iter()
+            .map(|(lane, key)| {
+                let terms: Vec<(G1, Fr)> = lane
+                    .terms
+                    .iter()
+                    .zip(weights.by_ref())
+                    .map(|((u, _), w)| (*u, Fr::from_u64(w)))
+                    .collect();
+                (multi_mul_g1(&terms).to_affine_vartime(), key)
+            })
+            .collect();
         let pairs: Vec<(&G1Affine, &G2Prepared)> = args.iter().map(|(p, k)| (p, *k)).collect();
-        multi_miller_loop(&pairs) == weighted_product_gt(&sigmas, &weights)
+        multi_miller_loop(&pairs) == sigma
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seccloud_ibs::{designate, sign, MasterKey};
+    use seccloud_ibs::{
+        designate, sign, BatchVerifier, DesignatedSignature, MasterKey, UserPublic,
+    };
     use seccloud_pairing::pairing;
 
+    /// One signature's own term `(U + h·Q_ID, Σ)`: a one-signature
+    /// aggregate, which the epoch weighs on its own.
+    fn single(user: &UserPublic, msg: &[u8], sig: DesignatedSignature) -> (G1, Gt) {
+        let mut batch = BatchVerifier::new();
+        batch.push(user.clone(), msg.to_vec(), sig);
+        batch.aggregate().expect("one signature")
+    }
+
     /// Builds `users` users spread over `shards` shards, each signing
-    /// `per_user` messages to its shard's own verifier, folded both into
-    /// an `EpochVerifier` and returned per-shard for cross-checking.
+    /// `per_user` messages to its shard's own verifier, every signature
+    /// folded as its own term.
     fn folded_epoch(
         users: usize,
         per_user: usize,
@@ -217,14 +181,13 @@ mod tests {
             let user = sio.extract_user(&id);
             let shard = crate::shard_of(&id, 1, shards);
             let verifier = &verifiers[shard as usize];
-            let mut batch = BatchVerifier::new();
             for j in 0..per_user {
                 let msg = format!("block {i}/{j}").into_bytes();
                 let nonce = format!("nonce {i}/{j}").into_bytes();
                 let designated = designate(&sign(&user, &msg, &nonce), verifier.public());
-                batch.push(user.public().clone(), msg, designated);
+                let (u, sigma) = single(user.public(), &msg, designated);
+                assert!(epoch.fold_aggregate(shard, &u, &sigma, 1));
             }
-            assert!(epoch.fold(shard, &batch));
         }
         (epoch, keys)
     }
@@ -250,13 +213,13 @@ mod tests {
             .map(|s| {
                 let verifier = sio.extract_verifier(&format!("da/shard-{s}"));
                 keys.push(verifier.sk_prepared());
-                let mut batch = BatchVerifier::new();
-                for j in 0..2u8 {
-                    let msg = format!("block {s}/{j}").into_bytes();
-                    let designated = designate(&sign(&user, &msg, &[j]), verifier.public());
-                    batch.push(user.public().clone(), msg, designated);
-                }
-                batch.terms()
+                (0..2u8)
+                    .map(|j| {
+                        let msg = format!("block {s}/{j}").into_bytes();
+                        let designated = designate(&sign(&user, &msg, &[j]), verifier.public());
+                        single(user.public(), &msg, designated)
+                    })
+                    .collect()
             })
             .collect();
         (lanes, keys)
@@ -373,24 +336,50 @@ mod tests {
     }
 
     #[test]
-    fn a_poisoned_batch_fails_the_epoch() {
-        let (mut epoch, keys) = folded_epoch(4, 1, 2);
-        assert!(epoch.verify(&keys));
+    fn an_aggregate_outside_mu_r_fails_the_epoch_wherever_it_lands() {
+        // A zero Σ and a negated one (−Σ, of order 2r) inside a
+        // two-signature aggregate: folding still routes it, and the epoch
+        // rejects it as its first, unchecked term and as a weighted one.
         let sio = MasterKey::from_seed(b"registry-batch-tests");
         let user = sio.extract_user("tenant-0");
-        let honest = designate(
-            &sign(&user, b"m", b"n"),
-            sio.extract_verifier("da/shard-0").public(),
-        );
+        let da = sio.extract_verifier("da/shard-0");
+        let honest = designate(&sign(&user, b"m", b"n"), da.public());
+        let second = designate(&sign(&user, b"m2", b"n2"), da.public());
         let zero = Gt::from_bytes(&[0u8; 384]).expect("canonical");
-        let mut batch = BatchVerifier::new();
-        batch.push(
-            user.public().clone(),
-            b"m".to_vec(),
-            seccloud_ibs::DesignatedSignature::from_parts(*honest.u(), zero),
-        );
-        assert!(epoch.fold(0, &batch), "routing still succeeds");
-        assert!(!epoch.verify(&keys));
+        let negated = second.sigma().mul(&negative_one());
+        for bad in [zero, negated] {
+            assert!(!bad.is_in_subgroup());
+            let mut batch = BatchVerifier::new();
+            batch.push(user.public().clone(), b"m".to_vec(), honest.clone());
+            batch.push(
+                user.public().clone(),
+                b"m2".to_vec(),
+                DesignatedSignature::from_parts(*second.u(), bad),
+            );
+            let (u, sigma) = batch.aggregate().expect("non-empty");
+            for first in [true, false] {
+                let (mut epoch, keys) = if first {
+                    (EpochVerifier::new(2, 1), folded_epoch(0, 1, 2).1)
+                } else {
+                    folded_epoch(4, 1, 2)
+                };
+                assert!(
+                    epoch.fold_aggregate(0, &u, &sigma, 2),
+                    "routing still succeeds"
+                );
+                for trial in 0..20 {
+                    assert!(!epoch.verify(&keys), "first = {first}, trial {trial}");
+                }
+            }
+        }
+    }
+
+    /// `−1 ∈ Fp12`: a cyclotomic-failing unit of order 2.
+    fn negative_one() -> Gt {
+        let mut bytes = [0u8; 384];
+        let p_minus_one = seccloud_pairing::FieldElement::neg(&seccloud_pairing::Fp::one());
+        bytes[..32].copy_from_slice(&p_minus_one.to_be_bytes());
+        Gt::from_bytes(&bytes).expect("canonical")
     }
 
     #[test]
@@ -411,24 +400,66 @@ mod tests {
     fn fused_check_matches_per_shard_checks() {
         let (epoch, keys) = folded_epoch(5, 2, 4);
         assert!(epoch.verify(&keys));
-        // Swapping two shards' keys must fail even though the *set* of
-        // keys is unchanged — the fusion binds each lane to its shard.
-        let mut swapped = keys.clone();
+        // Swapping two live shards' keys must fail even though the *set*
+        // of keys is unchanged — the fusion binds each lane to its shard.
+        let (lanes, mut swapped) = lanes_of_two(2);
+        assert!(epoch_of(&lanes).verify(&swapped));
         swapped.swap(0, 1);
-        if epoch.shard_folded(0) > 0 || epoch.shard_folded(1) > 0 {
-            assert!(!epoch.verify(&swapped));
-        }
+        assert!(!epoch_of(&lanes).verify(&swapped));
     }
 
     #[test]
     fn out_of_range_shard_is_rejected() {
         let mut epoch = EpochVerifier::new(2, 0);
         assert!(!epoch.fold_aggregate(7, &G1::generator(), &Gt::one(), 1));
-        // `fold` agrees with `fold_aggregate` even for an empty batch:
-        // routing to a nonexistent shard is an error regardless of
-        // payload.
-        assert!(!epoch.fold(7, &BatchVerifier::new()));
-        assert!(epoch.fold(1, &BatchVerifier::new()));
         assert_eq!(epoch.folded(), 0);
+        assert!(epoch.fold_aggregate(1, &G1::generator(), &Gt::one(), 3));
+        assert_eq!(epoch.folded(), 3);
+    }
+
+    #[test]
+    fn an_epoch_pays_one_loop_one_exponentiation_and_one_subgroup_test() {
+        // n aggregates in s live shards of six: one Miller loop with s
+        // lanes, one final exponentiation, one subgroup test and n − 1
+        // cyclotomic checks. Producing and folding them costs none.
+        use seccloud_pairing::counters::{snapshot, OpCounts};
+        let (lanes, keys) = lanes_of_two(4);
+        let sio = MasterKey::from_seed(b"registry-lanes-of-two");
+        let user = sio.extract_user("tenant");
+        let verifier = sio.extract_verifier("da/shard-3");
+        let mut batch = BatchVerifier::new();
+        for j in 0..3u8 {
+            let msg = format!("merged {j}").into_bytes();
+            batch.push(
+                user.public().clone(),
+                msg.clone(),
+                designate(&sign(&user, &msg, &[j]), verifier.public()),
+            );
+        }
+        let mut epoch = EpochVerifier::new(6, 1);
+        let before = snapshot();
+        let merged = batch.aggregate().expect("non-empty");
+        for (shard, terms) in (0..).zip(&lanes) {
+            for (u, sigma) in terms {
+                assert!(epoch.fold_aggregate(shard, u, sigma, 1));
+            }
+        }
+        assert!(epoch.fold_aggregate(3, &merged.0, &merged.1, 3));
+        assert_eq!(snapshot().since(&before), OpCounts::default());
+        let n = 2 * 4 + 1;
+        assert_eq!(epoch.folded(), n + 2);
+        let before = snapshot();
+        assert!(epoch.verify(&keys));
+        let spent = snapshot().since(&before);
+        assert_eq!(
+            (
+                spent.miller_loops,
+                spent.miller_lanes,
+                spent.final_exponentiations,
+                spent.gt_subgroup_tests,
+                spent.gt_cyclotomic_checks
+            ),
+            (1, 4, 1, 1, n as u64 - 1)
+        );
     }
 }

@@ -19,9 +19,12 @@
 //! * **Cross-user, cross-shard batch verification** ([`EpochVerifier`]) —
 //!   per-shard aggregates `(U_A, Σ_A)` in the sense of eq. (8) fold into a
 //!   *single* `multi_miller_loop` call across shards: one shared Miller
-//!   loop, one final exponentiation and one weighted `GT` fold, regardless
-//!   of how many users or shards contributed. Each extra shard adds one
-//!   Miller-loop argument and one weighted `G1` fold.
+//!   loop, one final exponentiation, one weighted `GT` fold and one `GT`
+//!   subgroup test, regardless of how many users or shards contributed.
+//!   The `Σ` side is `seccloud_ibs::weighted_sigma_product`, the same
+//!   membership check the single-key batch makes, so the 2⁻⁶⁴ bound
+//!   holds with no trust in who produced an aggregate's `Σ_A`. Each extra
+//!   shard adds one Miller-loop argument and one weighted `G1` fold.
 //!
 //! Prepared verifier keys are resolved through the bounded LRU in
 //! [`seccloud_pairing::cache`], which keeps the per-audit cost at one

@@ -9,7 +9,7 @@
 //!
 //! What tier 1 deliberately does **not** retry:
 //!
-//! * [`ServerError`](seccloud_cloudsim::server::ServerError)s — deterministic,
+//! * [`ServerError`]s — deterministic,
 //!   authenticated decisions by the far end;
 //! * responses that decode but fail *verification* — those reach the audit
 //!   driver (tier 2), which decides between escalation and conviction.

@@ -7,7 +7,7 @@
 //!   mangles the byte streams between the DA and a server according to a
 //!   seed-deterministic schedule, recording every injected fault in a
 //!   [`fault::FaultPlan`] so any run can be replayed exactly from its seed;
-//! * [`forall`] + [`gen`] — a minimal property-test runner (no external
+//! * [`forall`](mod@forall) + [`gen`] — a minimal property-test runner (no external
 //!   `proptest`) with tape-based generators for every wire message and
 //!   automatic byte-level shrinking that reports the minimal failing input
 //!   together with the seed that reproduces it;

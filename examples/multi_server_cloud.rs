@@ -194,7 +194,6 @@ mod net {
                 },
             )
             .expect("proxy bind");
-            // lint: allow(transport, reason=the raw socket client is immediately wrapped in ResilientTransport)
             let client =
                 NetTransport::new(proxy.addr(), verifier, signer, NetClientConfig::default());
             let policy = RetryPolicy {

@@ -507,10 +507,10 @@ fn batch_verifier_accepts_iff_every_item_verifies() {
                 let sigma = i.signature.sigma().as_fp12();
                 sigma.is_zero() || sigma.pow_apint(params::r_apint()) != Fp12::one()
             });
-            if batch.is_poisoned() != outside_mu_r {
+            let tested = items.iter().any(|i| !i.signature.sigma().is_in_subgroup());
+            if tested != outside_mu_r {
                 return Err(format!(
-                    "poisoned = {}, oracle = {outside_mu_r}",
-                    batch.is_poisoned()
+                    "subgroup tests say {tested}, oracle = {outside_mu_r}"
                 ));
             }
             (batch.verify(w.da.key()) == individually)
@@ -703,6 +703,16 @@ fn store_public_accepts_exactly_the_blocks_that_verify() {
     );
 }
 
+/// The aggregate `(Σ (U + h·Q_ID), Π Σ)` of `items`, as a producer hands
+/// it to the epoch verifier; of one item, that item's own term.
+fn aggregate_of(items: &[BatchItem]) -> (G1, Gt) {
+    let mut batch = BatchVerifier::new();
+    for item in items {
+        batch.push_item(item);
+    }
+    batch.aggregate().expect("non-empty")
+}
+
 #[test]
 fn epoch_fold_fails_on_any_bad_item() {
     let w = world();
@@ -713,12 +723,11 @@ fn epoch_fold_fails_on_any_bad_item() {
         |t: &mut Tape| algebraic_faults(t, w.stored.len()),
         |plan| {
             let items = da_items(&w, &faulted(&w.stored, plan, "da", "cs"));
-            let mut batch = BatchVerifier::new();
-            for item in &items {
-                batch.push_item(item);
-            }
             let mut epoch = EpochVerifier::new(1, 0);
-            assert!(epoch.fold(0, &batch));
+            for item in &items {
+                let (u, sigma) = aggregate_of(std::slice::from_ref(item));
+                assert!(epoch.fold_aggregate(0, &u, &sigma, 1));
+            }
             let individually = verify_individually(&items, w.da.key()).is_none();
             (epoch.verify(&keys) == individually)
                 .then_some(())
@@ -826,6 +835,94 @@ fn order_q1_parts_planted_anywhere_never_pass_a_batch() {
             (!batch.verify(w.da.key()) && individually.is_some())
                 .then_some(())
                 .ok_or(format!("batch accepted, or individually {individually:?}"))
+        },
+    );
+}
+
+/// Lanes of the epoch in [`order_q1_parts_in_epoch_aggregates_never_pass`].
+const Q1_LANES: u32 = 3;
+
+/// Exponents `e` of `z` planted into the `Σ` of an epoch's `n` aggregates,
+/// term `i` routed to lane `i mod Q1_LANES`: alone in a random term; in
+/// the first term, which the epoch weighs by one; or in one term of each
+/// of two or more lanes with exponents that sum to zero mod `q₁`, which
+/// cancel in the unweighted product.
+fn epoch_q1_plants(t: &mut Tape, n: usize) -> Vec<(usize, u64)> {
+    let lanes = Q1_LANES as usize;
+    match t.next_below(3) {
+        0 => vec![(t.next_below(n as u64) as usize, 1 + t.next_below(Q1 - 1))],
+        1 => vec![(0, 1 + t.next_below(Q1 - 1))],
+        _ => {
+            // Distinct lanes in tape order, then one term in each.
+            let mut order: Vec<usize> = (0..lanes).collect();
+            for i in (1..lanes).rev() {
+                order.swap(i, t.next_below(i as u64 + 1) as usize);
+            }
+            let k = 2 + t.next_below(lanes as u64 - 1) as usize;
+            let mut plants: Vec<(usize, u64)> = order[..k]
+                .iter()
+                .map(|&lane| {
+                    let in_lane = (n - lane).div_ceil(lanes) as u64;
+                    (lane + lanes * t.next_below(in_lane) as usize, 0)
+                })
+                .collect();
+            let mut sum = 0;
+            for plant in plants.iter_mut().skip(1) {
+                plant.1 = 1 + t.next_below(Q1 - 1);
+                sum = (sum + plant.1) % Q1;
+            }
+            plants[0].1 = if sum == 0 { Q1 } else { Q1 - sum };
+            plants.retain(|&(_, e)| e != Q1);
+            plants
+        }
+    }
+}
+
+/// The epoch verifier checks its `Σ` as the batch does. Aggregates routed
+/// by `fold_aggregate` carry parts of order `q₁` — alone, in the first
+/// term, or cancelling across lanes — and every epoch rejects them.
+#[test]
+fn order_q1_parts_in_epoch_aggregates_never_pass() {
+    let w = world();
+    let z = order_q1_element();
+    let keys = vec![w.da.key().sk_prepared(); Q1_LANES as usize];
+    // A two-signature aggregate first, then one term per signature.
+    let items = da_items(&w, &w.stored);
+    let mut honest = vec![aggregate_of(&items[..2])];
+    honest.extend(items[2..].chunks(1).map(aggregate_of));
+    let epoch_of = |terms: &[(G1, Gt)]| {
+        let mut epoch = EpochVerifier::new(Q1_LANES, 0);
+        for (lane, (u, sigma)) in (0..Q1_LANES).cycle().zip(terms) {
+            assert!(epoch.fold_aggregate(lane, u, sigma, 1));
+        }
+        epoch
+    };
+    assert!(epoch_of(&honest).verify(&keys));
+    let unweighted = |terms: &[(G1, Gt)]| terms.iter().fold(Gt::one(), |acc, (_, s)| acc.mul(s));
+    forall_with(
+        "epoch-verifier-under-order-q1-plants",
+        &algebraic_config(),
+        |t: &mut Tape| epoch_q1_plants(t, honest.len()),
+        |plan| {
+            let mut terms = honest.clone();
+            for &(slot, e) in plan {
+                let planted = terms[slot].1.mul(&z.pow(&Fr::from_u64(e)));
+                if !planted.is_cyclotomic() || planted.is_in_subgroup() {
+                    return Err(format!(
+                        "term {slot}: z^{e}·Σ must be cyclotomic, not in μ_r"
+                    ));
+                }
+                terms[slot].1 = planted;
+            }
+            let cancels = plan.iter().fold(0, |acc, &(_, e)| (acc + e) % Q1) == 0;
+            if cancels != (unweighted(&terms) == unweighted(&honest)) {
+                return Err(
+                    "the unweighted product must cancel exactly when the exponents do".into(),
+                );
+            }
+            (!epoch_of(&terms).verify(&keys))
+                .then_some(())
+                .ok_or(format!("epoch accepted {plan:?}"))
         },
     );
 }

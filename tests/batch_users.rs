@@ -23,6 +23,15 @@ use seccloud::pairing::G2Prepared;
 use seccloud::registry::{shard_of, EpochVerifier};
 use seccloud::testkit::{forall, Tape};
 
+/// Folds `item` into `shard`'s lane as a one-signature aggregate, so it
+/// takes a verification weight of its own.
+fn fold_single(epoch: &mut EpochVerifier, shard: u32, item: &BatchItem) -> bool {
+    let mut batch = BatchVerifier::new();
+    batch.push_item(item);
+    let (u, sigma) = batch.aggregate().expect("one signature");
+    epoch.fold_aggregate(shard, &u, &sigma, 1)
+}
+
 const SHARDS: u32 = 4;
 const EPOCH: u64 = 1;
 const POOL: usize = 6;
@@ -94,7 +103,6 @@ fn fused_batch_accepts_iff_every_signature_verifies() {
             let user = &users[user_ix];
             let shard = shard_of(user.identity(), EPOCH, SHARDS);
             let verifier = &verifiers[shard as usize];
-            let mut batch = BatchVerifier::new();
             for j in 0..n_sigs {
                 let mut message = format!("case block {slot}/{j}").into_bytes();
                 let nonce = format!("nonce {slot}/{j}").into_bytes();
@@ -121,10 +129,9 @@ fn fused_batch_accepts_iff_every_signature_verifies() {
                     message,
                     signature,
                 };
-                batch.push_item(&item);
+                assert!(fold_single(&mut epoch, shard, &item));
                 per_shard[shard as usize].push(item);
             }
-            epoch.fold(shard, &batch);
         }
 
         // Individual baseline, shard by shard.
@@ -229,7 +236,6 @@ fn coordinated_cancelling_corruptions_never_pass_the_fused_check() {
                 let user = &users[user_ix];
                 let shard = shard_of(user.identity(), EPOCH, SHARDS);
                 let verifier = &verifiers[shard as usize];
-                let mut batch = BatchVerifier::new();
                 for j in 0..n_sigs {
                     let message = format!("cancel block {slot}/{j}").into_bytes();
                     let nonce = format!("nonce {slot}/{j}").into_bytes();
@@ -254,10 +260,9 @@ fn coordinated_cancelling_corruptions_never_pass_the_fused_check() {
                         message,
                         signature,
                     };
-                    batch.push_item(&item);
+                    assert!(fold_single(&mut epoch, shard, &item));
                     per_shard[shard as usize].push(item);
                 }
-                epoch.fold(shard, &batch);
             }
 
             if applied != 2 {
@@ -300,15 +305,16 @@ fn single_user_single_signature_boundary() {
     let keys: Vec<Arc<G2Prepared>> = verifiers.iter().map(|v| v.sk_prepared()).collect();
 
     let sig = designate(&sign(&user, b"m", b"n"), verifiers[shard as usize].public());
+    let item = |message: &[u8]| BatchItem {
+        signer: user.public().clone(),
+        message: message.to_vec(),
+        signature: sig.clone(),
+    };
     let mut ok = EpochVerifier::new(SHARDS, EPOCH);
-    let mut batch = BatchVerifier::new();
-    batch.push(user.public().clone(), b"m".to_vec(), sig.clone());
-    ok.fold(shard, &batch);
+    assert!(fold_single(&mut ok, shard, &item(b"m")));
     assert!(ok.verify(&keys));
 
     let mut bad = EpochVerifier::new(SHARDS, EPOCH);
-    let mut batch = BatchVerifier::new();
-    batch.push(user.public().clone(), b"tampered".to_vec(), sig);
-    bad.fold(shard, &batch);
+    assert!(fold_single(&mut bad, shard, &item(b"tampered")));
     assert!(!bad.verify(&keys));
 }

@@ -79,7 +79,6 @@ fn net_world_with(label: &[u8], behavior: Behavior, config: NetServerConfig) -> 
 }
 
 fn client_for(addr: SocketAddr, world: &NetWorld) -> NetTransport {
-    // lint: allow(transport, reason=the raw socket client is the object under test; resilient arms wrap it below)
     NetTransport::new(
         addr,
         world.verifier.clone(),
@@ -234,7 +233,6 @@ fn scripted_server(
 }
 
 fn scripted_client(addr: SocketAddr, read_timeout_ms: u64) -> NetTransport {
-    // lint: allow(transport, reason=error-mapping cases assert on the raw client, below any retry layer)
     NetTransport::new(
         addr,
         VerifierPublic::from_identity("cs"),
@@ -411,7 +409,6 @@ fn client_reconnects_across_server_request_cap() {
         },
     )
     .expect("bind");
-    // lint: allow(transport, reason=reconnect behaviour is a property of the raw client itself)
     let mut client = NetTransport::new(net.addr(), verifier, signer, NetClientConfig::default());
     assert_eq!(
         client
